@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycloNum
+from .cyclotomic import CycloNum, is_prime
 from .groups import FiniteGroup
 
 
@@ -128,23 +128,10 @@ def _finish(group: FiniteGroup, chars: list, method: str) -> CharTable:
 # -- linear algebra and polynomial arithmetic over F_q -------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _find_modulus(exponent: int, order: int) -> int:
     q = exponent + 1
     while q <= 10**6:
-        if q * q > 4 * order and _is_prime(q):
+        if q * q > 4 * order and is_prime(q):
             return q
         q += exponent
     raise RuntimeError("no usable prime q = 1 mod exp(G) below 10^6")

@@ -13,8 +13,8 @@ reaches.
 
 Exit codes: 0 on success, 1 when a verification-style command finds a
 failure (verify-paper check failures, a broken self-check in nr or
-adjoint, a norm-ideal probe contradicting its closed form), 2 on
-usage errors.
+adjoint, a norm-ideal probe contradicting its closed form) or when the
+reader closes stdout before the output is written, 2 on usage errors.
 """
 
 import argparse
@@ -32,7 +32,7 @@ from .blocks import (
 )
 from .chartable import character_table
 from .citations import statement
-from .cyclotomic import coerce
+from .cyclotomic import coerce, is_prime
 from .dt import dt_query, maximality_consequence
 from .groupring import (
     CentralElement,
@@ -85,17 +85,6 @@ class UsageError(Exception):
     pass
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _build_group(args) -> FiniteGroup:
     gens = getattr(args, "generators", None)
     family = getattr(args, "family", None)
@@ -140,9 +129,17 @@ def _build_group(args) -> FiniteGroup:
 
 def _prime_arg(args) -> int:
     p = args.p
-    if not _is_prime(p):
+    if not is_prime(p):
         raise UsageError(f"--p must be a prime, got {p}")
     return p
+
+
+def _budget_arg(args, default: int) -> int:
+    if args.budget is None:
+        return default
+    if args.budget < 0:
+        raise UsageError(f"--budget must be a non-negative integer, got {args.budget}")
+    return args.budget
 
 
 def _normal_ids(g: FiniteGroup, selector: str) -> frozenset:
@@ -362,6 +359,7 @@ def _cmd_adjoint(args):
 def _cmd_denom_cert(args):
     g = _build_group(args)
     p = _prime_arg(args)
+    budget = _budget_arg(args, 36)
     t = character_table(g)
     if args.normal:
         nids = _normal_ids(g, args.normal)
@@ -373,7 +371,6 @@ def _cmd_denom_cert(args):
     else:
         x = CentralElement.one(t)
         described = "the identity"
-    budget = args.budget if args.budget is not None else 36
     verdict = denominator_membership(x, p, budget=budget, seed=args.seed)
     payload = {
         "command": "denom-cert",
@@ -399,7 +396,7 @@ def _cmd_denom_cert(args):
 def _cmd_norm_ideal(args):
     g = _build_group(args)
     p = _prime_arg(args)
-    budget = args.budget if args.budget is not None else 24
+    budget = _budget_arg(args, 24)
     probe = norm_ideal_probe(g, p, budget=budget, seed=args.seed)
     payload = {
         "command": "norm-ideal",
@@ -678,10 +675,17 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"holring: error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, **payload}, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+    try:
+        if args.format == "json":
+            print(json.dumps({"schema": SCHEMA, **payload}, indent=2, sort_keys=True))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (say `holring ... | head -1`); point the
+        # descriptor at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

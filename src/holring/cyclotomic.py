@@ -40,6 +40,19 @@ def euler_phi(m: int) -> int:
     return result
 
 
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
 def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     # exact division of integer polynomials, den monic up to sign of lead
     num = list(num)

@@ -1,10 +1,22 @@
 """Group rings K[G] with exact coefficients, and matrices over them.
 
-Coefficients are ints, Fractions or cyclotomic numbers; integer
-coefficients stay plain ints so that the matrix power computations run
-on machine integers.  Central elements carry a second representation by
-their scalar action on each irreducible character, which turns products
-of central elements into pointwise multiplications.
+A rational element is held as a tuple of int numerators over one
+positive common denominator, in lowest terms: the gcd of the denominator
+and all numerators is 1, so equal elements have equal (num, den).  A
+product walks the Cayley-table row of each nonzero left numerator and
+runs on ints alone; a matrix entry, or any sum of products, is gathered
+over one common denominator and reduced once.  Fractions appear only at
+the boundary: ``coeffs`` returns the canonical int/Fraction/CycloNum
+values that printing and JSON use, and ``class_collapse`` divides each
+class sum by the denominator.  Equality and hashing compare (num, den).
+
+An element with a coefficient outside Q keeps its canonical coefficient
+values as numerators over denominator 1, and goes through the same loops:
+which arithmetic runs is decided by the type of the numerators.
+
+Central elements carry a second representation by their scalar action
+on each irreducible character, which turns products of central elements
+into pointwise multiplications.
 """
 
 from __future__ import annotations
@@ -41,20 +53,64 @@ def is_integral_coeff(c) -> bool:
     return all(x.denominator == 1 for x in c.c)
 
 
+def _accumulate(out: list, rows: list, a: tuple, b: tuple, scale: int) -> None:
+    """out += scale * a * b for numerator vectors a, b over the group."""
+    right = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            if scale != 1:
+                x = x * scale
+            row = rows[i]
+            for j, y in right:
+                out[row[j]] += x * y
+
+
+def _sum_of_products(group: FiniteGroup, pairs) -> "GroupRingElem":
+    """sum of a*b over pairs of elements, on one common denominator."""
+    pairs = [(a, b) for a, b in pairs if a and b]
+    den = math.lcm(*(a.den * b.den for a, b in pairs))
+    out = [0] * group.order
+    rows = group.cayley_table()
+    for a, b in pairs:
+        _accumulate(out, rows, a.num, b.num, den // (a.den * b.den))
+    return GroupRingElem._reduced(group, out, den)
+
+
 class GroupRingElem:
-    __slots__ = ("group", "coeffs")
+    __slots__ = ("group", "num", "den")
 
     def __init__(self, group: FiniteGroup, coeffs):
-        coeffs = list(coeffs)
-        assert len(coeffs) == group.order
-        self.group = group
-        self.coeffs = tuple(canon_coeff(c) for c in coeffs)
+        values = [canon_coeff(c) for c in coeffs]
+        assert len(values) == group.order
+        if any(isinstance(v, CycloNum) for v in values):
+            num, den = tuple(values), 1
+        else:
+            den = math.lcm(*(v.denominator for v in values))
+            num = tuple(v.numerator * (den // v.denominator) for v in values)
+        self.group, self.num, self.den = group, num, den
+
+    @staticmethod
+    def _reduced(group: FiniteGroup, num, den: int) -> "GroupRingElem":
+        """The element num/den in canonical form: int numerators in lowest
+        terms, any other numerators through the constructor."""
+        if not all(type(x) is int for x in num):
+            if den != 1:
+                inv = Fraction(1, den)
+                num = [x * inv for x in num]
+            return GroupRingElem(group, num)
+        d = math.gcd(den, *num)
+        if d != 1:
+            num = [x // d for x in num]
+            den //= d
+        elem = object.__new__(GroupRingElem)
+        elem.group, elem.num, elem.den = group, tuple(num), den
+        return elem
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(group: FiniteGroup) -> "GroupRingElem":
-        return GroupRingElem(group, [0] * group.order)
+        return GroupRingElem._reduced(group, [0] * group.order, 1)
 
     @staticmethod
     def one(group: FiniteGroup) -> "GroupRingElem":
@@ -64,7 +120,7 @@ class GroupRingElem:
     def basis(group: FiniteGroup, element_id: int) -> "GroupRingElem":
         c = [0] * group.order
         c[element_id] = 1
-        return GroupRingElem(group, c)
+        return GroupRingElem._reduced(group, c, 1)
 
     @staticmethod
     def from_dict(group: FiniteGroup, d: dict) -> "GroupRingElem":
@@ -73,89 +129,97 @@ class GroupRingElem:
             c[gid] = v
         return GroupRingElem(group, c)
 
+    # -- boundary ---------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple:
+        """Canonical coefficient values: int, Fraction or CycloNum."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return tuple(x // den if x % den == 0 else Fraction(x, den) for x in self.num)
+
     # -- arithmetic -------------------------------------------------------
+
+    def _linear(self, other: "GroupRingElem", sign: int) -> "GroupRingElem":
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return GroupRingElem._reduced(
+            self.group, [x * fa + y * fb for x, y in zip(self.num, other.num)], den
+        )
 
     def __add__(self, other):
         if isinstance(other, GroupRingElem):
-            return GroupRingElem(
-                self.group, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-            )
+            return self._linear(other, 1)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, GroupRingElem):
-            return GroupRingElem(
-                self.group, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-            )
+            return self._linear(other, -1)
         return NotImplemented
 
     def __neg__(self):
-        return GroupRingElem(self.group, [-a for a in self.coeffs])
+        return GroupRingElem._reduced(self.group, [-x for x in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, GroupRingElem):
-            g = self.group
-            out = [0] * g.order
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if not b:
-                        continue
-                    k = g.mul(i, j)
-                    out[k] = out[k] + a * b
-            return GroupRingElem(g, out)
+            return _sum_of_products(self.group, [(self, other)])
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, s) -> "GroupRingElem":
-        return GroupRingElem(self.group, [s * a for a in self.coeffs])
+        s = canon_coeff(s)
+        if isinstance(s, CycloNum):
+            return GroupRingElem._reduced(self.group, [s * x for x in self.num], self.den)
+        s = Fraction(s)
+        return GroupRingElem._reduced(
+            self.group, [x * s.numerator for x in self.num], self.den * s.denominator
+        )
 
     def __eq__(self, other):
         return (
             isinstance(other, GroupRingElem)
             and self.group is other.group
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        h = 0
-        for c in self.coeffs:
-            h = hash((h, c if not isinstance(c, CycloNum) else c.c))
-        return h
+        return hash((self.den, self.num))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __repr__(self):
-        n = sum(1 for c in self.coeffs if c)
+        n = sum(1 for c in self.num if c)
         return f"GroupRingElem(order={self.group.order}, support={n})"
 
     # -- structure --------------------------------------------------------
 
     def support(self) -> list:
-        return [i for i, c in enumerate(self.coeffs) if c]
+        return [i for i, c in enumerate(self.num) if c]
 
     def has_integral_coeffs(self) -> bool:
-        return all(is_integral_coeff(c) for c in self.coeffs)
+        return self.den == 1 and all(is_integral_coeff(c) for c in self.num)
 
     def class_collapse(self) -> list:
         """Sum of coefficients over each conjugacy class."""
         cls = self.group.classes()
         out = [0] * len(cls.classes)
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.num):
             if c:
                 ci = cls.class_of[i]
                 out[ci] = out[ci] + c
-        return [canon_coeff(x) for x in out]
+        den = self.den
+        return [canon_coeff(x if den == 1 else Fraction(x, den)) for x in out]
 
     def is_central(self) -> bool:
         cls = self.group.classes()
         for members in cls.classes:
-            first = self.coeffs[members[0]]
-            if any(self.coeffs[x] != first for x in members[1:]):
+            first = self.num[members[0]]
+            if any(self.num[x] != first for x in members[1:]):
                 return False
         return True
 
@@ -192,6 +256,23 @@ class GroupRingMatrix:
             group, [[elem if i == j else zero for j in range(n)] for i in range(n)]
         )
 
+    @staticmethod
+    def combination(scalars, matrices) -> "GroupRingMatrix":
+        """sum_j scalars[j] * matrices[j], entry by entry.
+
+        Each scalar multiplies every entry of its matrix from the left, so
+        this is the sum of scalar(scalars[j]) * matrices[j] at n^2 products
+        per term instead of n^3; each entry is reduced once.
+        """
+        group, n = matrices[0].group, matrices[0].n
+        return GroupRingMatrix(group, [
+            [
+                _sum_of_products(group, [(c, m.rows[i][k]) for c, m in zip(scalars, matrices)])
+                for k in range(n)
+            ]
+            for i in range(n)
+        ])
+
     def __add__(self, other):
         return GroupRingMatrix(
             self.group,
@@ -206,17 +287,11 @@ class GroupRingMatrix:
 
     def __mul__(self, other):
         if isinstance(other, GroupRingMatrix):
-            n = self.n
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = GroupRingElem.zero(self.group)
-                    for t in range(n):
-                        acc = acc + self.rows[i][t] * other.rows[t][j]
-                    row.append(acc)
-                out.append(row)
-            return GroupRingMatrix(self.group, out)
+            g = self.group
+            cols = list(zip(*other.rows))
+            return GroupRingMatrix(
+                g, [[_sum_of_products(g, zip(row, col)) for col in cols] for row in self.rows]
+            )
         return GroupRingMatrix(
             self.group, [[e * other for e in row] for row in self.rows]
         )
@@ -238,6 +313,14 @@ class GroupRingMatrix:
             acc = acc + self.rows[i][i]
         return acc
 
+    def product_trace(self, other: "GroupRingMatrix") -> GroupRingElem:
+        """tr(self * other) from the n^2 products on its diagonal alone."""
+        return _sum_of_products(self.group, [
+            (a, other.rows[t][i])
+            for i, row in enumerate(self.rows)
+            for t, a in enumerate(row)
+        ])
+
     def has_integral_coeffs(self) -> bool:
         return all(e.has_integral_coeffs() for row in self.rows for e in row)
 
@@ -250,13 +333,14 @@ class CentralElement:
     elements are pointwise products of values.
     """
 
-    __slots__ = ("table", "values")
+    __slots__ = ("table", "values", "_coords")
 
     def __init__(self, table: CharTable, values):
         values = list(values)
         assert len(values) == len(table.characters)
         self.table = table
         self.values = tuple(canon_coeff(v) for v in values)
+        self._coords = None
 
     # -- constructors ------------------------------------------------------
 
@@ -300,19 +384,21 @@ class CentralElement:
     # -- conversions ---------------------------------------------------------
 
     def to_class_coords(self) -> list:
-        """Coefficient on (any element of) each conjugacy class."""
-        g = self.table.group
-        cls = g.classes()
-        k = len(cls.classes)
-        coords = []
-        for c in range(k):
-            cinv = cls.inverse_class(c, g)
-            total = 0
-            for v, ch in zip(self.values, self.table.characters):
-                if v:
-                    total = total + v * ch.degree * ch.values[cinv]
-            coords.append(canon_coeff(total * Fraction(1, g.order)))
-        return coords
+        """Coefficient on (any element of) each conjugacy class; computed
+        once per element, a fresh list on every call."""
+        if self._coords is None:
+            g = self.table.group
+            cls = g.classes()
+            coords = []
+            for c in range(len(cls.classes)):
+                cinv = cls.inverse_class(c, g)
+                total = 0
+                for v, ch in zip(self.values, self.table.characters):
+                    if v:
+                        total = total + v * ch.degree * ch.values[cinv]
+                coords.append(canon_coeff(total * Fraction(1, g.order)))
+            self._coords = tuple(coords)
+        return list(self._coords)
 
     def to_group_ring(self) -> GroupRingElem:
         g = self.table.group

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,19 +77,37 @@ class FiniteGroup:
     # -- basic operations ---------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        if self._table is not None:
-            return self._table[a][b]
-        if self.order <= 512:
-            self._build_table()
-            return self._table[a][b]
-        return self.index[_compose(self.elements[a], self.elements[b])]
+        table = self._table
+        if table is None:
+            table = self.cayley_table()
+        return table[a][b]
 
-    def _build_table(self):
-        idx = self.index
-        els = self.elements
-        self._table = [
-            [idx[_compose(p, q)] for q in els] for p in els
-        ]
+    def cayley_table(self) -> list:
+        """Rows of ids with cayley_table()[a][b] the id of a*b, built once.
+
+        Rows are array('H'), so an order-2000 table takes about 8 MB.  An
+        element is keyed by its images of a base (points that only the
+        identity fixes together), so each entry costs one lookup of a
+        tuple as long as the base, not a full composition.
+        """
+        if self._table is None:
+            base = self._base()
+            images = [tuple(p[x] for x in base) for p in self.elements]
+            key = {im: i for i, im in enumerate(images)}
+            self._table = [
+                array("H", [key[tuple(map(p.__getitem__, im))] for im in images])
+                for p in self.elements
+            ]
+        return self._table
+
+    def _base(self) -> list:
+        base, moving = [], self.elements[1:]
+        while moving:
+            first = moving[0]
+            x = next(pt for pt in range(self.degree) if first[pt] != pt)
+            base.append(x)
+            moving = [p for p in moving if p[x] == x]
+        return base
 
     def inv(self, a: int) -> int:
         if self._inv is None:

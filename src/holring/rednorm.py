@@ -106,15 +106,19 @@ class ReducedCharPoly:
         return canon_coeff(coerce(self.constant_term) * (-1) ** self.degree)
 
 
-def _power_traces(H: GroupRingMatrix, kmax: int) -> list:
-    """Class-collapsed coefficients of tr(H^k) for k = 1..kmax."""
-    out = []
-    power = H
-    for _ in range(kmax):
-        out.append(power.trace().class_collapse())
-        if len(out) < kmax:
-            power = power * H
-    return out
+def _powers_and_traces(H: GroupRingMatrix, kmax: int):
+    """(H^1..H^(kmax-1), class-collapsed coefficients of tr(H^k), k = 1..kmax).
+
+    The last trace comes from the diagonal of H^(kmax-1) H alone, so
+    H^kmax itself is never formed.
+    """
+    powers, traces = [], []
+    for _ in range(1, kmax):
+        powers.append(powers[-1] * H if powers else H)
+        traces.append(powers[-1].trace().class_collapse())
+    last = powers[-1].product_trace(H) if powers else H.trace()
+    traces.append(last.class_collapse())
+    return powers, traces
 
 
 def _traces_for(ch: Character, collapsed: list) -> list:
@@ -149,22 +153,28 @@ def _newton_coeffs(traces: list, d: int) -> tuple:
 def reduced_char_poly(H: GroupRingMatrix, ch: Character) -> ReducedCharPoly:
     """Char poly of H in the block of ch, via traces of matrix powers."""
     d = ch.degree * H.n
-    collapsed = _power_traces(H, d)
+    _, collapsed = _powers_and_traces(H, d)
     traces = _traces_for(ch, collapsed)
     return ReducedCharPoly(ch, H.n, _newton_coeffs(traces, d))
 
 
-def reduced_char_polys(H: GroupRingMatrix) -> list:
-    """All blocks at once; matrix powers are shared across characters."""
+def _polys_and_powers(H: GroupRingMatrix):
+    """Reduced char polys of every block, and the powers H^1..H^(d-1)
+    whose traces gave them, d the largest block degree."""
     table = character_table(H.group)
     dmax = max(ch.degree for ch in table.characters) * H.n
-    collapsed = _power_traces(H, dmax)
-    out = []
+    powers, collapsed = _powers_and_traces(H, dmax)
+    polys = []
     for ch in table.characters:
         d = ch.degree * H.n
         traces = _traces_for(ch, collapsed[:d])
-        out.append(ReducedCharPoly(ch, H.n, _newton_coeffs(traces, d)))
-    return out
+        polys.append(ReducedCharPoly(ch, H.n, _newton_coeffs(traces, d)))
+    return polys, powers
+
+
+def reduced_char_polys(H: GroupRingMatrix) -> list:
+    """All blocks at once; matrix powers are shared across characters."""
+    return _polys_and_powers(H)[0]
 
 
 def reduced_norm(H: GroupRingMatrix) -> CentralElement:
@@ -198,21 +208,19 @@ def _adjoint_layers(table: CharTable, polys: list, n: int) -> list:
 
 
 def adjoint_and_norm(H: GroupRingMatrix):
-    """(adj(H), nr(H)) with the matrix powers computed once."""
+    """(adj(H), nr(H)) from one set of matrix powers.
+
+    adj(H) = sum_j C_j H^(j-1) reuses the powers H^1..H^(d-1) that the
+    power traces formed; each power is scaled by its central layer entry
+    by entry, and each entry is summed over the layers' common
+    denominator and reduced once.
+    """
     table = character_table(H.group)
-    polys = reduced_char_polys(H)
+    polys, powers = _polys_and_powers(H)
     nr = CentralElement(table, [p.norm_value() for p in polys])
-    layers = _adjoint_layers(table, polys, H.n)
-    g = H.group
-    power = GroupRingMatrix.identity(g, H.n)
-    total = GroupRingMatrix.scalar(g, H.n, GroupRingElem.zero(g))
-    for j, layer in enumerate(layers):
-        if j:
-            power = power * H
-        scalar = layer.to_group_ring()
-        if scalar:
-            total = total + power * GroupRingMatrix.scalar(g, H.n, scalar)
-    return total, nr
+    layers = [layer.to_group_ring() for layer in _adjoint_layers(table, polys, H.n)]
+    eye = GroupRingMatrix.identity(H.group, H.n)
+    return GroupRingMatrix.combination(layers, [eye] + powers), nr
 
 
 def generalized_adjoint(H: GroupRingMatrix) -> GroupRingMatrix:

@@ -19,6 +19,7 @@ from typing import Optional
 from .blocks import HYBRID_CRITERION, hybrid_report, weakly_hybrid
 from .chartable import CharTable, character_table
 from .citations import register
+from .cyclotomic import is_prime
 from .dt import DT_INVERSION, dt_query
 from .groups import FiniteGroup
 
@@ -163,17 +164,6 @@ CONJECTURES = ("etnc", "local-epsilon", "global-epsilon")
 BASE_FIELDS = ("rationals", "any")
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Input grammar for a conjecture report.
@@ -297,7 +287,7 @@ def _validate(scn: Scenario):
         raise ValueError(
             "unsupported scenario grammar: only r = 0 and r < 0"
         )
-    if scn.p is not None and not _is_prime(scn.p):
+    if scn.p is not None and not is_prime(scn.p):
         raise ValueError(f"unsupported scenario grammar: p = {scn.p}")
     if scn.conjecture != "etnc":
         if scn.p is None:
@@ -576,7 +566,7 @@ def _rule_frobenius_negative(scn, statements, rules):
         f"r = {scn.r} is odd and negative",
     ]
     factors = {f for f in range(2, kernel.order + 1)
-               if kernel.order % f == 0 and _is_prime(f)}
+               if kernel.order % f == 0 and is_prime(f)}
     if len(factors) == 1:
         statements.append(Statement(
             "ETNC(L/K, r) holds outside its 2-part for every odd r < 0.",

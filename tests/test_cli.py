@@ -1,6 +1,9 @@
 """End-to-end command-line behavior: output lines, JSON schema, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -225,6 +228,36 @@ def test_norm_ideal_s4_at_two(capsys):
     probe = payload["probe"]
     assert probe["closed_form"] == "sandwich-2"
     assert probe["closed_form_consistent"] is True
+
+
+@pytest.mark.parametrize("command", ["norm-ideal", "denom-cert"])
+def test_negative_budget_is_usage_error(capsys, command):
+    code, out, err = run(
+        capsys, command, "--family", "symmetric", "--n", "3",
+        "--p", "3", "--budget", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--budget must be a non-negative integer" in err
+
+
+def test_closed_stdout_exits_quietly():
+    # the reading end is closed before the command writes a byte, so
+    # every write to stdout fails with a broken pipe
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "holring.cli", "chartab", "--family", "symmetric", "--n", "5"],
+            stdout=write_fd,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_fd)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
 
 
 # -- dt --------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from holring.chartable import character_table
 from holring.cyclotomic import CycloNum
@@ -11,10 +11,12 @@ from holring.groupring import (
     GroupRingMatrix,
     random_integral_matrix,
 )
-from holring.groups import alternating, cyclic, symmetric
+from holring.groups import alternating, cyclic, dihedral, quaternion, symmetric
+from holring.rednorm import adjoint_and_norm, reduced_norm
 
 S3 = symmetric(3)
 A4 = alternating(4)
+KERNEL_GROUPS = {"S3": S3, "Q8": quaternion(), "A4": A4, "D10": dihedral(5)}
 
 small_coeffs = st.lists(
     st.integers(min_value=-4, max_value=4), min_size=6, max_size=6
@@ -150,3 +152,86 @@ def test_char_value_on_noncentral():
     got = x.char_value(std)
     want = 2 * std.value_on(0) + std.value_on(1)
     assert got == want.as_rational()
+
+
+# -- the integer kernel against plain Fractions ------------------------------
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+def reference_product(g, a, b):
+    """a * b from composing the permutations of g, on plain Fractions."""
+    out = {p: Fraction(0) for p in g.elements}
+    for p, x in zip(g.elements, a):
+        for q, y in zip(g.elements, b):
+            out[tuple(p[i] for i in q)] += Fraction(x) * Fraction(y)
+    return [out[p] for p in g.elements]
+
+
+def draw_coeffs(data, g):
+    return data.draw(st.lists(small_fractions, min_size=g.order, max_size=g.order))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), label=st.sampled_from(sorted(KERNEL_GROUPS)))
+def test_fraction_products_match_reference(data, label):
+    g = KERNEL_GROUPS[label]
+    a, b = draw_coeffs(data, g), draw_coeffs(data, g)
+    got = GroupRingElem(g, a) * GroupRingElem(g, b)
+    assert list(got.coeffs) == reference_product(g, a, b)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data(), label=st.sampled_from(sorted(KERNEL_GROUPS)))
+def test_fraction_matrix_products_match_reference(data, label):
+    g = KERNEL_GROUPS[label]
+    a = [[draw_coeffs(data, g) for _ in range(2)] for _ in range(2)]
+    b = [[draw_coeffs(data, g) for _ in range(2)] for _ in range(2)]
+
+    def matrix(m):
+        return GroupRingMatrix(g, [[GroupRingElem(g, c) for c in row] for row in m])
+
+    got = matrix(a) * matrix(b)
+    for i in range(2):
+        for j in range(2):
+            want = [
+                x + y for x, y in zip(
+                    reference_product(g, a[i][0], b[0][j]),
+                    reference_product(g, a[i][1], b[1][j]),
+                )
+            ]
+            assert list(got.rows[i][j].coeffs) == want
+
+
+@settings(derandomize=True, max_examples=50)
+@given(
+    values=st.lists(st.integers(-6, 6), min_size=6, max_size=6),
+    dens=st.lists(st.integers(1, 12), min_size=6, max_size=6),
+)
+def test_integral_values_are_stored_as_ints(values, dens):
+    plain = GroupRingElem(S3, values)
+    scaled = GroupRingElem(S3, [Fraction(v * d, d) for v, d in zip(values, dens)])
+    parts = GroupRingElem(S3, [Fraction(v, d) for v, d in zip(values, dens)])
+    rest = GroupRingElem(S3, [v - Fraction(v, d) for v, d in zip(values, dens)])
+    for elem in (scaled, parts + rest):
+        assert elem == plain
+        assert hash(elem) == hash(plain)
+        assert all(type(c) is int for c in elem.coeffs)
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(seed=st.integers(0, 10**6), label=st.sampled_from(["S3", "Q8"]))
+def test_adjoint_identity_for_non_integral_matrix(seed, label):
+    g = KERNEL_GROUPS[label]
+    h = random_integral_matrix(g, 2, random.Random(seed))
+    half = h.scale(Fraction(1, 2))
+    assert not half.has_integral_coeffs()
+    adj, nr = adjoint_and_norm(half)
+    scalar = GroupRingMatrix.scalar(g, 2, nr.to_group_ring())
+    assert adj * half == scalar
+    assert half * adj == scalar
+    # nr(H/2) = nr(H) / 2^(n chi(1)) on each character, with n = 2
+    t = character_table(g)
+    full = reduced_norm(h)
+    for ch, v, w in zip(t.characters, nr.values, full.values):
+        assert v == w * Fraction(1, 2 ** (2 * ch.degree))

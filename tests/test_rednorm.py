@@ -12,6 +12,7 @@ from holring.groupring import (
     GroupRingElem,
     GroupRingMatrix,
     is_integral_coeff,
+    random_integral_element,
     random_integral_matrix,
 )
 from holring.groups import (
@@ -175,6 +176,15 @@ def test_norm_of_product_is_product_of_norms():
         a = random_integral_matrix(g, n, rng)
         b = random_integral_matrix(g, n, rng)
         assert reduced_norm(a * b) == reduced_norm(a) * reduced_norm(b)
+
+
+def test_norm_of_product_is_product_of_norms_over_s6():
+    # order 720: products run on the full Cayley table
+    g = symmetric(6)
+    rng = random.Random(1729)
+    a = one_by_one(g, random_integral_element(g, rng))
+    b = one_by_one(g, random_integral_element(g, rng))
+    assert reduced_norm(a * b) == reduced_norm(a) * reduced_norm(b)
 
 
 def test_norm_values_are_galois_equivariant():
