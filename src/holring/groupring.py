@@ -2,10 +2,11 @@
 
 A rational element is held as a tuple of int numerators over one
 positive common denominator, in lowest terms: the gcd of the denominator
-and all numerators is 1, so equal elements have equal (num, den).  A
-product walks the Cayley-table row of each nonzero left numerator and
-runs on ints alone; a matrix entry, or any sum of products, is gathered
-over one common denominator and reduced once.  Fractions appear only at
+and all numerators is 1, so equal elements have equal (num, den).  The
+one product loop, ``GroupRingElem.__mul__``, walks the Cayley-table row
+of each nonzero left numerator and runs on ints alone; a matrix entry,
+or any sum of products, adds the products' numerators over one common
+denominator and reduces the sum once.  Fractions appear only at
 the boundary: ``coeffs`` returns the canonical int/Fraction/CycloNum
 values that printing and JSON use, and ``class_collapse`` divides each
 class sum by the denominator.  Equality and hashing compare (num, den).
@@ -53,26 +54,20 @@ def is_integral_coeff(c) -> bool:
     return all(x.denominator == 1 for x in c.c)
 
 
-def _accumulate(out: list, rows: list, a: tuple, b: tuple, scale: int) -> None:
-    """out += scale * a * b for numerator vectors a, b over the group."""
-    right = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            if scale != 1:
-                x = x * scale
-            row = rows[i]
-            for j, y in right:
-                out[row[j]] += x * y
-
-
 def _sum_of_products(group: FiniteGroup, pairs) -> "GroupRingElem":
-    """sum of a*b over pairs of elements, on one common denominator."""
-    pairs = [(a, b) for a, b in pairs if a and b]
-    den = math.lcm(*(a.den * b.den for a, b in pairs))
-    out = [0] * group.order
-    rows = group.cayley_table()
-    for a, b in pairs:
-        _accumulate(out, rows, a.num, b.num, den // (a.den * b.den))
+    """sum of a*b over pairs of elements, on one common denominator.
+
+    Each product is a ``GroupRingElem.__mul__``; their numerator vectors
+    are added over the lcm of their denominators and reduced once.
+    """
+    products = [a * b for a, b in pairs if a and b]
+    if len(products) == 1:
+        return products[0]
+    den = math.lcm(*(p.den for p in products))
+    vectors = [
+        p.num if p.den == den else [x * (den // p.den) for x in p.num] for p in products
+    ]
+    out = list(map(sum, zip(*vectors))) if vectors else [0] * group.order
     return GroupRingElem._reduced(group, out, den)
 
 
@@ -80,25 +75,27 @@ class GroupRingElem:
     __slots__ = ("group", "num", "den")
 
     def __init__(self, group: FiniteGroup, coeffs):
-        values = [canon_coeff(c) for c in coeffs]
-        assert len(values) == group.order
-        if any(isinstance(v, CycloNum) for v in values):
-            num, den = tuple(values), 1
-        else:
-            den = math.lcm(*(v.denominator for v in values))
-            num = tuple(v.numerator * (den // v.denominator) for v in values)
+        num, den = tuple(coeffs), 1
+        assert len(num) == group.order
+        if not set(map(type, num)) <= {int}:
+            values = [canon_coeff(c) for c in num]
+            if any(isinstance(v, CycloNum) for v in values):
+                num = tuple(values)
+            else:
+                den = math.lcm(*(v.denominator for v in values))
+                num = tuple(v.numerator * (den // v.denominator) for v in values)
         self.group, self.num, self.den = group, num, den
 
     @staticmethod
     def _reduced(group: FiniteGroup, num, den: int) -> "GroupRingElem":
         """The element num/den in canonical form: int numerators in lowest
         terms, any other numerators through the constructor."""
-        if not all(type(x) is int for x in num):
+        if not set(map(type, num)) <= {int}:
             if den != 1:
                 inv = Fraction(1, den)
                 num = [x * inv for x in num]
             return GroupRingElem(group, num)
-        d = math.gcd(den, *num)
+        d = math.gcd(den, *num) if den != 1 else 1
         if d != 1:
             num = [x // d for x in num]
             den //= d
@@ -162,9 +159,20 @@ class GroupRingElem:
         return GroupRingElem._reduced(self.group, [-x for x in self.num], self.den)
 
     def __mul__(self, other):
-        if isinstance(other, GroupRingElem):
-            return _sum_of_products(self.group, [(self, other)])
-        return self.scale(other)
+        """The one product loop: for each nonzero left numerator, walk its
+        Cayley-table row against the nonzero right numerators."""
+        if not isinstance(other, GroupRingElem):
+            return self.scale(other)
+        group = self.group
+        rows = group.cayley_table()
+        out = [0] * group.order
+        right = [(j, y) for j, y in enumerate(other.num) if y]
+        for i, x in enumerate(self.num):
+            if x:
+                row = rows[i]
+                for j, y in right:
+                    out[row[j]] += x * y
+        return GroupRingElem._reduced(group, out, self.den * other.den)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -262,7 +270,7 @@ class GroupRingMatrix:
 
         Each scalar multiplies every entry of its matrix from the left, so
         this is the sum of scalar(scalars[j]) * matrices[j] at n^2 products
-        per term instead of n^3; each entry is reduced once.
+        per term instead of n^3; each entry's sum is reduced once.
         """
         group, n = matrices[0].group, matrices[0].n
         return GroupRingMatrix(group, [
@@ -378,7 +386,8 @@ class CentralElement:
     def from_group_ring(table: CharTable, elem: GroupRingElem) -> "CentralElement":
         assert elem.is_central(), "element is not central"
         cls = table.group.classes()
-        coords = [elem.coeffs[members[0]] for members in cls.classes]
+        coeffs = elem.coeffs
+        coords = [coeffs[members[0]] for members in cls.classes]
         return CentralElement.from_class_coords(table, coords)
 
     # -- conversions ---------------------------------------------------------

@@ -12,6 +12,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 MAX_ORDER = 2000
 
@@ -85,19 +86,34 @@ class FiniteGroup:
     def cayley_table(self) -> list:
         """Rows of ids with cayley_table()[a][b] the id of a*b, built once.
 
-        Rows are array('H'), so an order-2000 table takes about 8 MB.  An
+        Rows are array('H'), so an order-2000 table takes about 8 MB.  Row
+        a*s is row a composed with row s, since a*s*b = a*(s*b); so only
+        the rows of a few generators come from permutations, where an
         element is keyed by its images of a base (points that only the
-        identity fixes together), so each entry costs one lookup of a
-        tuple as long as the base, not a full composition.
+        identity fixes together), and every other row is one composition
+        of two known rows, found by a search from the identity.
         """
         if self._table is None:
             base = self._base()
             images = [tuple(p[x] for x in base) for p in self.elements]
             key = {im: i for i, im in enumerate(images)}
-            self._table = [
-                array("H", [key[tuple(map(p.__getitem__, im))] for im in images])
-                for p in self.elements
-            ]
+            rows = [None] * self.order
+            rows[0] = array("H", range(self.order))
+            known, gens = [0], {}
+            for s, p in enumerate(self.elements):
+                if rows[s] is not None:
+                    continue
+                rows[s] = array("H", [key[tuple(map(p.__getitem__, im))] for im in images])
+                known.append(s)
+                gens[s] = itemgetter(*rows[s])
+                for a in known:  # grows while it is walked
+                    row = rows[a]
+                    for t, compose in gens.items():
+                        c = row[t]
+                        if rows[c] is None:
+                            rows[c] = array("H", compose(row))
+                            known.append(c)
+            self._table = rows
         return self._table
 
     def _base(self) -> list:

@@ -87,6 +87,27 @@ def test_group_axioms_spot_checks():
                     assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
 
 
+@pytest.mark.parametrize(
+    "g, step",
+    [
+        (cyclic(1), 1),
+        (cyclic(12), 1),
+        (quaternion(), 1),
+        (affine(8), 1),
+        (frob72(), 1),
+        (direct_product(direct_product(cyclic(2), cyclic(2)), symmetric(3)), 1),
+        (symmetric(6), 7),
+    ],
+)
+def test_cayley_table_matches_composition(g, step):
+    """Table rows against direct tuple composition (g*h)(x) = g(h(x))."""
+    table = g.cayley_table()
+    assert len(table) == g.order
+    for a in range(0, g.order, step):
+        p = g.elements[a]
+        assert [g.elements[c] for c in table[a]] == [tuple(p[x] for x in q) for q in g.elements]
+
+
 _CATALOG = [cyclic(6), dihedral(4), symmetric(3), quaternion(), affine(4)]
 
 
