@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .chartable import CharTable, character_table
 from .citations import register
+from .cyclotomic import padic_valuation
 
 HYBRID_CRITERION = register(
     "hybrid-criterion",
@@ -49,16 +49,6 @@ WEAK_HYBRID_OBSTRUCTION = register(
 )
 
 
-def _ivp(n: int, p: int) -> int:
-    # valuation of a nonzero integer
-    assert n != 0
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _mult_order(a: int, m: int) -> int:
     assert m > 1 and math.gcd(a, m) == 1
     x = a % m
@@ -78,7 +68,7 @@ def decomposition_group(p: int, m: int):
     """
     if m == 1:
         return (1,), frozenset([1]), 1
-    a = _ivp(m, p) if m % p == 0 else 0
+    a = padic_valuation(m, p)
     pa = p**a
     mprime = m // pa
     inertia = frozenset(
@@ -113,7 +103,7 @@ def different_valuation(p: int, conductor: int, stabilizer: frozenset) -> int:
     stab = set(stabilizer)
     assert stab <= set(members) and 1 in stab
     e_ram = len(inertia) // len(inertia & stab)
-    a = _ivp(conductor, p) if conductor % p == 0 else 0
+    a = padic_valuation(conductor, p)
     total = 0
     for c in range(a):
         layer = [u for u in inertia if (u - 1) % p**c == 0]
@@ -167,7 +157,7 @@ def padic_blocks(table: CharTable, p: int):
     chars = table.characters
     lookup = {ch.values: i for i, ch in enumerate(chars)}
     order = table.group.order
-    v_group = _ivp(order, p)
+    v_group = padic_valuation(order, p)
     assigned = [False] * len(chars)
     blocks = []
     for start, ch in enumerate(chars):
@@ -190,7 +180,7 @@ def padic_blocks(table: CharTable, p: int):
         d = different_valuation(p, m, frozenset(stab))
         assert all(chars[j].degree == ch.degree for j in orbit_ids)
         assert all(chars[j].kernel == ch.kernel for j in orbit_ids)
-        integral = _ivp(ch.degree, p) == v_group
+        integral = padic_valuation(ch.degree, p) == v_group
         if integral:
             # integral central idempotent forces an unramified Q_p center
             assert e_ram == 1 and d == 0
@@ -230,8 +220,8 @@ def idempotent_certificate(table: CharTable, block: PadicBlock) -> dict:
     assert vanishes == block.idempotent_integral
     return {
         "integral": block.idempotent_integral,
-        "degree_valuation": _ivp(block.degree, block.p),
-        "group_valuation": _ivp(g.order, block.p),
+        "degree_valuation": padic_valuation(block.degree, block.p),
+        "group_valuation": padic_valuation(g.order, block.p),
         "p_singular_classes": singular,
         "vanishes_on_p_singular": vanishes,
     }
@@ -246,10 +236,10 @@ def central_conductor(table: CharTable, p: int):
     the blocks with integral idempotent.
     """
     blocks = padic_blocks(table, p)
-    v_group = _ivp(table.group.order, p)
+    v_group = padic_valuation(table.group.order, p)
     out = []
     for b in blocks:
-        expn = b.ram_index * (v_group - _ivp(b.degree, p)) - b.different_val
+        expn = b.ram_index * (v_group - padic_valuation(b.degree, p)) - b.different_val
         assert expn >= 0
         assert (expn == 0) == b.idempotent_integral
         out.append((b, expn))

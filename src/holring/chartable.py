@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycloNum, is_prime
+from .cyclotomic import CycloNum, is_prime, prime_divisors
 from .groups import FiniteGroup
 
 
@@ -138,17 +138,7 @@ def _find_modulus(exponent: int, order: int) -> int:
 
 
 def _primitive_root(q: int) -> int:
-    fact = []
-    m = q - 1
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            fact.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        fact.append(m)
+    fact = prime_divisors(q - 1)
     for g in range(2, q):
         if all(pow(g, (q - 1) // r, q) != 1 for r in fact):
             return g
@@ -419,7 +409,7 @@ def dixon_table(group: FiniteGroup) -> CharTable:
                 assert m_l <= deg, "root-of-unity multiplicity out of range"
                 coeffs.append(m_l)
             assert sum(coeffs) == deg
-            values.append(CycloNum(o, coeffs).minimal())
+            values.append(CycloNum(o, coeffs))
         chars.append(Character(group, values))
     return _finish(group, chars, "generic")
 
@@ -446,7 +436,7 @@ def cyclic_table(group: FiniteGroup) -> CharTable:
     chars = []
     for j in range(n):
         values = [
-            CycloNum.root_of_unity(n, j * logs[rep]).minimal()
+            CycloNum.root_of_unity(n, j * logs[rep])
             for rep in cls.representatives
         ]
         chars.append(Character(group, values))
@@ -483,9 +473,8 @@ def dihedral_table(group: FiniteGroup) -> CharTable:
         vals = []
         for kind, t in kinds:
             if kind == "rot":
-                v = CycloNum.root_of_unity(n, h * t) + \
-                    CycloNum.root_of_unity(n, -h * t)
-                vals.append(v.minimal())
+                vals.append(CycloNum.root_of_unity(n, h * t)
+                            + CycloNum.root_of_unity(n, -h * t))
             else:
                 vals.append(CycloNum.rational(0))
         chars.append(Character(group, vals))
@@ -501,7 +490,7 @@ def affine_table(group: FiniteGroup) -> CharTable:
     chars = []
     for j in range(q - 1):
         values = [
-            CycloNum.root_of_unity(q - 1, j * decomp[rep][0]).minimal()
+            CycloNum.root_of_unity(q - 1, j * decomp[rep][0])
             for rep in cls.representatives
         ]
         chars.append(Character(group, values))
@@ -529,7 +518,7 @@ def product_table(group: FiniteGroup) -> CharTable:
     chars = []
     for x in tl.characters:
         for y in tr.characters:
-            values = [(x.values[i] * y.values[j]).minimal() for i, j in pairs]
+            values = [x.values[i] * y.values[j] for i, j in pairs]
             chars.append(Character(group, values))
     return _finish(group, chars, "closed")
 
@@ -552,7 +541,7 @@ def induce_character(group: FiniteGroup, sub_group: FiniteGroup,
             hid = inv_embed.get(y)
             if hid is not None:
                 total = total + psi.values[hcls.class_of[hid]]
-        values.append((total * Fraction(1, sub_group.order)).minimal())
+        values.append(total * Fraction(1, sub_group.order))
     return Character(group, values)
 
 
@@ -599,37 +588,32 @@ def frobenius_table(group: FiniteGroup) -> CharTable:
     return _finish(group, chars, "frobenius")
 
 
+_CLOSED_FORMS = {
+    "cyclic": cyclic_table,
+    "dihedral": dihedral_table,
+    "affine": affine_table,
+    "product": product_table,
+}
+
+
 def character_table(group: FiniteGroup, method: str = "auto") -> CharTable:
     key = ("chartable", method)
     if key in group._cache:
         return group._cache[key]
     fam = (group.family or {}).get("family")
+    closed = _CLOSED_FORMS.get(fam)
+    if fam == "product" and "factors" not in group.meta:
+        closed = None
     if method == "auto":
-        if fam == "cyclic":
-            table = cyclic_table(group)
-        elif fam == "dihedral":
-            table = dihedral_table(group)
-        elif fam == "affine":
-            table = affine_table(group)
-        elif fam == "product" and "factors" in group.meta:
-            table = product_table(group)
-        else:
-            table = dixon_table(group)
+        table = (closed or dixon_table)(group)
     elif method == "generic":
         table = dixon_table(group)
     elif method == "frobenius":
         table = frobenius_table(group)
     elif method == "closed":
-        if fam == "cyclic":
-            table = cyclic_table(group)
-        elif fam == "dihedral":
-            table = dihedral_table(group)
-        elif fam == "affine":
-            table = affine_table(group)
-        elif fam == "product" and "factors" in group.meta:
-            table = product_table(group)
-        else:
+        if closed is None:
             raise ValueError(f"no closed form for family {fam!r}")
+        table = closed(group)
     else:
         raise ValueError(f"unknown method {method!r}")
     group._cache[key] = table

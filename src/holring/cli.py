@@ -6,10 +6,7 @@ and for some commands a normal-subgroup selector, a sampling seed,
 and a sampling budget.  All sampling derives from --seed (default
 1729), output is emitted in canonical order with sorted JSON keys,
 and no timestamps or machine state leak in, so identical (argv, seed)
-pairs produce byte-identical output.  Analyses run sequentially; the
-HOL_THREADS environment variable is validated and treated as an upper
-bound on parallelism, which a single-analysis invocation never
-reaches.
+pairs produce byte-identical output.
 
 Exit codes: 0 on success, 1 when a verification-style command finds a
 failure (verify-paper check failures, a broken self-check in nr or
@@ -38,12 +35,15 @@ from .groupring import (
     CentralElement,
     GroupRingElem,
     GroupRingMatrix,
+    is_integral_coeff,
     random_integral_element,
     random_integral_matrix,
+    regular_det,
 )
-from .groups import FiniteGroup, from_spec
+from .groups import FiniteGroup, from_spec, group_name
 from .rednorm import (
     ADJOINT_IDENTITY,
+    SEED,
     adjoint_and_norm,
     denominator_membership,
     norm_ideal_probe,
@@ -51,7 +51,7 @@ from .rednorm import (
     reduced_norm,
 )
 from .reports import Scenario, conjecture_report
-from .verify import SEED, group_name, regular_det, run_checks
+from .verify import run_checks
 
 SCHEMA = "holring/1"
 
@@ -331,9 +331,7 @@ def _cmd_adjoint(args):
     # maximal-order membership certificate: every reduced characteristic
     # polynomial of an integral matrix has algebraic-integer coefficients
     integral = all(
-        all(c.denominator == 1 for c in coerce(v).minimal().c)
-        for poly in reduced_char_polys(h)
-        for v in poly.coeffs
+        is_integral_coeff(v) for poly in reduced_char_polys(h) for v in poly.coeffs
     )
     ok = identity and integral
     payload = {
@@ -658,18 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_threads(parser: argparse.ArgumentParser):
-    raw = os.environ.get("HOL_THREADS")
-    if raw is None:
-        return
-    if not raw.isdigit() or int(raw) < 1:
-        parser.error(f"HOL_THREADS must be a positive integer, got {raw!r}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate_threads(parser)
     try:
         payload, lines, code = _HANDLERS[args.command](args)
     except UsageError as exc:

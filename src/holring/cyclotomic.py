@@ -26,17 +26,26 @@ def divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
-@lru_cache(maxsize=None)
-def euler_phi(m: int) -> int:
-    n, result, p = m, m, 2
+def prime_divisors(n: int) -> list[int]:
+    """Distinct primes dividing n, ascending; [] for n < 2."""
+    out = []
+    p = 2
     while p * p <= n:
         if n % p == 0:
+            out.append(p)
             while n % p == 0:
                 n //= p
-            result -= result // p
         p += 1
     if n > 1:
-        result -= result // n
+        out.append(n)
+    return out
+
+
+@lru_cache(maxsize=None)
+def euler_phi(m: int) -> int:
+    result = m
+    for p in prime_divisors(m):
+        result -= result // p
     return result
 
 
@@ -452,11 +461,7 @@ def semilocal_valuation(a: CycloNum, p: int):
     if not a:
         return INF
     m = a.m
-    ap = 0
-    mm = m
-    while mm % p == 0:
-        mm //= p
-        ap += 1
+    ap = padic_valuation(m, p)
     if ap == 0:
         return min(padic_valuation(c, p) for c in a.c if c)
     # ramified part present: divide out pi = 1 - zeta_{p^ap} repeatedly

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .blocks import weakly_hybrid
+from .blocks import padic_blocks, weakly_hybrid
 from .chartable import character_table
 from .citations import register
+from .cyclotomic import padic_valuation
 from .groups import FiniteGroup
 
 DT_MAXIMAL = register(
@@ -100,14 +101,6 @@ class DTAssertion:
         if self.size is not None:
             out["size"] = self.size
         return out
-
-
-def _ivp(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _is_cyclic(g: FiniteGroup) -> bool:
@@ -204,7 +197,7 @@ def dt_query(group: FiniteGroup, p: int, depth: int = 16) -> DTAssertion:
     fact = _match_fact(group, p)
     if fact is not None:
         return fact
-    v = _ivp(group.order, p)
+    v = padic_valuation(group.order, p)
     if depth > 0:
         found = _via_weak_hybrid_quotient(group, p, depth, name)
         if found is not None:
@@ -296,9 +289,7 @@ def maximality_consequence(
     ring is maximal exactly when every central idempotent is
     integral), and an assertion contradicting it is flagged.
     """
-    from .blocks import padic_blocks
-
-    v = _ivp(group.order, p)
+    v = padic_valuation(group.order, p)
     maximal = v == 0
     blocks = padic_blocks(character_table(group), p)
     all_integral = all(b.idempotent_integral for b in blocks)
@@ -308,7 +299,7 @@ def maximality_consequence(
         is_p_group_dt = True
     elif assertion.kind in ("cyclic", "order"):
         size = assertion.size
-        is_p_group_dt = size == p ** _ivp(size, p)
+        is_p_group_dt = size == p ** padic_valuation(size, p)
     notes = []
     consistent = True
     if assertion.triviality() == "trivial":

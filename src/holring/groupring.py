@@ -45,7 +45,12 @@ def canon_coeff(c):
 
 
 def is_integral_coeff(c) -> bool:
-    """True when the coefficient has integer coordinates in the power basis."""
+    """True when the coefficient is an algebraic integer.
+
+    Z[zeta_m] is the ring of integers of Q(zeta_m), so this is the same
+    as integer coordinates in the power basis, at whatever conductor the
+    value is written.
+    """
     c = canon_coeff(c)
     if isinstance(c, int):
         return True
@@ -500,3 +505,41 @@ def random_integral_matrix(group: FiniteGroup, n: int, rng,
         [[random_integral_element(group, rng, bound) for _ in range(n)]
          for _ in range(n)],
     )
+
+
+def regular_det(h: GroupRingElem) -> Fraction:
+    """Determinant of left multiplication by h on the group basis.
+
+    An oracle for reduced norms: it uses only the group law and the
+    coefficients of h, never character theory.  Bareiss runs on the
+    integer numerators; the common denominator is divided out at the end.
+    """
+    g = h.group
+    n = g.order
+    m = [[0] * n for _ in range(n)]
+    for x, cx in enumerate(h.num):
+        if not cx:
+            continue
+        for j in range(n):
+            m[g.mul(x, j)][j] += cx
+    return _det_bareiss(m) / h.den**n
+
+
+def _det_bareiss(m: list) -> Fraction:
+    """Fraction-free determinant of a square integer matrix."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return Fraction(sign * a[n - 1][n - 1])

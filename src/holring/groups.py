@@ -11,8 +11,9 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
+
+from .cyclotomic import padic_valuation, prime_divisors
 
 MAX_ORDER = 2000
 
@@ -382,19 +383,8 @@ def abelian_invariants(g: FiniteGroup) -> list:
     n = g.order
     if n == 1:
         return []
-    primes = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
     columns = []
-    for p in primes:
+    for p in prime_divisors(n):
         # lambda-partition of the p-part from counts of p^k-torsion
         counts = [1]
         k = 1
@@ -532,19 +522,11 @@ class _ExtensionField:
 
 
 def _make_field(q):
-    fact = {}
-    m = q
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            fact[p] = fact.get(p, 0) + 1
-            m //= p
-        p += 1
-    if m > 1:
-        fact[m] = fact.get(m, 0) + 1
-    if len(fact) != 1:
+    primes = prime_divisors(q)
+    if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
-    (p, k), = fact.items()
+    p = primes[0]
+    k = padic_valuation(q, p)
     return _PrimeField(p) if k == 1 else _ExtensionField(p, k)
 
 
@@ -844,3 +826,24 @@ def from_spec(spec: dict) -> FiniteGroup:
             g = direct_product(g, h)
         return g
     raise ValueError(f"unknown group description: {spec!r}")
+
+
+def group_name(g: FiniteGroup) -> str:
+    """Short display name from the family description (C12, D10, Aff(8), ...)."""
+    fam = g.family or {}
+    kind = fam.get("family")
+    if kind == "cyclic":
+        return f"C{fam['n']}"
+    if kind == "dihedral":
+        return f"D{2 * fam['n']}"
+    if kind == "symmetric":
+        return f"S{fam['n']}"
+    if kind == "alternating":
+        return f"A{fam['n']}"
+    if kind == "quaternion":
+        return "Q8"
+    if kind == "affine":
+        return f"Aff({fam['q']})"
+    if kind == "frob72":
+        return "frob72"
+    return f"group of order {g.order}"

@@ -27,6 +27,7 @@ from .cyclotomic import (
     coerce,
     euler_phi,
     padic_valuation,
+    prime_divisors,
     semilocal_valuation,
 )
 from .groupring import (
@@ -34,11 +35,13 @@ from .groupring import (
     GroupRingElem,
     GroupRingMatrix,
     canon_coeff,
-    is_integral_coeff,
     random_integral_matrix,
 )
 from .groups import FiniteGroup
 from .lattice import PLattice
+
+# seed of every sampled analysis that is not given one
+SEED = 1729
 
 ADJOINT_IDENTITY = register(
     "adjoint-identity",
@@ -331,11 +334,7 @@ def _value_block_valuation(value, p: int, ram_index: int):
     if not cv:
         return INF
     sv = semilocal_valuation(cv, p)
-    m = cv.conductor
-    a = 0
-    while m % p == 0:
-        m //= p
-        a += 1
+    a = padic_valuation(cv.conductor, p)
     return Fraction(sv * ram_index, euler_phi(p**a))
 
 
@@ -359,7 +358,7 @@ def _elem_p_integral(elem: GroupRingElem, p: int) -> bool:
 
 
 def denominator_membership(
-    x: CentralElement, p: int, budget: int = 36, seed: int = 1729
+    x: CentralElement, p: int, budget: int = 36, seed: int = SEED
 ) -> MembershipVerdict:
     """Is x in the denominator ideal of Z_p[G]?
 
@@ -501,7 +500,7 @@ def _closed_form(g: FiniteGroup, p: int):
     fam = (g.family or {}).get("family")
     if fam == "affine":
         q = g.family["q"]
-        ell = min(d for d in range(2, q + 1) if q % d == 0)
+        ell = prime_divisors(q)[0]
         if p == ell:
             if ell == 2:
                 return "sandwich-2", (AFFINE_NORM_IDEAL,)
@@ -516,7 +515,7 @@ def _closed_form(g: FiniteGroup, p: int):
 
 
 def norm_ideal_probe(
-    group: FiniteGroup, p: int, budget: int = 24, seed: int = 1729
+    group: FiniteGroup, p: int, budget: int = 24, seed: int = SEED
 ) -> NormIdealProbe:
     """Lattice generated by sampled reduced norms over z(Z_(p)[G]).
 

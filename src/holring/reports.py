@@ -19,7 +19,7 @@ from typing import Optional
 from .blocks import HYBRID_CRITERION, hybrid_report, weakly_hybrid
 from .chartable import CharTable, character_table
 from .citations import register
-from .cyclotomic import is_prime
+from .cyclotomic import is_prime, prime_divisors
 from .dt import DT_INVERSION, dt_query
 from .groups import FiniteGroup
 
@@ -565,8 +565,7 @@ def _rule_frobenius_negative(scn, statements, rules):
         f"Gal(L/K) is a Frobenius group with kernel of order {kernel.order}",
         f"r = {scn.r} is odd and negative",
     ]
-    factors = {f for f in range(2, kernel.order + 1)
-               if kernel.order % f == 0 and is_prime(f)}
+    factors = prime_divisors(kernel.order)
     if len(factors) == 1:
         statements.append(Statement(
             "ETNC(L/K, r) holds outside its 2-part for every odd r < 0.",
@@ -574,7 +573,7 @@ def _rule_frobenius_negative(scn, statements, rules):
         ))
         produced.append(statements[-1].text)
         conditions.append(
-            f"the kernel is a {min(factors)}-group"
+            f"the kernel is a {factors[0]}-group"
         )
     rules.append(RuleApplication(
         "frobenius-negative", tuple(conditions), tuple(produced),

@@ -15,7 +15,6 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
@@ -30,7 +29,7 @@ from .blocks import (
     weakly_hybrid,
 )
 from .chartable import CharTable, character_table
-from .cyclotomic import CycloNum, coerce, euler_phi, padic_valuation
+from .cyclotomic import CycloNum, coerce, euler_phi, padic_valuation, prime_divisors
 from .dt import (
     DT_CYCLIC_FOUR,
     DT_CYCLIC_PRIME,
@@ -45,8 +44,10 @@ from .groupring import (
     CentralElement,
     GroupRingElem,
     GroupRingMatrix,
+    is_integral_coeff,
     random_integral_element,
     random_integral_matrix,
+    regular_det,
 )
 from .groups import (
     FiniteGroup,
@@ -56,6 +57,7 @@ from .groups import (
     dihedral,
     direct_product,
     frob72,
+    group_name,
     inversion,
     metacyclic,
     quaternion,
@@ -68,6 +70,7 @@ from .rednorm import (
     CONDUCTOR_IN_DENOM,
     MAXIMAL_NORM_IDEAL,
     S4_NORM_IDEAL,
+    SEED,
     adjoint_and_norm,
     center_lattice,
     denominator_membership,
@@ -78,8 +81,6 @@ from .rednorm import (
     reduced_norm,
 )
 from .reports import Scenario, conjecture_report
-
-SEED = 1729
 
 AFFINE_SIZES = (3, 4, 5, 7, 8, 9)
 
@@ -181,51 +182,8 @@ def _norm_suite() -> list:
     ]
 
 
-def group_name(g: FiniteGroup) -> str:
-    fam = g.family or {}
-    kind = fam.get("family")
-    if kind == "cyclic":
-        return f"C{fam['n']}"
-    if kind == "dihedral":
-        return f"D{2 * fam['n']}"
-    if kind == "symmetric":
-        return f"S{fam['n']}"
-    if kind == "alternating":
-        return f"A{fam['n']}"
-    if kind == "quaternion":
-        return "Q8"
-    if kind == "affine":
-        return f"Aff({fam['q']})"
-    if kind == "frob72":
-        return "frob72"
-    return f"group of order {g.order}"
-
-
-def _prime_divisors(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _same(a, b) -> bool:
     return not (coerce(a) - coerce(b))
-
-
-def _alg_integral(v) -> bool:
-    """Algebraic integrality: integral coordinates over the power basis."""
-    return all(x.denominator == 1 for x in coerce(v).minimal().c)
-
-
-def _vp(n: int, p: int) -> int:
-    return padic_valuation(Fraction(n), p)
 
 
 def _table_shape(t: CharTable, g: FiniteGroup) -> Counter:
@@ -235,10 +193,7 @@ def _table_shape(t: CharTable, g: FiniteGroup) -> Counter:
         (
             ch.degree,
             tuple(
-                sorted(
-                    (sizes[c], repr(coerce(v).minimal()))
-                    for c, v in enumerate(ch.values)
-                )
+                sorted((sizes[c], repr(v)) for c, v in enumerate(ch.values))
             ),
         )
         for ch in t.characters
@@ -273,39 +228,6 @@ def _s4_pinned():
             )
         )
     return g, t, cls, tc, order
-
-
-def regular_det(h: GroupRingElem) -> Fraction:
-    """Determinant of left multiplication by h on the group basis."""
-    g = h.group
-    n = g.order
-    m = [[0] * n for _ in range(n)]
-    for x, cx in enumerate(h.coeffs):
-        if not cx:
-            continue
-        for j in range(n):
-            m[g.mul(x, j)][j] += cx
-    return _det_bareiss(m)
-
-
-def _det_bareiss(m: list) -> Fraction:
-    """Fraction-free determinant of a square integer matrix."""
-    a = [list(row) for row in m]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1])
 
 
 # -------------------------------------------------------- character tables
@@ -465,7 +387,7 @@ def _check_affine_singleton_blocks():
         g = affine(q)
         t = character_table(g)
         nl = next(i for i, ch in enumerate(t.characters) if ch.degree > 1)
-        for p in _prime_divisors(g.order):
+        for p in prime_divisors(g.order):
             if q % p == 0:
                 continue
             block = next(b for b in padic_blocks(t, p) if nl in b.char_indices)
@@ -529,7 +451,7 @@ def _check_hybrid_verdicts():
         g = affine(q)
         t = character_table(g)
         kernel = frozenset(g.meta["kernel"])
-        for p in _prime_divisors(g.order):
+        for p in prime_divisors(g.order):
             if q % p == 0:
                 continue
             expect(g, t, kernel, p, True, f"(Aff({q}), kernel)")
@@ -559,7 +481,7 @@ def _check_hybrid_verdicts():
         "witness character is trivial on the normal subgroup",
     )
     _require(
-        ch.degree == 3 and _vp(ch.degree, 3) < _vp(big.order, 3),
+        ch.degree == 3 and padic_valuation(ch.degree, 3) < padic_valuation(big.order, 3),
         f"witness should be a degree-3 character of deficient valuation, got degree {ch.degree}",
     )
     cases += 1
@@ -629,7 +551,7 @@ def _check_adjoint_ast_identity():
             _require(h * adj == scalar, f"{label}: HH* != nr(H) on sample {i}")
             for poly in reduced_char_polys(h):
                 _require(
-                    all(_alg_integral(c) for c in poly.coeffs),
+                    all(is_integral_coeff(c) for c in poly.coeffs),
                     f"{label}: reduced char poly coefficient not an algebraic integer on sample {i}",
                 )
     total = per_group * len(NORM_SUITE)
@@ -773,7 +695,7 @@ def _check_conductor_lattice_oracle():
             )
             if m % p == 0:
                 _require(
-                    m == p ** _vp(m, p),
+                    m == p ** padic_valuation(m, p),
                     f"{group_name(g)} at p={p}: oracle needs a pure prime-power conductor",
                 )
                 uniformizer = coerce(1) - CycloNum.root_of_unity(m)
@@ -804,7 +726,7 @@ def _check_conductor_integral_blocks():
     checked = 0
     for g in catalog():
         t = character_table(g)
-        for p in _prime_divisors(g.order):
+        for p in prime_divisors(g.order):
             for block, expn in central_conductor(t, p):
                 _require(
                     (expn == 0) == block.idempotent_integral,
@@ -819,11 +741,11 @@ def _check_defect_zero_vanishing():
     blocks_checked = 0
     for g in catalog():
         t = character_table(g)
-        for p in _prime_divisors(g.order):
+        for p in prime_divisors(g.order):
             singular = g.p_singular_classes(p)
-            vg = _vp(g.order, p)
+            vg = padic_valuation(g.order, p)
             for block in padic_blocks(t, p):
-                if _vp(block.degree, p) != vg:
+                if padic_valuation(block.degree, p) != vg:
                     continue
                 _require(
                     idempotent_certificate(t, block)["vanishes_on_p_singular"],
@@ -881,7 +803,7 @@ def _check_dt_facts():
 def _check_dt_consistency_sweep():
     pairs = 0
     for g in catalog():
-        for p in _prime_divisors(g.order):
+        for p in prime_divisors(g.order):
             c = maximality_consequence(g, p, dt_query(g, p))
             _require(c["consistent"], f"{group_name(g)} at p={p}: {'; '.join(c['notes'])}")
             pairs += 1

@@ -39,6 +39,14 @@ def test_family_with_extra_parameter_is_usage_error(capsys):
     assert "does not take --n" in err
 
 
+@pytest.mark.parametrize("q", ["0", "1", "6", "12"])
+def test_affine_order_not_a_prime_power_is_usage_error(capsys, q):
+    code, out, err = run(capsys, "chartab", "--family", "affine", "--q", q)
+    assert code == 2
+    assert out == ""
+    assert f"{q} is not a prime power" in err
+
+
 def test_family_and_generators_conflict(capsys):
     code, out, err = run(
         capsys, "chartab", "--family", "cyclic", "--n", "3",
@@ -345,19 +353,6 @@ def test_seed_changes_sampled_element(capsys):
     _, out2, _ = run(capsys, "nr", "--family", "symmetric", "--n", "3",
                      "--seed", "7")
     assert out1 != out2
-
-
-def test_hol_threads_must_be_positive_integer(capsys, monkeypatch):
-    monkeypatch.setenv("HOL_THREADS", "zero")
-    with pytest.raises(SystemExit) as info:
-        main(["chartab", "--family", "cyclic", "--n", "2"])
-    assert info.value.code == 2
-
-
-def test_hol_threads_accepts_positive_integer(capsys, monkeypatch):
-    monkeypatch.setenv("HOL_THREADS", "4")
-    code, out, err = run(capsys, "chartab", "--family", "cyclic", "--n", "2")
-    assert code == 0
 
 
 def test_metacyclic_family_flags(capsys):

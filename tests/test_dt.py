@@ -1,5 +1,3 @@
-import pytest
-
 from holring import groups as G
 from holring.chartable import character_table
 from holring.citations import REGISTRY

@@ -9,9 +9,11 @@ from holring.groupring import (
     CentralElement,
     GroupRingElem,
     GroupRingMatrix,
+    random_integral_element,
     random_integral_matrix,
+    regular_det,
 )
-from holring.groups import alternating, cyclic, dihedral, quaternion, symmetric
+from holring.groups import alternating, dihedral, quaternion, symmetric
 from holring.rednorm import adjoint_and_norm, reduced_norm
 
 S3 = symmetric(3)
@@ -235,3 +237,14 @@ def test_adjoint_identity_for_non_integral_matrix(seed, label):
     full = reduced_norm(h)
     for ch, v, w in zip(t.characters, nr.values, full.values):
         assert v == w * Fraction(1, 2 ** (2 * ch.degree))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**6), label=st.sampled_from(sorted(KERNEL_GROUPS)))
+def test_regular_det_of_non_integral_element(seed, label):
+    # det(L_{h/d}) = det(L_h) / d^|G|, because L_h is a |G| x |G| matrix
+    g = KERNEL_GROUPS[label]
+    h = random_integral_element(g, random.Random(seed))
+    for d in (2, 3):
+        assert regular_det(h.scale(Fraction(1, d))) == regular_det(h) / d**g.order
+    assert regular_det(GroupRingElem.one(g).scale(Fraction(1, 2))) == Fraction(1, 2**g.order)

@@ -1,11 +1,8 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from holring import groups
 from holring.groups import (
-    FiniteGroup,
     abelian_invariants,
     affine,
     alternating,

@@ -1,0 +1,49 @@
+"""Layering: the CLI and the verify-paper suite sit on top of the library.
+
+Imports are read from the source with ast, so a module that reached up
+into cli or verify would fail here even if the import were never run.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import holring
+
+PACKAGE = Path(holring.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+TOP = {"holring.cli", "holring.verify"}
+
+
+def _imports(module: str) -> list:
+    """(imported module, imported name or None) for each import in a module."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(a.name, None) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "holring" if node.level else ""
+            target = ".".join(x for x in (base, node.module) if x)
+            for a in node.names:
+                if node.module is None:
+                    out.append((f"{target}.{a.name}", None))
+                else:
+                    out.append((target, a.name))
+    return out
+
+
+def test_every_module_is_checked():
+    assert {"cli", "verify", "groups", "groupring", "rednorm"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "cli"])
+def test_library_does_not_import_cli_or_verify(module):
+    bad = [t for t, _ in _imports(module) if t in TOP]
+    assert bad == [], f"holring.{module} imports {bad}"
+
+
+def test_cli_takes_only_run_checks_from_verify():
+    names = {name for target, name in _imports("cli") if target == "holring.verify"}
+    assert names == {"run_checks"}

@@ -24,7 +24,6 @@ from holring.groups import (
     symmetric,
 )
 from holring.rednorm import (
-    MembershipVerdict,
     adjoint_and_norm,
     center_lattice,
     denominator_membership,
