@@ -155,7 +155,6 @@ def padic_blocks(table: CharTable, p: int):
     is determined by the canonical character order of the table.
     """
     chars = table.characters
-    lookup = {ch.values: i for i, ch in enumerate(chars)}
     order = table.group.order
     v_group = padic_valuation(order, p)
     assigned = [False] * len(chars)
@@ -165,14 +164,9 @@ def padic_blocks(table: CharTable, p: int):
             continue
         m = ch.field_conductor
         members, inertia, _ = decomposition_group(p, m)
-        orbit = set()
-        stab = set()
-        for u in members:
-            moved = tuple(v.galois(u) for v in ch.values)
-            j = lookup[moved]
-            orbit.add(j)
-            if j == start:
-                stab.add(u)
+        moved = {k % m: j for k, j in table.galois_orbit(start).items()}
+        orbit = {moved[u % m] for u in members}
+        stab = {u for u in members if moved[u % m] == start}
         assert len(orbit) * len(stab) == len(members)
         orbit_ids = tuple(sorted(orbit))
         e_ram = len(inertia) // len(inertia & stab)

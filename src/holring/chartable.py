@@ -12,7 +12,8 @@ groups; the independent routes are cross-checked in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .cyclotomic import CycloNum, is_prime, prime_divisors
@@ -20,7 +21,11 @@ from .groups import FiniteGroup
 
 
 class Character:
-    """An irreducible character: one cyclotomic value per conjugacy class."""
+    """An irreducible character: one cyclotomic value per conjugacy class.
+
+    Each value is stored at its minimal conductor, so its (conductor,
+    coordinates) pair is canonical; `CharTable.galois_orbit` relies on it.
+    """
 
     __slots__ = ("group", "values", "degree", "_kernel")
 
@@ -80,6 +85,27 @@ class CharTable:
     group: FiniteGroup
     characters: tuple
     method: str
+    _orbits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @cached_property
+    def _index(self) -> dict:
+        return {tuple((v.m, v.c) for v in ch.values): j for j, ch in enumerate(self.characters)}
+
+    def galois_orbit(self, i: int) -> dict:
+        """{k: j} for each unit k in 1..exp(G), where chi_j is chi_i under
+        zeta -> zeta^k.  As chi_j(g) = chi_i(g^k), the image is read off the
+        class power map with no field arithmetic.  Kept on the table, so
+        callers must not change the dict."""
+        if i not in self._orbits:
+            g = self.group
+            cls, exponent = g.classes(), g.exponent()
+            pairs = [(v.m, v.c) for v in self.characters[i].values]
+            self._orbits[i] = {
+                k: self._index[tuple(pairs[cls.power_class(c, k, g)] for c in range(len(pairs)))]
+                for k in range(1, exponent + 1)
+                if math.gcd(k, exponent) == 1
+            }
+        return self._orbits[i]
 
     def to_jsonable(self) -> dict:
         g = self.group

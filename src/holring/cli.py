@@ -11,7 +11,9 @@ pairs produce byte-identical output.
 Exit codes: 0 on success, 1 when a verification-style command finds a
 failure (verify-paper check failures, a broken self-check in nr or
 adjoint, a norm-ideal probe contradicting its closed form) or when the
-reader closes stdout before the output is written, 2 on usage errors.
+reader closes stdout before the output is written, 2 on usage errors,
+bad family parameters included (--n below 1, a metacyclic --n that is
+not a prime, a metacyclic --q below 2 or not dividing --n - 1).
 """
 
 import argparse

@@ -405,7 +405,7 @@ class CentralElement:
             cls = g.classes()
             coords = []
             for c in range(len(cls.classes)):
-                cinv = cls.inverse_class(c, g)
+                cinv = cls.power_class(c, -1, g)
                 total = 0
                 for v, ch in zip(self.values, self.table.characters):
                     if v:
@@ -428,20 +428,8 @@ class CentralElement:
 
     def is_galois_equivariant(self) -> bool:
         """Values commute with the Galois action permuting the characters."""
-        table = self.table
-        exponent = table.group.exponent()
-        lookup = {ch.values: i for i, ch in enumerate(table.characters)}
-        for k in range(1, exponent + 1):
-            if math.gcd(k, exponent) != 1:
-                continue
-            for i, ch in enumerate(table.characters):
-                moved = tuple(
-                    (v.galois(k) if isinstance(v, CycloNum) else
-                     CycloNum.rational(v)).minimal()
-                    for v in ch.values
-                )
-                j = lookup[moved]
-                vi = self.values[i]
+        for i, vi in enumerate(self.values):
+            for k, j in self.table.galois_orbit(i).items():
                 expect = vi.galois(k) if isinstance(vi, CycloNum) else vi
                 if canon_coeff(expect) != self.values[j]:
                     return False
@@ -484,9 +472,7 @@ class CentralElement:
         )
 
     def __hash__(self):
-        return hash(tuple(
-            v.c if isinstance(v, CycloNum) else v for v in self.values
-        ))
+        return hash(self.values)
 
     def __repr__(self):
         return f"CentralElement(values={list(self.values)!r})"

@@ -13,7 +13,7 @@ from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .cyclotomic import padic_valuation, prime_divisors
+from .cyclotomic import is_prime, padic_valuation, prime_divisors
 
 MAX_ORDER = 2000
 
@@ -46,9 +46,6 @@ class ConjClassData:
 
     def power_class(self, c: int, k: int, group: "FiniteGroup") -> int:
         return self.class_of[group.power(self.representatives[c], k)]
-
-    def inverse_class(self, c: int, group: "FiniteGroup") -> int:
-        return self.class_of[group.inv(self.representatives[c])]
 
 
 class FiniteGroup:
@@ -538,7 +535,13 @@ def _check_order(n):
         raise ValueError(f"group order {n} exceeds the configured bound {MAX_ORDER}")
 
 
+def _check_positive(family: str, name: str, value: int):
+    if value < 1:
+        raise ValueError(f"{family} groups need {name} >= 1, got {value}")
+
+
 def cyclic(n: int) -> FiniteGroup:
+    _check_positive("cyclic", "n", n)
     _check_order(n)
     if n == 1:
         return FiniteGroup([(0,)], family={"family": "cyclic", "n": 1})
@@ -550,6 +553,7 @@ def cyclic(n: int) -> FiniteGroup:
 
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n."""
+    _check_positive("dihedral", "n", n)
     _check_order(2 * n)
     if n == 1:
         g = FiniteGroup([(1, 0)], family={"family": "dihedral", "n": 1})
@@ -571,6 +575,7 @@ def dihedral(n: int) -> FiniteGroup:
 def symmetric(n: int) -> FiniteGroup:
     if n > 6:
         raise ValueError("symmetric groups supported for n <= 6")
+    _check_positive("symmetric", "n", n)
     _check_order(math.factorial(n))
     if n == 1:
         return FiniteGroup([(0,)], family={"family": "symmetric", "n": 1})
@@ -585,8 +590,9 @@ def symmetric(n: int) -> FiniteGroup:
 def alternating(n: int) -> FiniteGroup:
     if n > 6:
         raise ValueError("alternating groups supported for n <= 6")
+    _check_positive("alternating", "n", n)
     if n <= 2:
-        return FiniteGroup([tuple(range(max(n, 1)))],
+        return FiniteGroup([tuple(range(n))],
                            family={"family": "alternating", "n": n})
     gens = [tuple([1, 2, 0] + list(range(3, n)))]
     if n > 3:
@@ -667,9 +673,11 @@ def inversion(orders) -> FiniteGroup:
     which keeps the action faithful even when A has exponent 2.
     """
     orders = [int(x) for x in orders]
-    size = math.prod(orders) if orders else 1
+    for n in orders:
+        _check_positive("inversion", "cyclic factor orders", n)
+    size = math.prod(orders)
     _check_order(2 * size)
-    tuples = list(itertools.product(*[range(n) for n in orders])) if orders else [()]
+    tuples = list(itertools.product(*[range(n) for n in orders]))
     tidx = {t: i for i, t in enumerate(tuples)}
     npts = size + 2
 
@@ -694,8 +702,9 @@ def inversion(orders) -> FiniteGroup:
 
 def metacyclic(l: int, p: int) -> FiniteGroup:
     """C_l x| C_p with l prime and p | l - 1, acting faithfully."""
-    if (l - 1) % p:
-        raise ValueError("need p | l - 1")
+    if not is_prime(l) or p < 2 or (l - 1) % p:
+        raise ValueError("metacyclic groups need l prime and p >= 2 dividing l - 1, "
+                         f"got l = {l}, p = {p}")
     _check_order(l * p)
     a = None
     for cand in range(2, l):

@@ -12,7 +12,6 @@ with denominators prime to p, so there is no p-adic rounding anywhere.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -240,21 +239,10 @@ def rational_character_orbits(table: CharTable) -> list:
     the character obtained by applying the k-th power Galois map to the
     values of the representative.
     """
-    exponent = table.group.exponent()
-    lookup = {ch.values: i for i, ch in enumerate(table.characters)}
-    seen = set()
     orbits = []
-    for i, ch in enumerate(table.characters):
-        if i in seen:
-            continue
-        members = {}
-        for k in range(1, exponent + 1):
-            if math.gcd(k, exponent) != 1:
-                continue
-            moved = tuple(v.galois(k) for v in ch.values)
-            members[k] = lookup[moved]
-        seen.update(members.values())
-        orbits.append((i, members))
+    for i in range(len(table.characters)):
+        if all(i not in members.values() for _, members in orbits):
+            orbits.append((i, table.galois_orbit(i)))
     return orbits
 
 
@@ -275,14 +263,8 @@ def maximal_center_lattice(table: CharTable, p: int) -> PLattice:
     k = len(table.characters)
     gens = []
     for rep, members in rational_character_orbits(table):
-        ch = table.characters[rep]
-        m = ch.field_conductor
-        stab = [
-            u
-            for u in range(1, m + 1)
-            if math.gcd(u, m) == 1
-            and tuple(v.galois(u) for v in ch.values) == ch.values
-        ]
+        m = table.characters[rep].field_conductor
+        stab = {u % m for u, idx in members.items() if idx == rep}
         for j in range(m):
             t = CycloNum.rational(0)
             for u in stab:

@@ -243,7 +243,7 @@ def _check_orthogonality():
             len(t.characters) == k,
             f"{group_name(g)}: {len(t.characters)} characters for {k} classes",
         )
-        inv = [cls.inverse_class(c, g) for c in range(k)]
+        inv = [cls.power_class(c, -1, g) for c in range(k)]
         for i, ch1 in enumerate(t.characters):
             for j in range(i, k):
                 ch2 = t.characters[j]

@@ -16,6 +16,7 @@ from holring.blocks import (
 from holring.chartable import character_table
 from holring.citations import REGISTRY
 from holring.cyclotomic import CycloNum, euler_phi, padic_valuation
+from holring.rednorm import rational_character_orbits
 
 CATALOG = [
     ("c12", lambda: G.cyclic(12)),
@@ -527,3 +528,26 @@ def test_weakly_hybrid_unknown_without_usable_decomposition():
     rep = weakly_hybrid(t, nids, 2)
     assert rep.verdict == "unknown"
     assert rep.citations == ()
+
+
+@pytest.mark.parametrize(
+    "make,p", [(lambda: G.symmetric(5), 2), (lambda: G.dihedral(20), 5)], ids=["s5-2", "d40-5"]
+)
+def test_galois_orbits_need_no_field_arithmetic(monkeypatch, make, p):
+    t = character_table(make())
+    calls = []
+
+    def counting(name):
+        original = getattr(CycloNum, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("galois", "minimal", "__hash__"):
+        monkeypatch.setattr(CycloNum, name, counting(name))
+    padic_blocks(t, p)
+    rational_character_orbits(t)
+    assert calls == []

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,11 +22,13 @@ from holring.groups import (
     dihedral,
     direct_product,
     frob72,
+    group_name,
     inversion,
     metacyclic,
     quaternion,
     symmetric,
 )
+from holring.verify import catalog
 
 
 def _as_int_rows(table):
@@ -213,3 +216,24 @@ def test_value_on_element():
 def test_tables_are_cached():
     g = symmetric(4)
     assert character_table(g) is character_table(g)
+
+
+def _galois_orbit_by_values(table, i):
+    """Reference: apply zeta -> zeta^k to every value of chi_i and look
+    the image up among the characters by value."""
+    lookup = {ch.values: j for j, ch in enumerate(table.characters)}
+    exponent = table.group.exponent()
+    return {
+        k: lookup[tuple(v.galois(k) for v in table.characters[i].values)]
+        for k in range(1, exponent + 1)
+        if math.gcd(k, exponent) == 1
+    }
+
+
+@pytest.mark.parametrize("method", ["auto", "generic"])
+def test_galois_orbit_matches_action_on_values(method):
+    for g in catalog():
+        t = character_table(g, method)
+        for i in range(len(t.characters)):
+            assert t.galois_orbit(i) == _galois_orbit_by_values(t, i), (
+                group_name(g), method, i)

@@ -362,3 +362,32 @@ def test_metacyclic_family_flags(capsys):
     )
     assert code == 0
     assert "order: 21" in out
+
+
+@pytest.mark.parametrize("group", [
+    "metacyclic --n 4 --q 3",
+    "metacyclic --n 10 --q 3",
+    "metacyclic --n 7 --q 1",
+    "metacyclic --n 7 --q 0",
+    "symmetric --n 0",
+    "inversion --n 0",
+    "inversion --n=-4",
+    "dihedral --n 0",
+    "cyclic --n 0",
+    "cyclic --n=-3",
+    "alternating --n 0",
+    "alternating --n=-2",
+])
+def test_bad_family_parameters_are_usage_errors(group):
+    # a subprocess with a timeout, so a constructor that loops forever
+    # fails the test instead of hanging the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "holring.cli", "chartab", "--family", *group.split()],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("holring: error: ")
+    assert proc.stderr.strip() != "holring: error:"

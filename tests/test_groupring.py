@@ -13,7 +13,7 @@ from holring.groupring import (
     random_integral_matrix,
     regular_det,
 )
-from holring.groups import alternating, dihedral, quaternion, symmetric
+from holring.groups import alternating, cyclic, dihedral, quaternion, symmetric
 from holring.rednorm import adjoint_and_norm, reduced_norm
 
 S3 = symmetric(3)
@@ -96,6 +96,15 @@ def test_idempotent_coefficients_and_ring_law():
                 assert ei * ej == GroupRingElem.zero(A4)
     total = CentralElement.from_indicator(t, chars).to_group_ring()
     assert total == GroupRingElem.one(A4)
+
+
+def test_equal_central_elements_hash_equal():
+    t = character_table(cyclic(3))
+    z = CycloNum.root_of_unity(3)
+    a = CentralElement(t, [1, z, z.conjugate()])
+    b = CentralElement(t, [1, z.embedded(6), z.conjugate().embedded(6)])
+    assert a == b
+    assert len({a, b}) == 1
 
 
 def test_rationality_and_equivariance():
