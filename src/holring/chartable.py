@@ -24,7 +24,8 @@ class Character:
     """An irreducible character: one cyclotomic value per conjugacy class.
 
     Each value is stored at its minimal conductor, so its (conductor,
-    coordinates) pair is canonical; `CharTable.galois_orbit` relies on it.
+    coordinates) pair is canonical; `key`, `kernel` and
+    `CharTable.galois_orbit` rely on it.
     """
 
     __slots__ = ("group", "values", "degree", "_kernel")
@@ -50,10 +51,9 @@ class Character:
     def kernel(self) -> frozenset:
         if self._kernel is None:
             cls = self.group.classes()
-            deg = CycloNum.rational(self.degree)
             ker = set()
-            for ci, members in enumerate(cls.classes):
-                if self.values[ci] == deg:
+            for v, members in zip(self.values, cls.classes):
+                if v.m == 1 and v.c[0] == self.degree:
                     ker.update(members)
             self._kernel = frozenset(ker)
         return self._kernel
@@ -73,8 +73,14 @@ class Character:
     def __eq__(self, other):
         return isinstance(other, Character) and self.values == other.values
 
+    @property
+    def key(self) -> tuple:
+        """The stored (conductor, coordinates) pairs: canonical, so equal
+        characters have equal keys, with no field arithmetic."""
+        return tuple((v.m, v.c) for v in self.values)
+
     def __hash__(self):
-        return hash(self.values)
+        return hash(self.key)
 
     def __repr__(self):
         return f"Character(degree={self.degree}, conductor={self.field_conductor})"
@@ -89,7 +95,7 @@ class CharTable:
 
     @cached_property
     def _index(self) -> dict:
-        return {tuple((v.m, v.c) for v in ch.values): j for j, ch in enumerate(self.characters)}
+        return {ch.key: j for j, ch in enumerate(self.characters)}
 
     def galois_orbit(self, i: int) -> dict:
         """{k: j} for each unit k in 1..exp(G), where chi_j is chi_i under
@@ -99,7 +105,7 @@ class CharTable:
         if i not in self._orbits:
             g = self.group
             cls, exponent = g.classes(), g.exponent()
-            pairs = [(v.m, v.c) for v in self.characters[i].values]
+            pairs = self.characters[i].key
             self._orbits[i] = {
                 k: self._index[tuple(pairs[cls.power_class(c, k, g)] for c in range(len(pairs)))]
                 for k in range(1, exponent + 1)

@@ -275,31 +275,52 @@ class CycloNum:
         return self.galois(self.m - 1) if self.m > 1 else self
 
     def minimal(self) -> "CycloNum":
-        """The same value written at its minimal conductor."""
+        """The same value written at its minimal conductor.
+
+        A descent on the coordinates, one prime p of m at a time, that
+        tries to move the value from Q(zeta_m) down to Q(zeta_(m/p)):
+
+        - p^2 | m: Phi_m(t) = Phi_(m/p)(t^p), so 1, z, ..., z^(p-1) is a
+          basis of Q(zeta_m) over Q(zeta_(m/p)).  The value lies there iff
+          every coordinate at an exponent j != 0 mod p is zero, and its
+          coordinates there are c[::p].
+        - p || m, n = m/p: Q(zeta_m) = Q(zeta_n)(zeta_p) with basis 1,
+          zeta_p, ..., zeta_p^(p-2).  With s p + t n = 1 mod m, z^j is
+          zeta_n^(js) zeta_p^(jt), so the value is sum_b y_b zeta_p^b with
+          y_b in Q(zeta_n).  As 1 + zeta_p + ... + zeta_p^(p-1) = 0, it
+          lies in Q(zeta_n) iff y_1 = ... = y_(p-1), and is then
+          y_0 - y_(p-1).
+
+        (Washington, Introduction to Cyclotomic Fields, ch. 2; the same
+        basis idea as Zumbroich's, used by GAP's cyclotomics.)  Since
+        Q(zeta_a) & Q(zeta_b) = Q(zeta_gcd(a,b)), a step that fails at p
+        cannot succeed after other primes are removed, so one pass over
+        the primes reaches the minimal conductor, which is never 2 mod 4.
+        """
         if self.m == 1:
             return self
         if not any(self.c[1:]):
             return CycloNum(1, [self.c[0]])
-        for d in divisors(self.m):
-            if d == self.m:
-                return self
-            if d == 2 and self.m % 2:
-                continue
-            # fixed by Gal(Q(zeta_m)/Q(zeta_d)) = {k = 1 mod d, gcd(k,m)=1}?
-            fixed = True
-            for k in range(1 + d, self.m, d):
-                if math.gcd(k, self.m) == 1 and self.galois(k) != self:
-                    fixed = False
-                    break
-            if fixed:
-                return CycloNum(d, self._express_in(d))
-        return self
-
-    def _express_in(self, d: int) -> list[Fraction]:
-        # solve for coordinates on the power basis of Q(zeta_d) inside Q(zeta_m)
-        cols = [CycloNum.root_of_unity(d, j).embedded(self.m).c
-                for j in range(euler_phi(d))]
-        return _solve_exact(cols, list(self.c))
+        m, c = self.m, list(self.c)
+        for p in prime_divisors(m):
+            while m % p == 0:
+                n = m // p
+                if n % p == 0:
+                    if any(x for j, x in enumerate(c) if j % p):
+                        break
+                    c = c[::p]
+                else:
+                    s, t = pow(p, -1, n), pow(n, -1, p)
+                    ys = [[Fraction(0)] * n for _ in range(p)]
+                    for j, x in enumerate(c):
+                        if x:
+                            ys[j * t % p][j * s % n] += x
+                    ys = [_reduce_mod_phi(y, n) for y in ys]
+                    if any(y != ys[-1] for y in ys[1:-1]):
+                        break
+                    c = [a - b for a, b in zip(ys[0], ys[-1])]
+                m = n
+        return self if m == self.m else CycloNum(m, c)
 
     def as_rational(self):
         """Fraction if the value is rational, else None."""
@@ -399,37 +420,6 @@ def _poly_divmod(num, den):
             for j, dc in enumerate(den):
                 num[i - len(den) + 1 + j] -= c * dc
     return q, num[: len(den) - 1] or [Fraction(0)]
-
-
-def _solve_exact(cols, target):
-    """Solve sum_j x_j * cols[j] = target exactly; raises if inconsistent."""
-    rows = len(target)
-    ncols = len(cols)
-    aug = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, rows) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(col)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][ncols]:
-            raise ValueError("inconsistent linear system")
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(piv_cols):
-        x[col] = aug[i][ncols]
-    return x
 
 
 # -- valuations --------------------------------------------------------

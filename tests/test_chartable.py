@@ -5,6 +5,7 @@ import pytest
 
 from holring.chartable import (
     Character,
+    _finish,
     affine_table,
     character_table,
     cyclic_table,
@@ -237,3 +238,58 @@ def test_galois_orbit_matches_action_on_values(method):
         for i in range(len(t.characters)):
             assert t.galois_orbit(i) == _galois_orbit_by_values(t, i), (
                 group_name(g), method, i)
+
+
+def test_equal_characters_hash_equal():
+    g = cyclic(12)
+    chars = character_table(g).characters
+    for ch in chars:
+        # the same values written at a larger conductor are stored minimal
+        again = Character(g, [v.embedded(24) for v in ch.values])
+        assert again == ch and hash(again) == hash(ch) and again.key == ch.key
+    assert len({ch.key for ch in chars}) == len({hash(ch) for ch in chars}) == 12
+
+
+def test_finish_rejects_a_duplicate_character():
+    g = cyclic(4)
+    chars = list(character_table(g).characters)
+    chars[3] = Character(g, [v.embedded(8) for v in chars[1].values])
+    with pytest.raises(AssertionError, match="pairwise distinct"):
+        _finish(g, chars, "test")
+
+
+@pytest.mark.parametrize("method", ["auto", "generic"])
+def test_stored_values_are_minimal_and_kernels_match_values(method):
+    for g in catalog():
+        for ch in character_table(g, method).characters:
+            assert all(v.minimal() is v for v in ch.values), group_name(g)
+            cls = g.classes()
+            by_value = {x for v, members in zip(ch.values, cls.classes)
+                        if v == ch.degree for x in members}
+            assert ch.kernel == by_value, group_name(g)
+
+
+@pytest.mark.parametrize("method", ["auto", "generic"])
+def test_minimal_runs_no_galois_search(monkeypatch, method):
+    minimal, galois = CycloNum.minimal, CycloNum.galois
+    depth, calls, built = [0], [], []
+
+    def counting_minimal(self):
+        built.append(self.m)
+        depth[0] += 1
+        try:
+            return minimal(self)
+        finally:
+            depth[0] -= 1
+
+    def counting_galois(self, k):
+        if depth[0]:
+            calls.append((self.m, k))
+        return galois(self, k)
+
+    monkeypatch.setattr(CycloNum, "minimal", counting_minimal)
+    monkeypatch.setattr(CycloNum, "galois", counting_galois)
+    for g in (symmetric(5), cyclic(20), affine(9)):
+        t = character_table(g, method)
+        assert len(t.characters) == len(g.classes().classes)
+    assert built and calls == []

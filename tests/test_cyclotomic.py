@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from holring.cyclotomic import (
     INF,
     CycloNum,
     cyclotomic_polynomial,
+    divisors,
     euler_phi,
     padic_valuation,
     semilocal_valuation,
@@ -122,6 +125,75 @@ def test_minimal_conductor():
     v = zeta(5) + zeta(5, 4)
     assert v.minimal().conductor == 5
     assert CycloNum.rational(Fraction(7, 3)).minimal().conductor == 1
+
+
+def _reference_conductor(v):
+    """The least d | m whose field Q(zeta_d) is fixed pointwise by the value's
+    stabiliser: the divisor-by-divisor Galois search minimal() used to run."""
+    m = v.m
+    for d in divisors(m):
+        if all(v.galois(k) == v for k in range(1 + d, m, d) if math.gcd(k, m) == 1):
+            return d
+
+
+def _check_minimal(v, reference=None):
+    r = v.minimal()
+    assert r.m == (reference or _reference_conductor(v))
+    assert r.m % 4 != 2
+    assert r.embedded(v.m).c == v.c  # same value: embedding is injective
+    assert r.minimal() is r
+    return r
+
+
+def _random_in(d, rng):
+    return CycloNum(d, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(euler_phi(d))])
+
+
+def test_minimal_matches_galois_search_on_every_subfield():
+    rng = random.Random(1729)
+    for m in range(1, 121):
+        for d in divisors(m):
+            v = _random_in(d, rng)
+            # the conductor does not depend on the field the value is
+            # written in, and the search is far cheaper at d than at m
+            _check_minimal(v.embedded(m), _reference_conductor(v))
+
+
+def test_minimal_of_gauss_periods():
+    # the cubic periods of Q(zeta_13): sums of zeta^h over h in the cubes mod 13
+    cubes = sorted({pow(x, 3, 13) for x in range(1, 13)})
+    assert cubes == [1, 5, 8, 12]
+    for a in (1, 2, 4):
+        eta = sum((zeta(13, a * h) for h in cubes), CycloNum.rational(0))
+        assert _check_minimal(eta).m == 13
+        assert eta.galois(2) != eta and eta.galois(5) == eta
+    # periods over every cyclic subgroup <k> of (Z/m)^*
+    for m in range(2, 61):
+        orbits = {frozenset(pow(k, e, m) for e in range(m))
+                  for k in range(1, m) if math.gcd(k, m) == 1}
+        for orbit in orbits:
+            _check_minimal(sum((zeta(m, h) for h in orbit), CycloNum.rational(0)))
+
+
+def test_minimal_never_stops_at_2_mod_4():
+    rng = random.Random(5)
+    for m in range(2, 121, 4):
+        v = _random_in(m, rng)
+        r = _check_minimal(v)
+        assert r.m == m // 2 or r.m < m // 2
+    assert zeta(6).minimal().c == (-zeta(3, 2)).c
+    assert (zeta(10, 2) * 3).minimal().conductor == 5
+
+
+def test_minimal_of_rationals_and_real_values():
+    rng = random.Random(11)
+    for m in (1, 2, 3, 4, 12, 30, 60, 105, 120):
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        r = _check_minimal(CycloNum.rational(x).embedded(m))
+        assert (r.m, r.c) == (1, (x,))
+        z = _random_in(m, rng)
+        real = _check_minimal(z + z.conjugate())
+        assert real.conjugate() == real
 
 
 def test_as_rational():
