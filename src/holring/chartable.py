@@ -24,7 +24,7 @@ class Character:
     """An irreducible character: one cyclotomic value per conjugacy class.
 
     Each value is stored at its minimal conductor, so its (conductor,
-    coordinates) pair is canonical; `key`, `kernel` and
+    numerators, denominator) triple is canonical; `key`, `kernel` and
     `CharTable.galois_orbit` rely on it.
     """
 
@@ -53,7 +53,7 @@ class Character:
             cls = self.group.classes()
             ker = set()
             for v, members in zip(self.values, cls.classes):
-                if v.m == 1 and v.c[0] == self.degree:
+                if v.m == 1 and v.den == 1 and v.num[0] == self.degree:
                     ker.update(members)
             self._kernel = frozenset(ker)
         return self._kernel
@@ -75,9 +75,9 @@ class Character:
 
     @property
     def key(self) -> tuple:
-        """The stored (conductor, coordinates) pairs: canonical, so equal
-        characters have equal keys, with no field arithmetic."""
-        return tuple((v.m, v.c) for v in self.values)
+        """The stored (conductor, numerators, denominator) triples: canonical,
+        so equal characters have equal keys, with no field arithmetic."""
+        return tuple((v.m, v.num, v.den) for v in self.values)
 
     def __hash__(self):
         return hash(self.key)
@@ -105,9 +105,9 @@ class CharTable:
         if i not in self._orbits:
             g = self.group
             cls, exponent = g.classes(), g.exponent()
-            pairs = self.characters[i].key
+            key = self.characters[i].key
             self._orbits[i] = {
-                k: self._index[tuple(pairs[cls.power_class(c, k, g)] for c in range(len(pairs)))]
+                k: self._index[tuple(key[cls.power_class(c, k, g)] for c in range(len(key)))]
                 for k in range(1, exponent + 1)
                 if math.gcd(k, exponent) == 1
             }
@@ -141,10 +141,9 @@ class CharTable:
 
 
 def _char_sort_key(ch: Character, exponent: int):
-    key = []
-    for v in ch.values:
-        key.append(tuple(-c for c in v.embedded(exponent).c))
-    return (ch.degree, key)
+    # character values are algebraic integers, so their coordinates at the
+    # exponent are the ints `num` over den == 1
+    return (ch.degree, [tuple(-x for x in v.embedded(exponent).num) for v in ch.values])
 
 
 def _finish(group: FiniteGroup, chars: list, method: str) -> CharTable:
@@ -416,7 +415,15 @@ def dixon_table(group: FiniteGroup) -> CharTable:
         scale = pow(vec[0], q - 2, q)
         omegas.append([x * scale % q for x in vec])
 
+    # per class: the classes of rep^t, and the o powers of a primitive
+    # o-th root of unity's inverse mod q, for the Fourier inversion below
     root = _primitive_root(q)
+    power_classes, fourier = [], []
+    for rep in reps:
+        o = group.element_order(rep)
+        power_classes.append([cls.class_of[group.power(rep, t)] for t in range(o)])
+        zinv = pow(pow(root, (q - 1) // o, q), q - 2, q)
+        fourier.append((o, [pow(zinv, t, q) for t in range(o)], pow(o, q - 2, q)))
     chars = []
     for om in omegas:
         s = sum(om[j] * om[jstar[j]] * inv_size[j] for j in range(k)) % q
@@ -428,15 +435,12 @@ def dixon_table(group: FiniteGroup) -> CharTable:
         class_vals = [deg * om[j] * inv_size[j] % q for j in range(k)]
         values = []
         for j in range(k):
-            o = group.element_order(reps[j])
-            zinv = pow(pow(root, (q - 1) // o, q), q - 2, q)
-            series = [class_vals[cls.class_of[group.power(reps[j], t)]]
-                      for t in range(o)]
-            o_inv = pow(o, q - 2, q)
+            o, zpow, o_inv = fourier[j]
+            series = [class_vals[c] for c in power_classes[j]]
             coeffs = []
             for l in range(o):
                 m_l = o_inv * sum(
-                    series[t] * pow(zinv, l * t, q) for t in range(o)
+                    series[t] * zpow[l * t % o] for t in range(o)
                 ) % q
                 assert m_l <= deg, "root-of-unity multiplicity out of range"
                 coeffs.append(m_l)

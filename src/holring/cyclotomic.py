@@ -1,8 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 A value is a coefficient vector on the power basis {1, z, ..., z^(phi(m)-1)}
-of Q(zeta_m), fully reduced modulo the m-th cyclotomic polynomial, with
-arbitrary-precision rational coefficients.  No floating point anywhere.
+of Q(zeta_m), fully reduced modulo the m-th cyclotomic polynomial, held as
+arbitrary-precision int numerators over one positive common denominator.
+All arithmetic runs on those ints; products are reduced by one routine
+that walks only the nonzero terms of Phi_m (Washington, Introduction to
+Cyclotomic Fields, ch. 2).  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -93,64 +96,108 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], m: int) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def _phi_terms(m: int) -> tuple[tuple[int, int], ...]:
+    """(j, a) for the nonzero coefficients a of z^j in Phi_m, j < phi(m)."""
     phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    c = list(coeffs)
-    if len(c) < deg:
-        c += [Fraction(0)] * (deg - len(c))
+    return tuple((j, a) for j, a in enumerate(phi[:-1]) if a)
+
+
+def _reduce(c: list[int], m: int) -> list[int]:
+    """c(z) mod Phi_m as phi(m) int coordinates; c is consumed.
+
+    Folds c modulo z^m - 1 first (a multiple of Phi_m), then clears the
+    terms of degree >= phi(m) walking only the nonzero terms of the monic
+    Phi_m, so no coefficient ever leaves the integers.
+    """
+    deg = euler_phi(m)
+    if len(c) > m:
+        for i in range(m, len(c)):
+            if c[i]:
+                c[i % m] += c[i]
+        del c[m:]
+    if len(c) <= deg:
+        c += [0] * (deg - len(c))
+        return c
+    terms = _phi_terms(m)
     for i in range(len(c) - 1, deg - 1, -1):
         top = c[i]
         if top:
-            # subtract top * x^(i-deg) * Phi_m; Phi is monic
             base = i - deg
-            for j in range(deg):
-                c[base + j] -= top * phi[j]
-        c.pop()
+            for j, a in terms:
+                c[base + j] -= top * a
+    del c[deg:]
     return c
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x):
+    """x itself if it is an int or a Fraction; both carry `numerator` and
+    `denominator`, which is all the callers read."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected rational, got {type(x).__name__}")
 
 
-class CycloNum:
-    """An element of Q(zeta_m) in reduced power-basis form."""
+def _cyclo(m: int, num: list[int], den: int = 1) -> "CycloNum":
+    """The CycloNum num(z) / den in Q(zeta_m), for int numerators of any
+    length and a nonzero int den: reduced mod Phi_m, den made positive and
+    the content gcd(den, *num) divided out."""
+    if len(num) != euler_phi(m):
+        num = _reduce(num, m)
+    if den < 0:
+        den, num = -den, [-x for x in num]
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [x // g for x in num]
+    out = object.__new__(CycloNum)
+    out.m, out.num, out.den = m, tuple(num), den
+    return out
 
-    __slots__ = ("m", "c")
+
+class CycloNum:
+    """An element of Q(zeta_m) in reduced power-basis form.
+
+    Stored as int numerators `num`, phi(m) of them, over one positive
+    denominator `den`, with gcd(den, *num) = 1, so the triple
+    (m, num, den) is canonical at a given conductor.
+    """
+
+    __slots__ = ("m", "num", "den")
 
     def __init__(self, m: int, coeffs):
         if m < 1:
             raise ValueError("conductor must be >= 1")
-        self.m = m
-        c = [_as_fraction(x) for x in coeffs]
-        deg = euler_phi(m)
-        if len(c) != deg:
-            c = _reduce_mod_phi(c, m)
-        self.c = tuple(c)
+        xs = [_rational(x) for x in coeffs]
+        den = math.lcm(*(x.denominator for x in xs))
+        made = _cyclo(m, [x.numerator * (den // x.denominator) for x in xs], den)
+        self.m, self.num, self.den = m, made.num, made.den
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def rational(x) -> "CycloNum":
-        return CycloNum(1, [_as_fraction(x)])
+        x = _rational(x)
+        return _cyclo(1, [x.numerator], x.denominator)
 
     @staticmethod
     def root_of_unity(m: int, k: int = 1) -> "CycloNum":
         k %= m
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = Fraction(1)
-        return CycloNum(m, coeffs)
+        num = [0] * (k + 1)
+        num[k] = 1
+        return _cyclo(m, num)
 
     # -- structure ---------------------------------------------------
 
     @property
     def conductor(self) -> int:
         return self.m
+
+    @property
+    def c(self) -> tuple:
+        """The coordinates as Fractions (a read-only view)."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def embedded(self, m2: int) -> "CycloNum":
         """The same value viewed in Q(zeta_m2); requires m | m2."""
@@ -159,11 +206,9 @@ class CycloNum:
         if m2 % self.m:
             raise ValueError(f"no embedding Q(zeta_{self.m}) -> Q(zeta_{m2})")
         k = m2 // self.m
-        out = [Fraction(0)] * (len(self.c) * k)
-        for j, cj in enumerate(self.c):
-            if cj:
-                out[j * k] = cj
-        return CycloNum(m2, _reduce_mod_phi(out, m2))
+        out = [0] * ((len(self.num) - 1) * k + 1)
+        out[::k] = self.num
+        return _cyclo(m2, out, self.den)
 
     def _pair(self, other):
         other = coerce(other)
@@ -176,12 +221,14 @@ class CycloNum:
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return CycloNum(a.m, [x + y for x, y in zip(a.c, b.c)])
+        den = math.lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        return _cyclo(a.m, [x * sa + y * sb for x, y in zip(a.num, b.num)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.m, [-x for x in self.c])
+        return _cyclo(self.m, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-coerce(other))
@@ -191,16 +238,16 @@ class CycloNum:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            return CycloNum(self.m, [x * f for x in self.c])
+            f = other.numerator
+            return _cyclo(self.m, [x * f for x in self.num], self.den * other.denominator)
         a, b = self._pair(other)
-        out = [Fraction(0)] * (len(a.c) + len(b.c) - 1)
-        for i, x in enumerate(a.c):
-            if x:
-                for j, y in enumerate(b.c):
-                    if y:
-                        out[i + j] += x * y
-        return CycloNum(a.m, _reduce_mod_phi(out, a.m))
+        xs = [(i, x) for i, x in enumerate(a.num) if x]
+        out = [0] * (len(a.num) + len(b.num) - 1)
+        for j, y in enumerate(b.num):
+            if y:
+                for i, x in xs:
+                    out[i + j] += x * y
+        return _cyclo(a.m, out, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -209,21 +256,21 @@ class CycloNum:
             raise ZeroDivisionError("cyclotomic zero has no inverse")
         # extended Euclid against Phi_m in Q[x]
         phi = [Fraction(x) for x in cyclotomic_polynomial(self.m)]
-        a = list(self.c)
-        r0, r1 = phi, _trim(a)
+        r0, r1 = phi, _trim(list(self.c))
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, _trim(r)
             s0, s1 = s1, _trim(_poly_sub(s0, _poly_mul(q, s1)))
         g = r1[0]
-        inv = [x / g for x in s1]
-        return CycloNum(self.m, _reduce_mod_phi(inv, self.m))
+        return CycloNum(self.m, [x / g for x in s1])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            return CycloNum(self.m, [x / f for x in self.c])
+            if not other:
+                raise ZeroDivisionError("division of a cyclotomic number by zero")
+            f = other.denominator
+            return _cyclo(self.m, [x * f for x in self.num], self.den * other.numerator)
         return self * coerce(other).inverse()
 
     def __rtruediv__(self, other):
@@ -244,19 +291,24 @@ class CycloNum:
     # -- comparisons -------------------------------------------------
 
     def __bool__(self):
-        return any(self.c)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CycloNum.rational(other)
+            return (self.den == other.denominator and self.num[0] == other.numerator
+                    and not any(self.num[1:]))
         if not isinstance(other, CycloNum):
             return NotImplemented
         a, b = self._pair(other)
-        return a.c == b.c
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
+        # the minimal conductor is canonical; a rational value hashes as its
+        # Fraction, so it agrees with __eq__ against int and Fraction
         r = self.minimal()
-        return hash((r.m, r.c))
+        if r.m == 1:
+            return hash(Fraction(r.num[0], r.den))
+        return hash((r.m, r.num, r.den))
 
     # -- Galois action -----------------------------------------------
 
@@ -265,11 +317,11 @@ class CycloNum:
         k %= self.m
         if math.gcd(k, self.m) != 1:
             raise ValueError(f"{k} is not a unit mod {self.m}")
-        out = [Fraction(0)] * self.m
-        for j, cj in enumerate(self.c):
-            if cj:
-                out[(j * k) % self.m] += cj
-        return CycloNum(self.m, _reduce_mod_phi(out, self.m))
+        out = [0] * self.m
+        for j, x in enumerate(self.num):
+            if x:
+                out[(j * k) % self.m] += x
+        return _cyclo(self.m, out, self.den)
 
     def conjugate(self) -> "CycloNum":
         return self.galois(self.m - 1) if self.m > 1 else self
@@ -299,9 +351,9 @@ class CycloNum:
         """
         if self.m == 1:
             return self
-        if not any(self.c[1:]):
-            return CycloNum(1, [self.c[0]])
-        m, c = self.m, list(self.c)
+        if not any(self.num[1:]):
+            return _cyclo(1, [self.num[0]], self.den)
+        m, c = self.m, list(self.num)
         for p in prime_divisors(m):
             while m % p == 0:
                 n = m // p
@@ -311,21 +363,21 @@ class CycloNum:
                     c = c[::p]
                 else:
                     s, t = pow(p, -1, n), pow(n, -1, p)
-                    ys = [[Fraction(0)] * n for _ in range(p)]
+                    ys = [[0] * n for _ in range(p)]
                     for j, x in enumerate(c):
                         if x:
                             ys[j * t % p][j * s % n] += x
-                    ys = [_reduce_mod_phi(y, n) for y in ys]
+                    ys = [_reduce(y, n) for y in ys]
                     if any(y != ys[-1] for y in ys[1:-1]):
                         break
                     c = [a - b for a, b in zip(ys[0], ys[-1])]
                 m = n
-        return self if m == self.m else CycloNum(m, c)
+        return self if m == self.m else _cyclo(m, c, self.den)
 
     def as_rational(self):
         """Fraction if the value is rational, else None."""
-        if not any(self.c[1:]):
-            return self.c[0]
+        if not any(self.num[1:]):
+            return Fraction(self.num[0], self.den)
         return None
 
     # -- serialization -----------------------------------------------
@@ -381,7 +433,7 @@ class CycloNum:
 def coerce(x) -> CycloNum:
     if isinstance(x, CycloNum):
         return x
-    return CycloNum.rational(_as_fraction(x))
+    return CycloNum.rational(x)
 
 
 # -- polynomial helpers over Fraction ---------------------------------
@@ -427,7 +479,7 @@ def _poly_divmod(num, den):
 
 def padic_valuation(x, p: int):
     """Exponent of p in the rational x; math.inf for x == 0."""
-    x = _as_fraction(x)
+    x = _rational(x)
     if not x:
         return INF
     v = 0

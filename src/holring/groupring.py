@@ -56,7 +56,7 @@ def is_integral_coeff(c) -> bool:
         return True
     if isinstance(c, Fraction):
         return False
-    return all(x.denominator == 1 for x in c.c)
+    return c.den == 1
 
 
 def _sum_of_products(group: FiniteGroup, pairs) -> "GroupRingElem":
