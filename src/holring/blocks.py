@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .chartable import CharTable, character_table
+from .chartable import CharTable, derived_table
 from .citations import register
 from .cyclotomic import padic_valuation
 
@@ -152,8 +152,16 @@ def padic_blocks(table: CharTable, p: int):
     """Galois orbits of characters over the p-adic rationals.
 
     Blocks are listed by their smallest character index, so the order
-    is determined by the canonical character order of the table.
+    is determined by the canonical character order of the table.  They
+    are computed once per (table, p) and kept on the table; each call
+    returns a new list.
     """
+    if p not in table._blocks:
+        table._blocks[p] = tuple(_padic_blocks(table, p))
+    return list(table._blocks[p])
+
+
+def _padic_blocks(table: CharTable, p: int):
     chars = table.characters
     order = table.group.order
     v_group = padic_valuation(order, p)
@@ -366,7 +374,8 @@ def weakly_hybrid(table: CharTable, normal_ids, p: int) -> WeaklyHybridReport:
         mg, membed = g.subgroup_as_group(m_sub.element_ids)
         back = {gid: hid for hid, gid in enumerate(membed)}
         inner = frozenset(back[x] for x in normal_ids)
-        mrep = hybrid_report(character_table(mg), inner, p)
+        mtable = derived_table(table, mg, membed, h_sub.element_ids)
+        mrep = hybrid_report(mtable, inner, p)
         if not mrep.is_hybrid:
             continue
         rational = all(
@@ -376,7 +385,8 @@ def weakly_hybrid(table: CharTable, normal_ids, p: int) -> WeaklyHybridReport:
         )
         if not rational:
             continue
-        hg, _ = g.subgroup_as_group(h_sub.element_ids)
+        hg, hembed = g.subgroup_as_group(h_sub.element_ids)
+        derived_table(table, hg, hembed, m_sub.element_ids)
         verdict, chain = dt_triviality(hg, p)
         if verdict == "trivial":
             return WeaklyHybridReport(

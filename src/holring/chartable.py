@@ -7,6 +7,12 @@ then lifts values exactly by discrete Fourier inversion on cyclic
 subgroups.  Closed forms cover cyclic, dihedral, affine and direct
 product groups, plus the kernel-induction construction for Frobenius
 groups; the independent routes are cross-checked in the test suite.
+
+The table of a quotient G/N, or of a direct factor M of G = M x H, is
+derived from the table of G rather than computed afresh: Irr(G/N) is the
+set of characters of G with N in their kernel (inflation), and Irr(M) is
+Irr(G) trivial on H, restricted to M (Isaacs, Character Theory of Finite
+Groups, Lemma 2.22).  See `derived_table`.
 """
 
 from __future__ import annotations
@@ -92,6 +98,7 @@ class CharTable:
     characters: tuple
     method: str
     _orbits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _blocks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def _index(self) -> dict:
@@ -100,8 +107,8 @@ class CharTable:
     def galois_orbit(self, i: int) -> dict:
         """{k: j} for each unit k in 1..exp(G), where chi_j is chi_i under
         zeta -> zeta^k.  As chi_j(g) = chi_i(g^k), the image is read off the
-        class power map with no field arithmetic.  Kept on the table, so
-        callers must not change the dict."""
+        class power map with no field arithmetic.  Computed once per
+        character and kept on the table; each call returns a new dict."""
         if i not in self._orbits:
             g = self.group
             cls, exponent = g.classes(), g.exponent()
@@ -111,7 +118,7 @@ class CharTable:
                 for k in range(1, exponent + 1)
                 if math.gcd(k, exponent) == 1
             }
-        return self._orbits[i]
+        return dict(self._orbits[i])
 
     def to_jsonable(self) -> dict:
         g = self.group
@@ -418,10 +425,10 @@ def dixon_table(group: FiniteGroup) -> CharTable:
     # per class: the classes of rep^t, and the o powers of a primitive
     # o-th root of unity's inverse mod q, for the Fourier inversion below
     root = _primitive_root(q)
-    power_classes, fourier = [], []
-    for rep in reps:
-        o = group.element_order(rep)
-        power_classes.append([cls.class_of[group.power(rep, t)] for t in range(o)])
+    power_classes = [cls.power_classes(j, group) for j in range(k)]
+    fourier = []
+    for powers in power_classes:
+        o = len(powers)
         zinv = pow(pow(root, (q - 1) // o, q), q - 2, q)
         fourier.append((o, [pow(zinv, t, q) for t in range(o)], pow(o, q - 2, q)))
     chars = []
@@ -632,6 +639,28 @@ _CLOSED_FORMS = {
 }
 
 
+def derived_table(parent: CharTable, group: FiniteGroup, lift, kernel) -> CharTable:
+    """The table of `group`, read off the table of a group G it is a
+    quotient or a direct factor of, with no character computed afresh.
+
+    `kernel` is a normal subgroup K of G, and `lift[x]` is an element of G
+    for each element x of `group`, such that x -> lift[x] K is an
+    isomorphism onto G/K: coset representatives for G/K, or the embedding
+    of M for K = H when G = M x H.  Irr(G/K) is the set of characters of
+    G with K in their kernel (Isaacs, Lemma 2.22), each read through the
+    lift.  The result is kept as the group's "auto" table.
+    """
+    key = ("chartable", "auto")
+    if key not in group._cache:
+        kernel = frozenset(kernel)
+        parent_class = parent.group.classes().class_of
+        at = [parent_class[lift[rep]] for rep in group.classes().representatives]
+        chars = [Character(group, [ch.values[c] for c in at])
+                 for ch in parent.characters if kernel <= ch.kernel]
+        group._cache[key] = _finish(group, chars, "derived")
+    return group._cache[key]
+
+
 def character_table(group: FiniteGroup, method: str = "auto") -> CharTable:
     key = ("chartable", method)
     if key in group._cache:
@@ -640,10 +669,13 @@ def character_table(group: FiniteGroup, method: str = "auto") -> CharTable:
     closed = _CLOSED_FORMS.get(fam)
     if fam == "product" and "factors" not in group.meta:
         closed = None
-    if method == "auto":
-        table = (closed or dixon_table)(group)
-    elif method == "generic":
-        table = dixon_table(group)
+    if method == "auto" and closed is not None:
+        table = closed(group)
+    elif method in ("auto", "generic"):
+        # with no closed form, "auto" is Dixon's table too: one run for both
+        shared = ("chartable", "generic")
+        table = group._cache.get(shared) or dixon_table(group)
+        group._cache[shared] = table
     elif method == "frobenius":
         table = frobenius_table(group)
     elif method == "closed":

@@ -7,6 +7,11 @@ maps are surjective on DT, restriction to an order-p subgroup is
 surjective, and a weakly hybrid quotient induces an isomorphism.
 Answers carry the labels of every statement used; "unknown" is a
 legitimate verdict and is never silently strengthened.
+
+A quotient G/N that a rule recurses into is built once per G and N, and
+its character table is derived from G's by inflation, not recomputed;
+the direct factors that the weak-hybrid test hands to the engine get
+theirs by restriction the same way (`chartable.derived_table`).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from importlib import resources
 from typing import Optional
 
 from .blocks import padic_blocks, weakly_hybrid
-from .chartable import character_table
+from .chartable import character_table, derived_table
 from .citations import register
 from .cyclotomic import padic_valuation
 from .groups import FiniteGroup
@@ -227,6 +232,13 @@ def _proper_normals(group: FiniteGroup):
             yield sub
 
 
+def _quotient(table, sub) -> FiniteGroup:
+    """G/N, with its table derived from G's table."""
+    quot, to_q = table.group.quotient(sub.element_ids)
+    derived_table(table, quot, dict(zip(to_q, range(len(to_q)))), sub.element_ids)
+    return quot
+
+
 def _via_weak_hybrid_quotient(group, p, depth, name):
     table = character_table(group)
     for sub in _proper_normals(group):
@@ -235,8 +247,7 @@ def _via_weak_hybrid_quotient(group, p, depth, name):
         wh = weakly_hybrid(table, sub.element_ids, p)
         if wh.verdict != "yes":
             continue
-        quot, _ = group.quotient(sub.element_ids)
-        inner = dt_query(quot, p, depth - 1)
+        inner = dt_query(_quotient(table, sub), p, depth - 1)
         if inner.kind == "unknown":
             continue
         return DTAssertion(
@@ -253,11 +264,11 @@ def _via_weak_hybrid_quotient(group, p, depth, name):
 
 
 def _via_quotient_surjectivity(group, p, depth, name):
+    table = character_table(group)
     for sub in _proper_normals(group):
-        quot, _ = group.quotient(sub.element_ids)
-        if quot.order % p != 0:
+        if (group.order // sub.order) % p != 0:
             continue
-        inner = dt_query(quot, p, depth - 1)
+        inner = dt_query(_quotient(table, sub), p, depth - 1)
         if inner.triviality() == "nontrivial":
             return DTAssertion(
                 "nontrivial",

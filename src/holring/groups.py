@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .cyclotomic import is_prime, padic_valuation, prime_divisors
@@ -43,9 +43,24 @@ class ConjClassData:
     representatives: tuple  # min element id per class
     sizes: tuple
     class_of: tuple         # element id -> class index
+    _powers: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def power_classes(self, c: int, group: "FiniteGroup") -> tuple:
+        """The classes of rep^t for t = 0..o-1, rep the representative of
+        class c and o its order: one walk through the powers, kept."""
+        if c not in self._powers:
+            rep, x, out = self.representatives[c], 0, []
+            while True:
+                out.append(self.class_of[x])
+                x = group.mul(x, rep)
+                if x == 0:
+                    break
+            self._powers[c] = tuple(out)
+        return self._powers[c]
 
     def power_class(self, c: int, k: int, group: "FiniteGroup") -> int:
-        return self.class_of[group.power(self.representatives[c], k)]
+        powers = self.power_classes(c, group)
+        return powers[k % len(powers)]
 
 
 class FiniteGroup:
@@ -151,10 +166,10 @@ class FiniteGroup:
         return self._orders[a]
 
     def exponent(self) -> int:
-        e = 1
-        for a in range(self.order):
-            e = math.lcm(e, self.element_order(a))
-        return e
+        if "exponent" not in self._cache:
+            self._cache["exponent"] = math.lcm(
+                *(self.element_order(a) for a in range(self.order)))
+        return self._cache["exponent"]
 
     def is_abelian(self) -> bool:
         if "abelian" not in self._cache:
@@ -338,8 +353,16 @@ class FiniteGroup:
     # -- derived groups -----------------------------------------------------
 
     def quotient(self, normal_ids: frozenset):
-        """(quotient group, map element id -> quotient element id)."""
-        assert self._is_normal_set(frozenset(normal_ids))
+        """(quotient group, tuple mapping element id -> quotient element id).
+
+        Built once per normal subgroup and kept, so the quotient's own
+        classes, normal subgroups and table are shared by every caller.
+        """
+        key = ("quotient", frozenset(normal_ids))
+        if key in self._cache:
+            return self._cache[key]
+        normal_ids = key[1]
+        assert self._is_normal_set(normal_ids)
         coset_of = {}
         cosets = []
         for g in range(self.order):
@@ -357,12 +380,16 @@ class FiniteGroup:
                 coset_of[self.mul(cosets[a], cosets[b])] for b in range(k)
             ))
         q = FiniteGroup(perms)
-        to_q = [q.index[perms[coset_of[g]]] for g in range(self.order)]
-        return q, to_q
+        self._cache[key] = q, tuple(q.index[perms[coset_of[g]]] for g in range(self.order))
+        return self._cache[key]
 
     def subgroup_as_group(self, ids):
-        """(subgroup as its own group, map subgroup element id -> id in self)."""
-        members = sorted(ids)
+        """(subgroup as its own group, tuple mapping subgroup element id ->
+        id in self), built once per subgroup and kept."""
+        key = ("subgroup", frozenset(ids))
+        if key in self._cache:
+            return self._cache[key]
+        members = sorted(key[1])
         pos = {g: i for i, g in enumerate(members)}
         perms = {}
         for a in members:
@@ -371,7 +398,8 @@ class FiniteGroup:
         embed = [None] * h.order
         for a in members:
             embed[h.index[perms[a]]] = a
-        return h, embed
+        self._cache[key] = h, tuple(embed)
+        return self._cache[key]
 
 
 def abelian_invariants(g: FiniteGroup) -> list:

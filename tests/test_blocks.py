@@ -551,3 +551,43 @@ def test_galois_orbits_need_no_field_arithmetic(monkeypatch, make, p):
     padic_blocks(t, p)
     rational_character_orbits(t)
     assert calls == []
+
+
+def test_blocks_are_computed_once_per_table_and_prime(monkeypatch):
+    from holring import blocks
+
+    runs = []
+    body = blocks._padic_blocks
+
+    def counting(table, p):
+        runs.append((table, p))
+        return body(table, p)
+
+    monkeypatch.setattr(blocks, "_padic_blocks", counting)
+    groups = [G.symmetric(4), G.dihedral(6), G.direct_product(G.symmetric(3), G.cyclic(4)),
+              G.direct_product(G.cyclic(2), G.cyclic(6))]
+    for g in groups:
+        t = character_table(g)
+        for p in (2, 3):
+            central_conductor(t, p)
+            for n in g.normal_subgroups():
+                hybrid_report(t, n.element_ids, p)
+                weakly_hybrid(t, n.element_ids, p)
+            central_conductor(t, p)
+    seen = [(id(t), p) for t, p in runs]
+    assert len(seen) == len(set(seen))
+    # the factor tables of the weak-hybrid test took part too
+    assert len({id(t) for t, _ in runs}) > len(groups)
+
+
+def test_returned_blocks_and_orbits_do_not_alias():
+    t = character_table(G.symmetric(4))
+    blocks = padic_blocks(t, 2)
+    first = list(blocks)
+    blocks.clear()
+    assert padic_blocks(t, 2) == first
+    orbit = t.galois_orbit(0)
+    expect = dict(orbit)
+    orbit.clear()
+    orbit[5] = 3
+    assert t.galois_orbit(0) == expect

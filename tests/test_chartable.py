@@ -3,19 +3,22 @@ from fractions import Fraction
 
 import pytest
 
+from holring import chartable
+from holring.blocks import _product_decompositions
 from holring.chartable import (
     Character,
     _finish,
     affine_table,
     character_table,
     cyclic_table,
+    derived_table,
     dihedral_table,
     dixon_table,
     frobenius_table,
     induce_character,
     product_table,
 )
-from holring.cyclotomic import CycloNum
+from holring.cyclotomic import CycloNum, prime_divisors
 from holring.groups import (
     affine,
     alternating,
@@ -23,6 +26,7 @@ from holring.groups import (
     dihedral,
     direct_product,
     frob72,
+    from_spec,
     group_name,
     inversion,
     metacyclic,
@@ -293,3 +297,72 @@ def test_minimal_runs_no_galois_search(monkeypatch, method):
         t = character_table(g, method)
         assert len(t.characters) == len(g.classes().classes)
     assert built and calls == []
+
+
+# -- tables derived from a parent table ------------------------------------
+
+
+def _keys(table):
+    return [ch.key for ch in table.characters]
+
+
+def _fresh_catalog():
+    """Copies of the catalog groups with empty caches, so every table
+    below is derived here rather than read from an earlier test."""
+    return [from_spec(g.family) for g in catalog()]
+
+
+def test_quotient_tables_are_inflations_of_the_parent():
+    for g in _fresh_catalog():
+        t = character_table(g)
+        for n in g.normal_subgroups():
+            if n.order in (1, g.order):
+                continue
+            q, to_q = g.quotient(n.element_ids)
+            lift = dict(zip(to_q, range(g.order)))
+            derived = derived_table(t, q, lift, n.element_ids)
+            assert character_table(q) is derived
+            assert _keys(derived) == _keys(dixon_table(q)), (group_name(g), n.order)
+
+
+def test_direct_factor_tables_are_restrictions_of_the_parent():
+    pairs = 0
+    for g in _fresh_catalog():
+        t = character_table(g)
+        for m, h in _product_decompositions(g, frozenset([0])):
+            for sub, other in ((m, h), (h, m)):
+                f, embed = g.subgroup_as_group(sub.element_ids)
+                derived = derived_table(t, f, embed, other.element_ids)
+                assert _keys(derived) == _keys(dixon_table(f)), (group_name(g), sub.order)
+                pairs += 1
+    assert pairs >= 20
+
+
+def test_generic_after_auto_runs_dixon_once(monkeypatch):
+    runs = []
+
+    def counting(group):
+        runs.append(group)
+        return dixon_table(group)
+
+    monkeypatch.setattr(chartable, "dixon_table", counting)
+    g = symmetric(4)
+    assert character_table(g, "generic") is character_table(g, "auto")
+    h = symmetric(4)
+    assert character_table(h, "auto") is character_table(h, "generic")
+    assert runs == [g, h]
+
+
+def test_derived_tables_seed_the_cache_for_dt(monkeypatch):
+    from holring.dt import dt_query
+
+    groups = (symmetric(4), direct_product(cyclic(2), cyclic(6)), dihedral(6))
+    for g in groups:
+        character_table(g)
+    runs = []
+    monkeypatch.setattr(chartable, "dixon_table",
+                        lambda group: runs.append(group) or dixon_table(group))
+    for g in groups:
+        for p in prime_divisors(g.order):
+            dt_query(g, p)
+    assert runs == []

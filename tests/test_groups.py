@@ -17,6 +17,7 @@ from holring.groups import (
     quaternion,
     symmetric,
 )
+from holring.verify import catalog
 
 
 def _inv_tuple(p):
@@ -154,6 +155,31 @@ def test_class_ordering_and_maps():
             assert cls.power_class(ci, k, g) == cls.class_of[g.power(rep, k)]
 
 
+def test_power_maps_over_the_catalog():
+    for g in catalog():
+        cls, e = g.classes(), g.exponent()
+        for ci, rep in enumerate(cls.representatives):
+            assert len(cls.power_classes(ci, g)) == g.element_order(rep)
+            for k in range(-e, e + 1):
+                assert cls.power_class(ci, k, g) == cls.class_of[g.power(rep, k)], (
+                    g.family, ci, k)
+
+
+def test_exponent_is_computed_once(monkeypatch):
+    g = symmetric(4)
+    assert g.exponent() == 12
+    calls = []
+    element_order = groups.FiniteGroup.element_order
+
+    def counting(self, a):
+        calls.append(a)
+        return element_order(self, a)
+
+    monkeypatch.setattr(groups.FiniteGroup, "element_order", counting)
+    assert g.exponent() == 12
+    assert calls == []
+
+
 def test_element_orders_and_exponent():
     g = symmetric(4)
     counts = {}
@@ -273,6 +299,21 @@ def test_subgroup_as_group_embedding():
     for a in range(h.order):
         for b in range(h.order):
             assert g.mul(embed[a], embed[b]) == embed[h.mul(a, b)]
+
+
+def test_derived_groups_are_built_once_and_do_not_alias():
+    g = symmetric(4)
+    v4, a4 = (n.element_ids for n in g.normal_subgroups()[1:3])
+    q, to_q = g.quotient(v4)
+    again, to_q_again = g.quotient(set(v4))
+    assert again is q and to_q_again is to_q
+    h, embed = g.subgroup_as_group(a4)
+    assert g.subgroup_as_group(sorted(a4)) == (h, embed)
+    # the maps are tuples, so no caller can change what the next one reads
+    for shared in (to_q, embed):
+        with pytest.raises(TypeError):
+            shared[0] = 1
+    assert to_q[0] == embed[0] == 0
 
 
 def test_abelian_invariants():
