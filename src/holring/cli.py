@@ -13,7 +13,8 @@ failure (verify-paper check failures, a broken self-check in nr or
 adjoint, a norm-ideal probe contradicting its closed form) or when the
 reader closes stdout before the output is written, 2 on usage errors,
 bad family parameters included (--n below 1, a metacyclic --n that is
-not a prime, a metacyclic --q below 2 or not dividing --n - 1).
+not a prime, a metacyclic --q below 2 or not dividing --n - 1) and
+--generators that permute different 0..d-1 or come with --n or --q.
 """
 
 import argparse
@@ -93,6 +94,9 @@ def _build_group(args) -> FiniteGroup:
     if gens:
         if family:
             raise UsageError("give either --family or --generators, not both")
+        for key in ("n", "q"):
+            if getattr(args, key, None) is not None:
+                raise UsageError(f"--generators does not take --{key}")
         try:
             perms = json.loads(gens)
         except json.JSONDecodeError as exc:

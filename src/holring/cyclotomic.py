@@ -5,7 +5,14 @@ of Q(zeta_m), fully reduced modulo the m-th cyclotomic polynomial, held as
 arbitrary-precision int numerators over one positive common denominator.
 All arithmetic runs on those ints; products are reduced by one routine
 that walks only the nonzero terms of Phi_m (Washington, Introduction to
-Cyclotomic Fields, ch. 2).  No floating point anywhere.
+Cyclotomic Fields, ch. 2).  Inverses are Galois norms: x^-1 is the
+product of the other conjugates of x over the rational N(x).
+
+The power basis is an integral basis of Z[zeta_m] (Washington, Thm. 2.6),
+so with gcd(den, *num) = 1 a value is integral at every prime above p
+exactly when p does not divide den, and an algebraic integer exactly when
+den = 1.  Fractions appear only at the edges: input checks, `as_rational`,
+the hash of a rational value, and text I/O.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -161,7 +168,8 @@ class CycloNum:
 
     Stored as int numerators `num`, phi(m) of them, over one positive
     denominator `den`, with gcd(den, *num) = 1, so the triple
-    (m, num, den) is canonical at a given conductor.
+    (m, num, den) is canonical at a given conductor.  The value is
+    p-integral iff den % p != 0 and integral iff den == 1.
     """
 
     __slots__ = ("m", "num", "den")
@@ -193,11 +201,6 @@ class CycloNum:
     @property
     def conductor(self) -> int:
         return self.m
-
-    @property
-    def c(self) -> tuple:
-        """The coordinates as Fractions (a read-only view)."""
-        return tuple(Fraction(x, self.den) for x in self.num)
 
     def embedded(self, m2: int) -> "CycloNum":
         """The same value viewed in Q(zeta_m2); requires m | m2."""
@@ -252,18 +255,18 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
+        """1/x = (product of sigma(x), sigma != 1) / N(x), taken over the
+        Galois group of x's own field and written back at self.m."""
         if not self:
             raise ZeroDivisionError("cyclotomic zero has no inverse")
-        # extended Euclid against Phi_m in Q[x]
-        phi = [Fraction(x) for x in cyclotomic_polynomial(self.m)]
-        r0, r1 = phi, _trim(list(self.c))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, _trim(r)
-            s0, s1 = s1, _trim(_poly_sub(s0, _poly_mul(q, s1)))
-        g = r1[0]
-        return CycloNum(self.m, [x / g for x in s1])
+        r = self.minimal()
+        rest = _cyclo(r.m, [1])
+        for k in range(2, r.m):
+            if math.gcd(k, r.m) == 1:
+                rest = rest * r.galois(k)
+        norm = r * rest  # rational: num[1:] are all zero
+        return _cyclo(r.m, [x * norm.den for x in rest.num],
+                      rest.den * norm.num[0]).embedded(self.m)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -386,45 +389,38 @@ class CycloNum:
         if not self:
             return "0"
         parts = []
-        for j, cj in enumerate(self.c):
-            if not cj:
+        for j, x in enumerate(self.num):
+            if not x:
                 continue
+            g = math.gcd(x, self.den)
+            cj = str(x // g) if g == self.den else f"{x // g}/{self.den // g}"
             mono = "1" if j == 0 else ("z" if j == 1 else f"z^{j}")
             if j == 0:
-                term = str(cj)
-            elif cj == 1:
+                term = cj
+            elif cj == "1":
                 term = mono
-            elif cj == -1:
+            elif cj == "-1":
                 term = f"-{mono}"
             else:
                 term = f"{cj}*{mono}"
             parts.append(term)
-        text = " + ".join(parts).replace("+ -", "- ")
-        return text
+        return " + ".join(parts).replace("+ -", "- ")
 
     @staticmethod
     def from_text(m: int, text: str) -> "CycloNum":
-        coeffs = [Fraction(0)] * euler_phi(m)
-        s = text.strip().replace("- ", "+ -").replace(" ", "")
-        if s in ("", "0"):
-            return CycloNum(m, coeffs)
-        for term in s.split("+"):
+        out = _cyclo(m, [0])
+        for term in text.strip().replace("- ", "+ -").replace(" ", "").split("+"):
             if not term:
                 continue
             if "z" in term:
                 head, _, tail = term.partition("z")
                 j = int(tail[1:]) if tail.startswith("^") else 1
                 head = head.rstrip("*")
-                if head in ("", "+"):
-                    c = Fraction(1)
-                elif head == "-":
-                    c = Fraction(-1)
-                else:
-                    c = Fraction(head)
+                c = Fraction(head + "1" if head in ("", "-") else head)
             else:
                 j, c = 0, Fraction(term)
-            coeffs[j] += c
-        return CycloNum(m, coeffs)
+            out = out + CycloNum(m, [0] * j + [c])
+        return out
 
     def __repr__(self):
         return f"CycloNum({self.m}, {self.to_text()!r})"
@@ -434,44 +430,6 @@ def coerce(x) -> CycloNum:
     if isinstance(x, CycloNum):
         return x
     return CycloNum.rational(x)
-
-
-# -- polynomial helpers over Fraction ---------------------------------
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(num) - 1, len(den) - 2, -1):
-        c = num[i] / lead
-        if c:
-            q[i - len(den) + 1] = c
-            for j, dc in enumerate(den):
-                num[i - len(den) + 1 + j] -= c * dc
-    return q, num[: len(den) - 1] or [Fraction(0)]
 
 
 # -- valuations --------------------------------------------------------
@@ -498,27 +456,21 @@ def semilocal_valuation(a: CycloNum, p: int):
     """min over primes P | p in Q(zeta_m) of v_P(a), m = a.conductor.
 
     Normalized so a uniformizer of Q(zeta_m) above p has valuation 1;
-    v(p) itself is phi(p^a) where p^a || m.  Returns INF for a = 0.
+    v(p) itself is e = phi(p^k) where p^k || m.  Returns INF for a = 0.
     """
     if not a:
         return INF
-    m = a.m
-    ap = padic_valuation(m, p)
-    if ap == 0:
-        return min(padic_valuation(c, p) for c in a.c if c)
-    # ramified part present: divide out pi = 1 - zeta_{p^ap} repeatedly
-    e_full = euler_phi(p**ap)
-    pi = CycloNum.rational(1) - CycloNum.root_of_unity(p**ap).embedded(m)
-    pi_inv = pi.inverse()
-    shift = min(padic_valuation(c, p) for c in a.c if c)
-    y = a * Fraction(p) ** (-shift)
-    # y has p-integral coordinates, one of them a p-unit, so the count below
-    # is strictly less than e_full
-    count = 0
-    while count < e_full:
-        z = y * pi_inv
-        if not all(padic_valuation(c, p) >= 0 for c in z.c if c):
-            break
-        y = z
-        count += 1
-    return count + shift * e_full
+    shift = min(padic_valuation(x, p) for x in a.num if x) - padic_valuation(a.den, p)
+    k = padic_valuation(a.m, p)
+    if k == 0:
+        return shift
+    # y = a / p^shift is p-integral with a unit coordinate, so 0 <= v(y) < e;
+    # pi = 1 - zeta_(p^k) has pi^e = p * unit, so y * pi^j lies in p Z_(p)[z]
+    # (p divides every numerator) exactly when j >= e - v(y)
+    e = euler_phi(p**k)
+    pi = 1 - CycloNum.root_of_unity(a.m, a.m // p**k)
+    y = a / p**shift if shift > 0 else a * p**-shift
+    for j in range(1, e + 1):
+        y = y * pi
+        if all(x % p == 0 for x in y.num):
+            return e - j + shift * e

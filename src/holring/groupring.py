@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .chartable import CharTable, Character
-from .cyclotomic import CycloNum
+from .cyclotomic import CycloNum, coerce
 from .groups import FiniteGroup
 
 
@@ -49,14 +49,9 @@ def is_integral_coeff(c) -> bool:
 
     Z[zeta_m] is the ring of integers of Q(zeta_m), so this is the same
     as integer coordinates in the power basis, at whatever conductor the
-    value is written.
+    value is written: a common denominator of 1.
     """
-    c = canon_coeff(c)
-    if isinstance(c, int):
-        return True
-    if isinstance(c, Fraction):
-        return False
-    return c.den == 1
+    return coerce(c).den == 1
 
 
 def _sum_of_products(group: FiniteGroup, pairs) -> "GroupRingElem":

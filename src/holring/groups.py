@@ -806,6 +806,12 @@ def from_generators(perms) -> FiniteGroup:
     for p in perms:
         if sorted(p) != list(range(len(p))):
             raise ValueError(f"not a permutation: {p}")
+    degrees = sorted({len(p) for p in perms})
+    if len(degrees) > 1:
+        raise ValueError(
+            "generators must all permute the same 0..d-1, got degrees "
+            + ", ".join(map(str, degrees))
+        )
     return FiniteGroup(_closure(perms))
 
 

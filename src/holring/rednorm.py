@@ -330,13 +330,7 @@ def in_central_conductor(x: CentralElement, p: int) -> bool:
 
 
 def _elem_p_integral(elem: GroupRingElem, p: int) -> bool:
-    for c in elem.coeffs:
-        if isinstance(c, CycloNum):
-            if semilocal_valuation(c, p) < 0:
-                return False
-        elif padic_valuation(c, p) < 0:
-            return False
-    return True
+    return all(coerce(c).den % p for c in elem.coeffs)
 
 
 def denominator_membership(
@@ -354,10 +348,8 @@ def denominator_membership(
     """
     table = x.table
     g = table.group
-    for v in x.values:
-        cv = coerce(v)
-        if cv and semilocal_valuation(cv, p) < 0:
-            raise ValueError("central values are not p-integral")
+    if any(coerce(v).den % p == 0 for v in x.values):
+        raise ValueError("central values are not p-integral")
     if in_central_conductor(x, p):
         return MembershipVerdict(
             "certified_in",
@@ -524,10 +516,8 @@ def norm_ideal_probe(
     all_integral = True
     for h in matrices:
         nr = reduced_norm(h)
-        for v in nr.values:
-            cv = coerce(v)
-            if cv and semilocal_valuation(cv, p) < 0:
-                all_integral = False
+        if any(coerce(v).den % p == 0 for v in nr.values):
+            all_integral = False
         for z in class_sums:
             coords = (nr * z).to_class_coords()
             assert not any(isinstance(c, CycloNum) for c in coords)

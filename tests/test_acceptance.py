@@ -13,73 +13,72 @@ import time
 from holring import verify
 
 
-def _run_criterion(number: int):
-    start = time.monotonic()
-    results = verify.run_checks(criteria=[number])
-    elapsed = time.monotonic() - start
+def _run_criterion(criterion_results, number: int):
+    # each criterion runs once per session, shared with test_verify
+    results, elapsed = criterion_results(number)
     assert results, f"criterion {number} selected no checks"
     failed = [r for r in results if not r.passed]
     assert not failed, "; ".join(f"{r.name}: {r.detail}" for r in failed)
     return results, elapsed
 
 
-def test_criterion_01_character_tables_exact_and_closed_forms_match():
+def test_criterion_01_character_tables_exact_and_closed_forms_match(criterion_results):
     # 35-group catalog, both orthogonality relations exactly, closed forms
     # equal to the generic method up to row order, within 60 seconds
-    results, elapsed = _run_criterion(1)
+    results, elapsed = _run_criterion(criterion_results, 1)
     assert {r.name for r in results} == {"table-orthogonality", "table-closed-forms"}
     assert elapsed < 60.0, f"character table suite took {elapsed:.1f}s"
 
 
-def test_criterion_02_hybrid_verdicts_with_zero_tolerance():
-    results, _ = _run_criterion(2)
+def test_criterion_02_hybrid_verdicts_with_zero_tolerance(criterion_results):
+    results, _ = _run_criterion(criterion_results, 2)
     assert {r.name for r in results} == {"hybrid-verdicts", "weakly-hybrid-verdicts"}
 
 
-def test_criterion_03_adjoint_identity_on_seeded_matrices():
+def test_criterion_03_adjoint_identity_on_seeded_matrices(criterion_results):
     # 100 seeded matrices per group over S3, D10, Q8, S4, A4 with exact
     # equality and algebraic-integer coefficients, within 120 seconds
-    results, elapsed = _run_criterion(3)
+    results, elapsed = _run_criterion(criterion_results, 3)
     assert {r.name for r in results} == {"adjoint-ast-identity"}
     assert elapsed < 120.0, f"adjoint suite took {elapsed:.1f}s"
 
 
-def test_criterion_04_reduced_norms_multiply_to_regular_determinant():
-    results, _ = _run_criterion(4)
+def test_criterion_04_reduced_norms_multiply_to_regular_determinant(criterion_results):
+    results, _ = _run_criterion(criterion_results, 4)
     assert {r.name for r in results} == {
         "regular-det-oracle",
         "char-poly-constant-term",
     }
 
 
-def test_criterion_05_pinned_norm_identities():
-    results, _ = _run_criterion(5)
+def test_criterion_05_pinned_norm_identities(criterion_results):
+    results, _ = _run_criterion(criterion_results, 5)
     assert {r.name for r in results} == {
         "s4-norm-identities",
         "affine-norm-identities",
     }
 
 
-def test_criterion_06_central_conductor_against_lattice_oracle():
-    results, _ = _run_criterion(6)
+def test_criterion_06_central_conductor_against_lattice_oracle(criterion_results):
+    results, _ = _run_criterion(criterion_results, 6)
     assert {r.name for r in results} == {
         "conductor-lattice-oracle",
         "conductor-integral-blocks",
     }
 
 
-def test_criterion_07_defect_zero_characters_vanish_exhaustively():
-    results, _ = _run_criterion(7)
+def test_criterion_07_defect_zero_characters_vanish_exhaustively(criterion_results):
+    results, _ = _run_criterion(criterion_results, 7)
     assert {r.name for r in results} == {"defect-zero-vanishing"}
 
 
-def test_criterion_08_torsion_facts_and_consistency_sweep():
-    results, _ = _run_criterion(8)
+def test_criterion_08_torsion_facts_and_consistency_sweep(criterion_results):
+    results, _ = _run_criterion(criterion_results, 8)
     assert {r.name for r in results} == {"dt-facts", "dt-consistency-sweep"}
 
 
-def test_criterion_09_conjecture_reports_match_goldens():
-    results, _ = _run_criterion(9)
+def test_criterion_09_conjecture_reports_match_goldens(criterion_results):
+    results, _ = _run_criterion(criterion_results, 9)
     assert {r.name for r in results} == {"report-goldens"}
 
 

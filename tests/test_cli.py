@@ -63,6 +63,22 @@ def test_generators_build_a_group(capsys):
     assert "chi2 (degree 2)" in out
 
 
+@pytest.mark.parametrize("perms", ["[[1,0],[0,2,1]]", "[[0,2,1],[1,0]]"])
+def test_generators_of_mixed_degrees_are_usage_error(capsys, perms):
+    code, out, err = run(capsys, "chartab", "--generators", perms)
+    assert code == 2
+    assert out == ""
+    assert "got degrees 2, 3" in err
+
+
+@pytest.mark.parametrize("flag", ["--n", "--q"])
+def test_generators_with_size_parameter_are_usage_error(capsys, flag):
+    code, out, err = run(capsys, "chartab", "--generators", "[[1,0]]", flag, "3")
+    assert code == 2
+    assert out == ""
+    assert f"--generators does not take {flag}" in err
+
+
 def test_generators_reject_bad_json(capsys):
     code, out, err = run(capsys, "chartab", "--generators", "not json")
     assert code == 2

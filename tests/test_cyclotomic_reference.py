@@ -150,8 +150,7 @@ def ref(v: CycloNum):
     assert type(v.den) is int and v.den > 0
     assert math.gcd(v.den, *v.num) == 1
     assert len(v.num) == euler_phi(v.m)
-    assert v.c == tuple(Fraction(x, v.den) for x in v.num)
-    return v.m, v.c
+    return v.m, tuple(Fraction(x, v.den) for x in v.num)
 
 
 # -- strategies -------------------------------------------------------------

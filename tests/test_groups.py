@@ -383,6 +383,12 @@ def test_from_generators_and_spec():
         from_spec({"family": "sporadic"})
 
 
+@pytest.mark.parametrize("perms", [[(1, 0), (0, 2, 1)], [(0, 2, 1), (1, 0)]])
+def test_from_generators_rejects_mixed_degrees(perms):
+    with pytest.raises(ValueError, match="same 0..d-1, got degrees 2, 3"):
+        from_generators(perms)
+
+
 def test_order_bound_enforced():
     with pytest.raises(ValueError):
         cyclic(groups.MAX_ORDER + 1)
