@@ -2,18 +2,29 @@
 
 A rational element is held as a tuple of int numerators over one
 positive common denominator, in lowest terms: the gcd of the denominator
-and all numerators is 1, so equal elements have equal (num, den).  The
-one product loop, ``GroupRingElem.__mul__``, walks the Cayley-table row
-of each nonzero left numerator and runs on ints alone; a matrix entry,
-or any sum of products, adds the products' numerators over one common
-denominator and reduces the sum once.  Fractions appear only at
-the boundary: ``coeffs`` returns the canonical int/Fraction/CycloNum
-values that printing and JSON use, and ``class_collapse`` divides each
-class sum by the denominator.  Equality and hashing compare (num, den).
+and all numerators is 1, so equal elements have equal (num, den).  There
+is one product loop, ``_walk``: it walks the Cayley-table row of each
+nonzero left numerator against the nonzero right numerators.
+``GroupRingElem.__mul__`` runs it once.  Matrix products run it on
+Kronecker-packed ints: with A (p x q) and B (q x r) each on one common
+denominator, column t of A is packed over i into bit slots of width w
+and row t of B over j at stride w*p, so one walk per inner index t adds
+entry (i, j) of A*B into slot i + p*j of each output numerator.  Each
+slot's value is at most M = max_i sum_t |A_it|_1 * max_tj |B_tj|_inf on
+the numerators in absolute value, and w = bitlength(M) + 1 leaves a sign
+bit, so each slot is decoded as a signed (balanced) value: add 2^(w-1),
+mask w bits, subtract 2^(w-1).  Each entry is then reduced once over the
+product of the two denominators.  Fractions appear only at the boundary:
+``coeffs`` returns the canonical int/Fraction/CycloNum values that
+printing and JSON use, and ``class_collapse`` divides each class sum by
+the denominator.  Equality and hashing compare (num, den).  Operands of
+one operation must belong to the same group object, or ValueError is
+raised.
 
 An element with a coefficient outside Q keeps its canonical coefficient
-values as numerators over denominator 1, and goes through the same loops:
-which arithmetic runs is decided by the type of the numerators.
+values as numerators over denominator 1, and its products run the same
+walk on those numerators.  Matrix products take rational entries only
+and raise TypeError otherwise.
 
 Central elements carry a second representation by their scalar action
 on each irreducible character, which turns products of central elements
@@ -54,21 +65,63 @@ def is_integral_coeff(c) -> bool:
     return coerce(c).den == 1
 
 
-def _sum_of_products(group: FiniteGroup, pairs) -> "GroupRingElem":
-    """sum of a*b over pairs of elements, on one common denominator.
+def _same_group(group: FiniteGroup, elem: "GroupRingElem") -> None:
+    if elem.group is not group:
+        raise ValueError("group-ring operands belong to different groups")
 
-    Each product is a ``GroupRingElem.__mul__``; their numerator vectors
-    are added over the lcm of their denominators and reduced once.
-    """
-    products = [a * b for a, b in pairs if a and b]
-    if len(products) == 1:
-        return products[0]
-    den = math.lcm(*(p.den for p in products))
-    vectors = [
-        p.num if p.den == den else [x * (den // p.den) for x in p.num] for p in products
+
+def _walk(group: FiniteGroup, left, right, out: list) -> list:
+    """The one Cayley-row walk: out[g*h] += left[g] * right[h] over the
+    nonzero numerators, for any numerator type (ints of any size, CycloNum)."""
+    rows = group.cayley_table()
+    right = [(j, y) for j, y in enumerate(right) if y]
+    for i, x in enumerate(left):
+        if x:
+            row = rows[i]
+            for j, y in right:
+                out[row[j]] += x * y
+    return out
+
+
+def _pack(group: FiniteGroup, entries, den: int, stride: int) -> list:
+    """Numerators of entries over den, entry s in the bit slot at stride * s."""
+    packed = [0] * group.order
+    for s, e in enumerate(entries):
+        if e:
+            f = (den // e.den) << (stride * s)
+            packed = [x + y * f for x, y in zip(packed, e.num)]
+    return packed
+
+
+def _packed_product(group: FiniteGroup, a, b) -> list:
+    """The p x r grid a*b of a p x q and a q x r grid of rational elements,
+    by one packed walk per inner index (layout, width and decode as in the
+    module docstring).  Raises ValueError for an entry of another group
+    and TypeError for a non-rational entry."""
+    for row in (*a, *b):
+        for e in row:
+            _same_group(group, e)
+            if not set(map(type, e.num)) <= {int}:
+                raise TypeError("matrix products need rational entries")
+    da = math.lcm(*(e.den for row in a for e in row))
+    db = math.lcm(*(e.den for row in b for e in row))
+    row_l1 = max(sum(da // e.den * sum(map(abs, e.num)) for e in row) for row in a)
+    top = max(db // e.den * max(map(abs, e.num)) for row in b for e in row)
+    w = (row_l1 * top).bit_length() + 1
+    p, r = len(a), len(b[0])
+    out = [0] * group.order
+    for t, brow in enumerate(b):
+        column = _pack(group, [arow[t] for arow in a], da, w)
+        _walk(group, column, _pack(group, brow, db, w * p), out)
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = half * (((1 << (w * p * r)) - 1) // mask)
+    out = [x + bias for x in out]
+    entries = [[((x >> (w * s)) & mask) - half for x in out] for s in range(p * r)]
+    den = da * db
+    return [
+        [GroupRingElem._reduced(group, entries[i + p * j], den) for j in range(r)]
+        for i in range(p)
     ]
-    out = list(map(sum, zip(*vectors))) if vectors else [0] * group.order
-    return GroupRingElem._reduced(group, out, den)
 
 
 class GroupRingElem:
@@ -139,6 +192,7 @@ class GroupRingElem:
     # -- arithmetic -------------------------------------------------------
 
     def _linear(self, other: "GroupRingElem", sign: int) -> "GroupRingElem":
+        _same_group(self.group, other)
         den = math.lcm(self.den, other.den)
         fa, fb = den // self.den, sign * (den // other.den)
         return GroupRingElem._reduced(
@@ -159,19 +213,21 @@ class GroupRingElem:
         return GroupRingElem._reduced(self.group, [-x for x in self.num], self.den)
 
     def __mul__(self, other):
-        """The one product loop: for each nonzero left numerator, walk its
-        Cayley-table row against the nonzero right numerators."""
+        """One Cayley-row walk on the numerators, reduced once over the
+        product of the denominators.
+
+        This is the one-slot case (n = 1, slot i + n*j = 0) of the packed
+        matrix product: there the same walk runs on ints whose w-bit slots
+        each hold one entry, w is one bit more than the bound
+        max_i sum_t |A_it|_1 * max |B_tj|_inf, and slots are decoded as
+        signed values.  Here nothing is packed or decoded, and numerators
+        of any type run the walk, CycloNum included.
+        """
         if not isinstance(other, GroupRingElem):
             return self.scale(other)
         group = self.group
-        rows = group.cayley_table()
-        out = [0] * group.order
-        right = [(j, y) for j, y in enumerate(other.num) if y]
-        for i, x in enumerate(self.num):
-            if x:
-                row = rows[i]
-                for j, y in right:
-                    out[row[j]] += x * y
+        _same_group(group, other)
+        out = _walk(group, self.num, other.num, [0] * group.order)
         return GroupRingElem._reduced(group, out, self.den * other.den)
 
     def __rmul__(self, other):
@@ -266,20 +322,17 @@ class GroupRingMatrix:
 
     @staticmethod
     def combination(scalars, matrices) -> "GroupRingMatrix":
-        """sum_j scalars[j] * matrices[j], entry by entry.
+        """sum_j scalars[j] * matrices[j], each scalar multiplying every
+        entry of its matrix from the left.
 
-        Each scalar multiplies every entry of its matrix from the left, so
-        this is the sum of scalar(scalars[j]) * matrices[j] at n^2 products
-        per term instead of n^3; each entry's sum is reduced once.
+        This is the 1 x J row of scalars times the J x n^2 grid whose row j
+        holds the entries of matrices[j]: the n^2 entries of each matrix
+        are packed into one walk per scalar, and each entry is reduced once.
         """
         group, n = matrices[0].group, matrices[0].n
-        return GroupRingMatrix(group, [
-            [
-                _sum_of_products(group, [(c, m.rows[i][k]) for c, m in zip(scalars, matrices)])
-                for k in range(n)
-            ]
-            for i in range(n)
-        ])
+        flat = [[e for row in m.rows for e in row] for m in matrices]
+        (entries,) = _packed_product(group, [scalars], flat)
+        return GroupRingMatrix(group, [entries[i * n:(i + 1) * n] for i in range(n)])
 
     def __add__(self, other):
         return GroupRingMatrix(
@@ -294,12 +347,19 @@ class GroupRingMatrix:
         )
 
     def __mul__(self, other):
+        """The matrix product by packed walks, or each entry times a scalar.
+
+        With n x n rational entries, column t of self and row t of other
+        are packed into the bit slots of one int numerator per group
+        element, and one Cayley-row walk per inner index t accumulates
+        entry (i, j) of the product in slot i + n*j: n walks in place of
+        n^3 products.  The slot width is one more bit than the bound
+        max_i sum_t |self_it|_1 * max |other_tj|_inf on the numerators,
+        and slots are decoded as signed values, each entry reduced once.
+        A non-rational entry raises TypeError.
+        """
         if isinstance(other, GroupRingMatrix):
-            g = self.group
-            cols = list(zip(*other.rows))
-            return GroupRingMatrix(
-                g, [[_sum_of_products(g, zip(row, col)) for col in cols] for row in self.rows]
-            )
+            return GroupRingMatrix(self.group, _packed_product(self.group, self.rows, other.rows))
         return GroupRingMatrix(
             self.group, [[e * other for e in row] for row in self.rows]
         )
@@ -320,14 +380,6 @@ class GroupRingMatrix:
         for i in range(self.n):
             acc = acc + self.rows[i][i]
         return acc
-
-    def product_trace(self, other: "GroupRingMatrix") -> GroupRingElem:
-        """tr(self * other) from the n^2 products on its diagonal alone."""
-        return _sum_of_products(self.group, [
-            (a, other.rows[t][i])
-            for i, row in enumerate(self.rows)
-            for t, a in enumerate(row)
-        ])
 
     def has_integral_coeffs(self) -> bool:
         return all(e.has_integral_coeffs() for row in self.rows for e in row)

@@ -803,6 +803,8 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 def from_generators(perms) -> FiniteGroup:
     perms = [tuple(p) for p in perms]
+    if not perms:
+        raise ValueError("at least one generator is needed")
     for p in perms:
         if sorted(p) != list(range(len(p))):
             raise ValueError(f"not a permutation: {p}")

@@ -111,15 +111,15 @@ class ReducedCharPoly:
 def _powers_and_traces(H: GroupRingMatrix, kmax: int):
     """(H^1..H^(kmax-1), class-collapsed coefficients of tr(H^k), k = 1..kmax).
 
-    The last trace comes from the diagonal of H^(kmax-1) H alone, so
-    H^kmax itself is never formed.
+    H^kmax is formed for its trace alone and not kept.
     """
     powers, traces = [], []
+    power = H
     for _ in range(1, kmax):
-        powers.append(powers[-1] * H if powers else H)
-        traces.append(powers[-1].trace().class_collapse())
-    last = powers[-1].product_trace(H) if powers else H.trace()
-    traces.append(last.class_collapse())
+        powers.append(power)
+        traces.append(power.trace().class_collapse())
+        power = power * H
+    traces.append(power.trace().class_collapse())
     return powers, traces
 
 

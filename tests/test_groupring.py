@@ -1,6 +1,8 @@
+import operator
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from holring.chartable import character_table
@@ -192,26 +194,144 @@ def test_fraction_products_match_reference(data, label):
     assert list(got.coeffs) == reference_product(g, a, b)
 
 
-@settings(derandomize=True, max_examples=20, deadline=None)
-@given(data=st.data(), label=st.sampled_from(sorted(KERNEL_GROUPS)))
-def test_fraction_matrix_products_match_reference(data, label):
-    g = KERNEL_GROUPS[label]
-    a = [[draw_coeffs(data, g) for _ in range(2)] for _ in range(2)]
-    b = [[draw_coeffs(data, g) for _ in range(2)] for _ in range(2)]
+def reference_sum_of_products(g, pairs):
+    """sum of a*b over pairs of coefficient lists, by ``reference_product``."""
+    out = [Fraction(0)] * g.order
+    for a, b in pairs:
+        out = [x + y for x, y in zip(out, reference_product(g, a, b))]
+    return out
 
-    def matrix(m):
-        return GroupRingMatrix(g, [[GroupRingElem(g, c) for c in row] for row in m])
 
-    got = matrix(a) * matrix(b)
-    for i in range(2):
-        for j in range(2):
-            want = [
-                x + y for x, y in zip(
-                    reference_product(g, a[i][0], b[0][j]),
-                    reference_product(g, a[i][1], b[1][j]),
-                )
-            ]
+def matrix(g, m):
+    return GroupRingMatrix(g, [[GroupRingElem(g, c) for c in row] for row in m])
+
+
+def assert_product_matches_reference(g, a, b):
+    got = matrix(g, a) * matrix(g, b)
+    for i, row in enumerate(a):
+        for j in range(len(b[0])):
+            want = reference_sum_of_products(g, [(x, b[t][j]) for t, x in enumerate(row)])
             assert list(got.rows[i][j].coeffs) == want
+    return got
+
+
+def assert_combination_matches_reference(g, scalars, matrices):
+    got = GroupRingMatrix.combination(
+        [GroupRingElem(g, c) for c in scalars], [matrix(g, m) for m in matrices]
+    )
+    n = len(matrices[0])
+    for i in range(n):
+        for k in range(n):
+            want = reference_sum_of_products(g, [(c, m[i][k]) for c, m in zip(scalars, matrices)])
+            assert list(got.rows[i][k].coeffs) == want
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data(), label=st.sampled_from(sorted(KERNEL_GROUPS)), n=st.integers(1, 3))
+def test_fraction_matrix_products_match_reference(data, label, n):
+    g = KERNEL_GROUPS[label]
+    a = [[draw_coeffs(data, g) for _ in range(n)] for _ in range(n)]
+    b = [[draw_coeffs(data, g) for _ in range(n)] for _ in range(n)]
+    assert_product_matches_reference(g, a, b)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(
+    data=st.data(),
+    label=st.sampled_from(sorted(KERNEL_GROUPS)),
+    n=st.integers(1, 3),
+    terms=st.integers(1, 3),
+)
+def test_combination_matches_reference(data, label, n, terms):
+    g = KERNEL_GROUPS[label]
+    scalars = [draw_coeffs(data, g) for _ in range(terms)]
+    matrices = [
+        [[draw_coeffs(data, g) for _ in range(n)] for _ in range(n)] for _ in range(terms)
+    ]
+    assert_combination_matches_reference(g, scalars, matrices)
+
+
+# Grids that push the bit-slot width of the packed product: huge numerators,
+# an output coefficient equal to the slot bound, zero entries and rows, and
+# denominators that share no factor.
+BIG = 2**80
+
+
+def _big_grid(rng, n):
+    return [
+        [[rng.choice((-1, 1)) * rng.randint(BIG // 2, BIG) for _ in range(6)] for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def _bound_reaching_pair(n):
+    # row 0 of a has the largest l1 norm and no negative coefficient, row 1
+    # is its negation, and every coefficient of b is the same BIG, so each
+    # coefficient of row 0 (row 1) of the product is +bound (-bound)
+    top = [[BIG, 0, 3, BIG - 1, 1, 7]] + [[k, BIG, 0, 0, 2, BIG] for k in range(n - 1)]
+    a = [top, [[-x for x in c] for c in top]] + [[[0] * 6] * n for _ in range(n - 2)]
+    b = [[[BIG] * 6 for _ in range(n)] for _ in range(n)]
+    bound = sum(map(sum, top)) * BIG
+    return a, b, bound
+
+
+def _coprime_grid(n, shift):
+    dens = (3, 5, 7, 11, 13, 17, 19, 23, 29)
+    return [
+        [[Fraction((-1) ** (k + i) * (BIG + k), dens[(i * n + j + shift) % 9]) for k in range(6)]
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_packed_products_at_the_slot_bound():
+    rng = random.Random(80)
+    zero = [0] * 6
+    for n in (2, 3):
+        a, b, bound = _bound_reaching_pair(n)
+        got = assert_product_matches_reference(S3, a, b)
+        assert max(x for row in got.rows for e in row for x in e.num) == bound
+        assert min(x for row in got.rows for e in row for x in e.num) == -bound
+        assert_combination_matches_reference(S3, a[0], [b] * n)
+        cases = [
+            (_big_grid(rng, n), _big_grid(rng, n)),
+            (_coprime_grid(n, 0), _coprime_grid(n, 4)),
+            (_bound_reaching_pair(n)[0], _coprime_grid(n, 1)),
+        ]
+        sparse = _big_grid(rng, n)
+        sparse[0] = [zero] * n  # a zero row
+        sparse[n - 1][0] = zero
+        cases.append((sparse, _big_grid(rng, n)))
+        cases.append((_big_grid(rng, n), sparse))
+        cases.append(([[zero] * n] * n, _big_grid(rng, n)))
+        for a, b in cases:
+            assert_product_matches_reference(S3, a, b)
+            assert_combination_matches_reference(S3, a[0][:2], [b, a])
+
+
+def test_operands_from_different_groups_are_rejected():
+    x = GroupRingElem(S3, range(6))
+    y = GroupRingElem(cyclic(6), range(6))
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="different groups"):
+            op(x, y)
+    mx, my = GroupRingMatrix(S3, [[x]]), GroupRingMatrix(y.group, [[y]])
+    with pytest.raises(ValueError, match="different groups"):
+        mx * my
+    with pytest.raises(ValueError, match="different groups"):
+        GroupRingMatrix.combination([x], [my])
+
+
+def test_matrix_products_need_rational_entries():
+    c3 = cyclic(3)
+    e = CentralElement.from_indicator(character_table(c3), [1]).to_group_ring()
+    assert any(isinstance(c, CycloNum) for c in e.coeffs)
+    assert e * e == e  # element products take any numerators
+    m = GroupRingMatrix(c3, [[e]])
+    with pytest.raises(TypeError, match="rational entries"):
+        m * m
+    with pytest.raises(TypeError, match="rational entries"):
+        GroupRingMatrix.combination([e], [GroupRingMatrix.identity(c3, 1)])
 
 
 @settings(derandomize=True, max_examples=50)

@@ -389,6 +389,13 @@ def test_from_generators_rejects_mixed_degrees(perms):
         from_generators(perms)
 
 
+def test_empty_generator_list_is_rejected():
+    with pytest.raises(ValueError, match="at least one generator"):
+        from_generators([])
+    with pytest.raises(ValueError, match="at least one generator"):
+        from_spec({"generators": []})
+
+
 def test_order_bound_enforced():
     with pytest.raises(ValueError):
         cyclic(groups.MAX_ORDER + 1)

@@ -20,6 +20,7 @@ from holring.groups import (
     alternating,
     cyclic,
     dihedral,
+    group_name,
     quaternion,
     symmetric,
 )
@@ -36,6 +37,7 @@ from holring.rednorm import (
     reduced_char_polys,
     reduced_norm,
 )
+from holring.verify import catalog
 
 S3 = symmetric(3)
 S4 = symmetric(4)
@@ -183,6 +185,33 @@ def test_norm_of_product_is_product_of_norms_over_s6():
     rng = random.Random(1729)
     a = one_by_one(g, random_integral_element(g, rng))
     b = one_by_one(g, random_integral_element(g, rng))
+    assert reduced_norm(a * b) == reduced_norm(a) * reduced_norm(b)
+
+
+# derandomised differential tests at n = 2 over the catalog up to order 24
+
+SMALL_CATALOG = [g for g in catalog() if g.order <= 24]
+
+
+def draw_matrix(data, g, n=2):
+    coeffs = st.lists(st.integers(-3, 3), min_size=g.order, max_size=g.order)
+    return GroupRingMatrix(
+        g, [[GroupRingElem(g, data.draw(coeffs)) for _ in range(n)] for _ in range(n)]
+    )
+
+
+@pytest.mark.parametrize("g", SMALL_CATALOG, ids=group_name)
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(data=st.data())
+def test_adjoint_identity_over_the_catalog(g, data):
+    assert ast_identity_holds(draw_matrix(data, g))
+
+
+@pytest.mark.parametrize("g", SMALL_CATALOG, ids=group_name)
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(data=st.data())
+def test_norm_is_multiplicative_over_the_catalog(g, data):
+    a, b = draw_matrix(data, g), draw_matrix(data, g)
     assert reduced_norm(a * b) == reduced_norm(a) * reduced_norm(b)
 
 
