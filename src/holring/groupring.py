@@ -4,20 +4,24 @@ A rational element is held as a tuple of int numerators over one
 positive common denominator, in lowest terms: the gcd of the denominator
 and all numerators is 1, so equal elements have equal (num, den).  There
 is one product loop, ``_walk``: it walks the Cayley-table row of each
-nonzero left numerator against the nonzero right numerators.
-``GroupRingElem.__mul__`` runs it once.  Matrix products run it on
-Kronecker-packed ints: with A (p x q) and B (q x r) each on one common
-denominator, column t of A is packed over i into bit slots of width w
-and row t of B over j at stride w*p, so one walk per inner index t adds
-entry (i, j) of A*B into slot i + p*j of each output numerator.  Each
-slot's value is at most M = max_i sum_t |A_it|_1 * max_tj |B_tj|_inf on
-the numerators in absolute value, and w = bitlength(M) + 1 leaves a sign
-bit, so each slot is decoded as a signed (balanced) value: add 2^(w-1),
-mask w bits, subtract 2^(w-1).  Each entry is then reduced once over the
-product of the two denominators.  Fractions appear only at the boundary:
-``coeffs`` returns the canonical int/Fraction/CycloNum values that
-printing and JSON use, and ``class_collapse`` divides each class sum by
-the denominator.  Equality and hashing compare (num, den).  Operands of
+nonzero left numerator against the nonzero right numerators, and
+``GroupRingElem.__mul__`` runs it once per product.
+
+Matrix products multiply Kronecker-packed elements.  With A (p x q) and
+B (q x r) each on one common denominator, column t of A is packed over i
+into int numerators with bit slots of width w, and row t of B over j at
+stride w*p; the element product of the two packed elements adds entry
+(i, j) of A*B into slot i + p*j of each output numerator, so q element
+products replace p*q*r.  Each slot's value is at most
+M = max_i sum_t |A_it|_1 * max_tj |B_tj|_inf on the numerators in
+absolute value, and w = bitlength(M) + 1 leaves a sign bit, so each slot
+is decoded as a signed (balanced) value: add 2^(w-1), mask w bits,
+subtract 2^(w-1).  Each entry is then reduced once over the product of
+the two denominators.
+
+Fractions appear only at the boundary: ``coeffs`` returns the canonical
+int/Fraction/CycloNum values that printing and JSON use, and
+``class_collapse`` divides each class sum by the denominator.  Equality and hashing compare (num, den).  Operands of
 one operation must belong to the same group object, or ValueError is
 raised.
 
@@ -70,11 +74,13 @@ def _same_group(group: FiniteGroup, elem: "GroupRingElem") -> None:
         raise ValueError("group-ring operands belong to different groups")
 
 
-def _walk(group: FiniteGroup, left, right, out: list) -> list:
-    """The one Cayley-row walk: out[g*h] += left[g] * right[h] over the
-    nonzero numerators, for any numerator type (ints of any size, CycloNum)."""
+def _walk(group: FiniteGroup, left, right) -> list:
+    """The one Cayley-row walk: out[g*h] = sum of left[g] * right[h] over
+    the nonzero numerators, for any numerator type (ints of any size,
+    CycloNum)."""
     rows = group.cayley_table()
     right = [(j, y) for j, y in enumerate(right) if y]
+    out = [0] * group.order
     for i, x in enumerate(left):
         if x:
             row = rows[i]
@@ -83,21 +89,22 @@ def _walk(group: FiniteGroup, left, right, out: list) -> list:
     return out
 
 
-def _pack(group: FiniteGroup, entries, den: int, stride: int) -> list:
-    """Numerators of entries over den, entry s in the bit slot at stride * s."""
+def _pack(group: FiniteGroup, entries, den: int, stride: int) -> "GroupRingElem":
+    """The numerators of entries over den, entry s in the bit slot at
+    stride * s, as one element with denominator 1."""
     packed = [0] * group.order
     for s, e in enumerate(entries):
         if e:
             f = (den // e.den) << (stride * s)
             packed = [x + y * f for x, y in zip(packed, e.num)]
-    return packed
+    return GroupRingElem._reduced(group, packed, 1)
 
 
 def _packed_product(group: FiniteGroup, a, b) -> list:
     """The p x r grid a*b of a p x q and a q x r grid of rational elements,
-    by one packed walk per inner index (layout, width and decode as in the
-    module docstring).  Raises ValueError for an entry of another group
-    and TypeError for a non-rational entry."""
+    by one product of packed elements per inner index (layout, width and
+    decode as in the module docstring).  Raises ValueError for an entry of
+    another group and TypeError for a non-rational entry."""
     for row in (*a, *b):
         for e in row:
             _same_group(group, e)
@@ -109,13 +116,13 @@ def _packed_product(group: FiniteGroup, a, b) -> list:
     top = max(db // e.den * max(map(abs, e.num)) for row in b for e in row)
     w = (row_l1 * top).bit_length() + 1
     p, r = len(a), len(b[0])
-    out = [0] * group.order
-    for t, brow in enumerate(b):
-        column = _pack(group, [arow[t] for arow in a], da, w)
-        _walk(group, column, _pack(group, brow, db, w * p), out)
+    products = [
+        _pack(group, [arow[t] for arow in a], da, w) * _pack(group, brow, db, w * p)
+        for t, brow in enumerate(b)
+    ]
     half, mask = 1 << (w - 1), (1 << w) - 1
     bias = half * (((1 << (w * p * r)) - 1) // mask)
-    out = [x + bias for x in out]
+    out = [sum(xs) + bias for xs in zip(*(e.num for e in products))]
     entries = [[((x >> (w * s)) & mask) - half for x in out] for s in range(p * r)]
     den = da * db
     return [
@@ -213,21 +220,14 @@ class GroupRingElem:
         return GroupRingElem._reduced(self.group, [-x for x in self.num], self.den)
 
     def __mul__(self, other):
-        """One Cayley-row walk on the numerators, reduced once over the
-        product of the denominators.
-
-        This is the one-slot case (n = 1, slot i + n*j = 0) of the packed
-        matrix product: there the same walk runs on ints whose w-bit slots
-        each hold one entry, w is one bit more than the bound
-        max_i sum_t |A_it|_1 * max |B_tj|_inf, and slots are decoded as
-        signed values.  Here nothing is packed or decoded, and numerators
-        of any type run the walk, CycloNum included.
-        """
+        """One Cayley-row walk on numerators of any type, reduced once
+        over the product of the denominators.  Matrix products call it on
+        packed elements (see the module docstring)."""
         if not isinstance(other, GroupRingElem):
             return self.scale(other)
         group = self.group
         _same_group(group, other)
-        out = _walk(group, self.num, other.num, [0] * group.order)
+        out = _walk(group, self.num, other.num)
         return GroupRingElem._reduced(group, out, self.den * other.den)
 
     def __rmul__(self, other):
@@ -327,7 +327,8 @@ class GroupRingMatrix:
 
         This is the 1 x J row of scalars times the J x n^2 grid whose row j
         holds the entries of matrices[j]: the n^2 entries of each matrix
-        are packed into one walk per scalar, and each entry is reduced once.
+        are packed into one element, one element product per scalar, and
+        each entry is reduced once.
         """
         group, n = matrices[0].group, matrices[0].n
         flat = [[e for row in m.rows for e in row] for m in matrices]
@@ -347,16 +348,13 @@ class GroupRingMatrix:
         )
 
     def __mul__(self, other):
-        """The matrix product by packed walks, or each entry times a scalar.
+        """The matrix product, or each entry times a scalar.
 
-        With n x n rational entries, column t of self and row t of other
-        are packed into the bit slots of one int numerator per group
-        element, and one Cayley-row walk per inner index t accumulates
-        entry (i, j) of the product in slot i + n*j: n walks in place of
-        n^3 products.  The slot width is one more bit than the bound
-        max_i sum_t |self_it|_1 * max |other_tj|_inf on the numerators,
-        and slots are decoded as signed values, each entry reduced once.
-        A non-rational entry raises TypeError.
+        A matrix product packs column t of self and row t of other into
+        one element each and multiplies them, n element products in place
+        of n^3; entry (i, j) is read from slot i + n*j, with the slot width
+        and the signed decode of the module docstring.  A non-rational
+        entry raises TypeError.
         """
         if isinstance(other, GroupRingMatrix):
             return GroupRingMatrix(self.group, _packed_product(self.group, self.rows, other.rows))
