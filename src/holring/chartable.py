@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
-from .cyclotomic import CycloNum, is_prime, prime_divisors
+from .cyclotomic import CycloNum, coerce, is_prime, prime_divisors
 from .groups import FiniteGroup
 
 
@@ -37,13 +37,8 @@ class Character:
     __slots__ = ("group", "values", "degree", "_kernel")
 
     def __init__(self, group: FiniteGroup, values):
-        vals = []
-        for v in values:
-            if not isinstance(v, CycloNum):
-                v = CycloNum.rational(v)
-            vals.append(v.minimal())
         self.group = group
-        self.values = tuple(vals)
+        self.values = tuple(coerce(v).minimal() for v in values)
         d = self.values[0].as_rational()
         assert d is not None and d.denominator == 1 and d > 0
         self.degree = int(d)

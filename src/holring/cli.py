@@ -19,6 +19,7 @@ not a prime, a metacyclic --q below 2 or not dividing --n - 1) and
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -32,13 +33,12 @@ from .blocks import (
 )
 from .chartable import character_table
 from .citations import statement
-from .cyclotomic import coerce, is_prime
+from .cyclotomic import is_prime
 from .dt import dt_query, maximality_consequence
 from .groupring import (
     CentralElement,
     GroupRingElem,
     GroupRingMatrix,
-    is_integral_coeff,
     random_integral_element,
     random_integral_matrix,
     regular_det,
@@ -205,7 +205,7 @@ def _cmd_chartab(args):
         + ", ".join(str(g.element_order(r)) for r in cls.representatives),
     ]
     for i, ch in enumerate(t.characters):
-        values = ", ".join(coerce(v).to_text() for v in ch.values)
+        values = ", ".join(v.to_text() for v in ch.values)
         lines.append(f"chi{i} (degree {ch.degree}): {values}")
     return payload, lines, 0
 
@@ -300,17 +300,15 @@ def _cmd_nr(args):
     rng = random.Random(args.seed)
     h = random_integral_element(g, rng)
     nr = reduced_norm(GroupRingMatrix(g, [[h]]))
-    prod = coerce(1)
-    for ch, v in zip(t.characters, nr.values):
-        prod = prod * coerce(v) ** ch.degree
+    prod = math.prod(v**ch.degree for ch, v in zip(t.characters, nr.values))
     det = regular_det(h)
-    ok = not (prod - coerce(det))
+    ok = prod == det
     payload = {
         "command": "nr",
         "name": group_name(g),
         "seed": args.seed,
         "element": list(h.coeffs),
-        "norm_values": [coerce(v).to_text() for v in nr.values],
+        "norm_values": [v.to_text() for v in nr.values],
         "regular_det": str(det),
         "consistent": ok,
     }
@@ -320,7 +318,7 @@ def _cmd_nr(args):
         "element coefficients: " + ", ".join(str(c) for c in h.coeffs),
     ]
     for i, v in enumerate(nr.values):
-        lines.append(f"nr chi{i}: {coerce(v).to_text()}")
+        lines.append(f"nr chi{i}: {v.to_text()}")
     lines.append(f"regular determinant: {det}")
     lines.append(f"consistent: {_bool(ok)}")
     return payload, lines, 0 if ok else 1
@@ -336,9 +334,7 @@ def _cmd_adjoint(args):
     identity = adj * h == scalar and h * adj == scalar
     # maximal-order membership certificate: every reduced characteristic
     # polynomial of an integral matrix has algebraic-integer coefficients
-    integral = all(
-        is_integral_coeff(v) for poly in reduced_char_polys(h) for v in poly.coeffs
-    )
+    integral = all(v.den == 1 for poly in reduced_char_polys(h) for v in poly.coeffs)
     ok = identity and integral
     payload = {
         "command": "adjoint",
@@ -347,7 +343,7 @@ def _cmd_adjoint(args):
         "size": n,
         "identity_holds": identity,
         "char_poly_coeffs_integral": integral,
-        "norm_values": [coerce(v).to_text() for v in nr.values],
+        "norm_values": [v.to_text() for v in nr.values],
     }
     lines = [
         f"group: {group_name(g)}",

@@ -240,17 +240,25 @@ class CycloNum:
         return coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = other.numerator
-            return _cyclo(self.m, [x * f for x in self.num], self.den * other.denominator)
-        a, b = self._pair(other)
-        xs = [(i, x) for i, x in enumerate(a.num) if x]
-        out = [0] * (len(a.num) + len(b.num) - 1)
-        for j, y in enumerate(b.num):
-            if y:
-                for i, x in xs:
-                    out[i + j] += x * y
-        return _cyclo(a.m, out, a.den * b.den)
+        # an int, a Fraction or a value of conductor 1 is a scalar f/d: one
+        # product per coordinate, at the other operand's conductor
+        if not isinstance(other, CycloNum):
+            other = _rational(other)
+            a, f, d = self, other.numerator, other.denominator
+        elif other.m == 1:
+            a, f, d = self, other.num[0], other.den
+        elif self.m == 1:
+            a, f, d = other, self.num[0], self.den
+        else:
+            a, b = self._pair(other)
+            xs = [(i, x) for i, x in enumerate(a.num) if x]
+            out = [0] * (len(a.num) + len(b.num) - 1)
+            for j, y in enumerate(b.num):
+                if y:
+                    for i, x in xs:
+                        out[i + j] += x * y
+            return _cyclo(a.m, out, a.den * b.den)
+        return _cyclo(a.m, [x * f for x in a.num], a.den * d)
 
     __rmul__ = __mul__
 

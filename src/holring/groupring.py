@@ -1,8 +1,9 @@
-"""Group rings K[G] with exact coefficients, and matrices over them.
+"""The rational group ring Q[G], matrices over it, and central elements.
 
-A rational element is held as a tuple of int numerators over one
+An element of Q[G] is held as a tuple of int numerators over one
 positive common denominator, in lowest terms: the gcd of the denominator
-and all numerators is 1, so equal elements have equal (num, den).  There
+and all numerators is 1, so equal elements have equal (num, den).  Its
+coefficients are int or Fraction; anything else raises TypeError.  There
 is one product loop, ``_walk``: it walks the Cayley-table row of each
 nonzero left numerator against the nonzero right numerators, and
 ``GroupRingElem.__mul__`` runs it once per product.
@@ -19,20 +20,19 @@ is decoded as a signed (balanced) value: add 2^(w-1), mask w bits,
 subtract 2^(w-1).  Each entry is then reduced once over the product of
 the two denominators.
 
-Fractions appear only at the boundary: ``coeffs`` returns the canonical
-int/Fraction/CycloNum values that printing and JSON use, and
-``class_collapse`` divides each class sum by the denominator.  Equality and hashing compare (num, den).  Operands of
-one operation must belong to the same group object, or ValueError is
-raised.
+Fractions appear only at the boundary: ``coeffs`` returns the int or
+Fraction values that printing and JSON use, and ``class_collapse``
+returns each class sum as a Fraction.  Equality and hashing compare
+(num, den).  Operands of one operation must belong to the same group
+object, or ValueError is raised, as it is for matrices of different
+sizes.
 
-An element with a coefficient outside Q keeps its canonical coefficient
-values as numerators over denominator 1, and its products run the same
-walk on those numerators.  Matrix products take rational entries only
-and raise TypeError otherwise.
-
-Central elements carry a second representation by their scalar action
-on each irreducible character, which turns products of central elements
-into pointwise multiplications.
+A central element of C[G] is held by its scalar action on each
+irreducible character, a CycloNum like the character values, which
+turns products of central elements into pointwise multiplications.  Its
+class coordinates are the one way back into Q[G]: ``to_class_coords``
+and ``to_group_ring`` raise ValueError for an element that is not
+rational.
 """
 
 from __future__ import annotations
@@ -41,32 +41,8 @@ import math
 from fractions import Fraction
 
 from .chartable import CharTable, Character
-from .cyclotomic import CycloNum, coerce
+from .cyclotomic import CycloNum, _rational, coerce
 from .groups import FiniteGroup
-
-
-def canon_coeff(c):
-    """Normal form: rational values as int or Fraction, never CycloNum."""
-    if isinstance(c, CycloNum):
-        r = c.as_rational()
-        if r is None:
-            return c
-        c = r
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    if isinstance(c, int):
-        return c
-    raise TypeError(f"unsupported coefficient {c!r}")
-
-
-def is_integral_coeff(c) -> bool:
-    """True when the coefficient is an algebraic integer.
-
-    Z[zeta_m] is the ring of integers of Q(zeta_m), so this is the same
-    as integer coordinates in the power basis, at whatever conductor the
-    value is written: a common denominator of 1.
-    """
-    return coerce(c).den == 1
 
 
 def _same_group(group: FiniteGroup, elem: "GroupRingElem") -> None:
@@ -76,8 +52,7 @@ def _same_group(group: FiniteGroup, elem: "GroupRingElem") -> None:
 
 def _walk(group: FiniteGroup, left, right) -> list:
     """The one Cayley-row walk: out[g*h] = sum of left[g] * right[h] over
-    the nonzero numerators, for any numerator type (ints of any size,
-    CycloNum)."""
+    the nonzero int numerators."""
     rows = group.cayley_table()
     right = [(j, y) for j, y in enumerate(right) if y]
     out = [0] * group.order
@@ -104,12 +79,10 @@ def _packed_product(group: FiniteGroup, a, b) -> list:
     """The p x r grid a*b of a p x q and a q x r grid of rational elements,
     by one product of packed elements per inner index (layout, width and
     decode as in the module docstring).  Raises ValueError for an entry of
-    another group and TypeError for a non-rational entry."""
+    another group."""
     for row in (*a, *b):
         for e in row:
             _same_group(group, e)
-            if not set(map(type, e.num)) <= {int}:
-                raise TypeError("matrix products need rational entries")
     da = math.lcm(*(e.den for row in a for e in row))
     db = math.lcm(*(e.den for row in b for e in row))
     row_l1 = max(sum(da // e.den * sum(map(abs, e.num)) for e in row) for row in a)
@@ -138,23 +111,14 @@ class GroupRingElem:
         num, den = tuple(coeffs), 1
         assert len(num) == group.order
         if not set(map(type, num)) <= {int}:
-            values = [canon_coeff(c) for c in num]
-            if any(isinstance(v, CycloNum) for v in values):
-                num = tuple(values)
-            else:
-                den = math.lcm(*(v.denominator for v in values))
-                num = tuple(v.numerator * (den // v.denominator) for v in values)
+            num = tuple(map(_rational, num))
+            den = math.lcm(*(c.denominator for c in num))
+            num = tuple(c.numerator * (den // c.denominator) for c in num)
         self.group, self.num, self.den = group, num, den
 
     @staticmethod
     def _reduced(group: FiniteGroup, num, den: int) -> "GroupRingElem":
-        """The element num/den in canonical form: int numerators in lowest
-        terms, any other numerators through the constructor."""
-        if not set(map(type, num)) <= {int}:
-            if den != 1:
-                inv = Fraction(1, den)
-                num = [x * inv for x in num]
-            return GroupRingElem(group, num)
+        """The element num/den, for int numerators, in lowest terms."""
         d = math.gcd(den, *num) if den != 1 else 1
         if d != 1:
             num = [x // d for x in num]
@@ -190,7 +154,8 @@ class GroupRingElem:
 
     @property
     def coeffs(self) -> tuple:
-        """Canonical coefficient values: int, Fraction or CycloNum."""
+        """Coefficient values: int where the denominator divides out,
+        Fraction elsewhere."""
         den = self.den
         if den == 1:
             return self.num
@@ -220,9 +185,8 @@ class GroupRingElem:
         return GroupRingElem._reduced(self.group, [-x for x in self.num], self.den)
 
     def __mul__(self, other):
-        """One Cayley-row walk on numerators of any type, reduced once
-        over the product of the denominators.  Matrix products call it on
-        packed elements (see the module docstring)."""
+        """One Cayley-row walk, reduced once over the product of the
+        denominators."""
         if not isinstance(other, GroupRingElem):
             return self.scale(other)
         group = self.group
@@ -234,10 +198,7 @@ class GroupRingElem:
         return self.scale(other)
 
     def scale(self, s) -> "GroupRingElem":
-        s = canon_coeff(s)
-        if isinstance(s, CycloNum):
-            return GroupRingElem._reduced(self.group, [s * x for x in self.num], self.den)
-        s = Fraction(s)
+        s = _rational(s)
         return GroupRingElem._reduced(
             self.group, [x * s.numerator for x in self.num], self.den * s.denominator
         )
@@ -266,18 +227,16 @@ class GroupRingElem:
         return [i for i, c in enumerate(self.num) if c]
 
     def has_integral_coeffs(self) -> bool:
-        return self.den == 1 and all(is_integral_coeff(c) for c in self.num)
+        return self.den == 1
 
     def class_collapse(self) -> list:
-        """Sum of coefficients over each conjugacy class."""
+        """Sum of coefficients over each conjugacy class, as Fractions."""
         cls = self.group.classes()
         out = [0] * len(cls.classes)
         for i, c in enumerate(self.num):
             if c:
-                ci = cls.class_of[i]
-                out[ci] = out[ci] + c
-        den = self.den
-        return [canon_coeff(x if den == 1 else Fraction(x, den)) for x in out]
+                out[cls.class_of[i]] += c
+        return [Fraction(x, self.den) for x in out]
 
     def is_central(self) -> bool:
         cls = self.group.classes()
@@ -287,14 +246,13 @@ class GroupRingElem:
                 return False
         return True
 
-    def char_value(self, ch: Character):
+    def char_value(self, ch: Character) -> CycloNum:
         """chi extended linearly: sum of a_g chi(g)."""
-        collapsed = self.class_collapse()
-        total = 0
-        for s, v in zip(collapsed, ch.values):
+        total = CycloNum.rational(0)
+        for s, v in zip(self.class_collapse(), ch.values):
             if s:
-                total = total + s * v
-        return canon_coeff(total)
+                total = total + v * s
+        return total
 
 
 class GroupRingMatrix:
@@ -331,17 +289,29 @@ class GroupRingMatrix:
         each entry is reduced once.
         """
         group, n = matrices[0].group, matrices[0].n
+        if len(scalars) != len(matrices):
+            raise ValueError(f"{len(scalars)} scalars for {len(matrices)} matrices")
+        for m in matrices:
+            matrices[0]._same_size(m)
         flat = [[e for row in m.rows for e in row] for m in matrices]
         (entries,) = _packed_product(group, [scalars], flat)
         return GroupRingMatrix(group, [entries[i * n:(i + 1) * n] for i in range(n)])
 
+    def _same_size(self, other: "GroupRingMatrix") -> None:
+        if other.n != self.n:
+            raise ValueError(
+                f"matrix sizes differ: {self.n}x{self.n} and {other.n}x{other.n}"
+            )
+
     def __add__(self, other):
+        self._same_size(other)
         return GroupRingMatrix(
             self.group,
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
         )
 
     def __sub__(self, other):
+        self._same_size(other)
         return GroupRingMatrix(
             self.group,
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
@@ -353,10 +323,10 @@ class GroupRingMatrix:
         A matrix product packs column t of self and row t of other into
         one element each and multiplies them, n element products in place
         of n^3; entry (i, j) is read from slot i + n*j, with the slot width
-        and the signed decode of the module docstring.  A non-rational
-        entry raises TypeError.
+        and the signed decode of the module docstring.
         """
         if isinstance(other, GroupRingMatrix):
+            self._same_size(other)
             return GroupRingMatrix(self.group, _packed_product(self.group, self.rows, other.rows))
         return GroupRingMatrix(
             self.group, [[e * other for e in row] for row in self.rows]
@@ -383,12 +353,25 @@ class GroupRingMatrix:
         return all(e.has_integral_coeffs() for row in self.rows for e in row)
 
 
+def _central_value(v) -> CycloNum:
+    """v as a CycloNum; a rational value at conductor 1, so that products
+    with it take CycloNum's scalar path."""
+    v = coerce(v)
+    return v if any(v.num[1:]) else v.minimal()
+
+
 class CentralElement:
     """Element of the center of C[G], stored by its value on each character.
 
     The value on chi is the scalar by which the element acts in the
-    irreducible representation with character chi; products of central
-    elements are pointwise products of values.
+    irreducible representation with character chi, a CycloNum like the
+    values of chi; products of central elements are pointwise products of
+    values.
+
+    The class coordinates are computed once, as CycloNum sums.
+    `is_rational` reads them; `to_class_coords` and `to_group_ring`, the
+    way back into Q[G], raise ValueError for an element that is not
+    rational.
     """
 
     __slots__ = ("table", "values", "_coords")
@@ -397,7 +380,7 @@ class CentralElement:
         values = list(values)
         assert len(values) == len(table.characters)
         self.table = table
-        self.values = tuple(canon_coeff(v) for v in values)
+        self.values = tuple(map(_central_value, values))
         self._coords = None
 
     # -- constructors ------------------------------------------------------
@@ -442,41 +425,52 @@ class CentralElement:
 
     # -- conversions ---------------------------------------------------------
 
-    def to_class_coords(self) -> list:
-        """Coefficient on (any element of) each conjugacy class; computed
-        once per element, a fresh list on every call."""
+    def _class_sums(self) -> tuple:
+        """Coefficient on (any element of) each conjugacy class, as
+        CycloNums; computed once per element."""
         if self._coords is None:
             g = self.table.group
             cls = g.classes()
+            weighted = [
+                (v * ch.degree, ch.values)
+                for v, ch in zip(self.values, self.table.characters)
+                if v
+            ]
             coords = []
             for c in range(len(cls.classes)):
                 cinv = cls.power_class(c, -1, g)
-                total = 0
-                for v, ch in zip(self.values, self.table.characters):
-                    if v:
-                        total = total + v * ch.degree * ch.values[cinv]
-                coords.append(canon_coeff(total * Fraction(1, g.order)))
+                total = CycloNum.rational(0)
+                for w, chi in weighted:
+                    total = total + w * chi[cinv]
+                coords.append(total * Fraction(1, g.order))
             self._coords = tuple(coords)
-        return list(self._coords)
+        return self._coords
+
+    def to_class_coords(self) -> list:
+        """Coefficient on each conjugacy class, as Fractions; ValueError if
+        the element is not rational."""
+        coords = [c.as_rational() for c in self._class_sums()]
+        if None in coords:
+            raise ValueError("central element is not rational")
+        return coords
 
     def to_group_ring(self) -> GroupRingElem:
         g = self.table.group
-        cls = g.classes()
+        class_of = g.classes().class_of
         coords = self.to_class_coords()
-        return GroupRingElem(g, [coords[cls.class_of[i]] for i in range(g.order)])
+        return GroupRingElem(g, [coords[class_of[i]] for i in range(g.order)])
 
     # -- predicates ------------------------------------------------------------
 
     def is_rational(self) -> bool:
         """True when the group ring coefficients are all rational."""
-        return all(not isinstance(c, CycloNum) for c in self.to_class_coords())
+        return all(c.as_rational() is not None for c in self._class_sums())
 
     def is_galois_equivariant(self) -> bool:
         """Values commute with the Galois action permuting the characters."""
         for i, vi in enumerate(self.values):
             for k, j in self.table.galois_orbit(i).items():
-                expect = vi.galois(k) if isinstance(vi, CycloNum) else vi
-                if canon_coeff(expect) != self.values[j]:
+                if vi.galois(k) != self.values[j]:
                     return False
         return True
 

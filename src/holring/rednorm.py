@@ -23,7 +23,6 @@ from .citations import register
 from .cyclotomic import (
     INF,
     CycloNum,
-    coerce,
     euler_phi,
     padic_valuation,
     prime_divisors,
@@ -33,7 +32,6 @@ from .groupring import (
     CentralElement,
     GroupRingElem,
     GroupRingMatrix,
-    canon_coeff,
     random_integral_matrix,
 )
 from .groups import FiniteGroup
@@ -94,7 +92,7 @@ class ReducedCharPoly:
 
     character: Character
     size: int
-    coeffs: tuple  # alpha_0 .. alpha_d with alpha_d = 1
+    coeffs: tuple  # CycloNums alpha_0 .. alpha_d with alpha_d = 1
 
     @property
     def degree(self) -> int:
@@ -104,8 +102,8 @@ class ReducedCharPoly:
     def constant_term(self):
         return self.coeffs[0]
 
-    def norm_value(self):
-        return canon_coeff(coerce(self.constant_term) * (-1) ** self.degree)
+    def norm_value(self) -> CycloNum:
+        return self.constant_term * (-1) ** self.degree
 
 
 def _powers_and_traces(H: GroupRingMatrix, kmax: int):
@@ -129,7 +127,7 @@ def _traces_for(ch: Character, collapsed: list) -> list:
         total = CycloNum.rational(0)
         for s, v in zip(row, ch.values):
             if s:
-                total = total + coerce(s * v)
+                total = total + v * s
         traces.append(total)
     return traces
 
@@ -145,19 +143,9 @@ def _newton_coeffs(traces: list, d: int) -> tuple:
                 term = -term
             acc = acc + term
         elem.append(acc * Fraction(1, k))
-    coeffs = [
-        canon_coeff(elem[d - j] * (-1) ** (d - j)) for j in range(d + 1)
-    ]
+    coeffs = tuple(elem[d - j] * (-1) ** (d - j) for j in range(d + 1))
     assert coeffs[d] == 1
-    return tuple(coeffs)
-
-
-def reduced_char_poly(H: GroupRingMatrix, ch: Character) -> ReducedCharPoly:
-    """Char poly of H in the block of ch, via traces of matrix powers."""
-    d = ch.degree * H.n
-    _, collapsed = _powers_and_traces(H, d)
-    traces = _traces_for(ch, collapsed)
-    return ReducedCharPoly(ch, H.n, _newton_coeffs(traces, d))
+    return coeffs
 
 
 def _polys_and_powers(H: GroupRingMatrix):
@@ -190,7 +178,8 @@ def _adjoint_layers(table: CharTable, polys: list, n: int) -> list:
 
     C_j collects (-1)^(d+1) alpha_j over every character; each layer
     must have rational class coordinates, which is exactly the
-    statement that the assembled adjoint is fixed by the Galois action.
+    statement that the assembled adjoint is fixed by the Galois action,
+    and its `to_group_ring` raises ValueError otherwise.
     """
     dmax = max(p.degree for p in polys)
     layers = []
@@ -202,10 +191,8 @@ def _adjoint_layers(table: CharTable, polys: list, n: int) -> list:
                 values.append(0)
                 continue
             sign = -1 if (d + 1) % 2 else 1
-            values.append(canon_coeff(coerce(poly.coeffs[j]) * sign))
-        layer = CentralElement(table, values)
-        assert layer.is_rational(), "adjoint layer is not Galois fixed"
-        layers.append(layer)
+            values.append(poly.coeffs[j] * sign)
+        layers.append(CentralElement(table, values))
     return layers
 
 
@@ -272,9 +259,7 @@ def maximal_center_lattice(table: CharTable, p: int) -> PLattice:
             values = [0] * k
             for kk, idx in members.items():
                 values[idx] = t.galois(kk % m)
-            coords = CentralElement(table, values).to_class_coords()
-            assert not any(isinstance(c, CycloNum) for c in coords)
-            gens.append(coords)
+            gens.append(CentralElement(table, values).to_class_coords())
     lat = PLattice.from_generators(p, k, gens)
     assert lat.rank == k
     return lat
@@ -312,11 +297,10 @@ class MembershipVerdict:
 
 def _value_block_valuation(value, p: int, ram_index: int):
     """Valuation of one central value in the block field's own prime."""
-    cv = coerce(value)
-    if not cv:
+    if not value:
         return INF
-    sv = semilocal_valuation(cv, p)
-    a = padic_valuation(cv.conductor, p)
+    sv = semilocal_valuation(value, p)
+    a = padic_valuation(value.conductor, p)
     return Fraction(sv * ram_index, euler_phi(p**a))
 
 
@@ -330,7 +314,9 @@ def in_central_conductor(x: CentralElement, p: int) -> bool:
 
 
 def _elem_p_integral(elem: GroupRingElem, p: int) -> bool:
-    return all(coerce(c).den % p for c in elem.coeffs)
+    # gcd(den, *num) = 1, so every coefficient is p-integral iff p does not
+    # divide den
+    return elem.den % p != 0
 
 
 def denominator_membership(
@@ -348,7 +334,7 @@ def denominator_membership(
     """
     table = x.table
     g = table.group
-    if any(coerce(v).den % p == 0 for v in x.values):
+    if any(v.den % p == 0 for v in x.values):
         raise ValueError("central values are not p-integral")
     if in_central_conductor(x, p):
         return MembershipVerdict(
@@ -516,12 +502,10 @@ def norm_ideal_probe(
     all_integral = True
     for h in matrices:
         nr = reduced_norm(h)
-        if any(coerce(v).den % p == 0 for v in nr.values):
+        if any(v.den % p == 0 for v in nr.values):
             all_integral = False
         for z in class_sums:
-            coords = (nr * z).to_class_coords()
-            assert not any(isinstance(c, CycloNum) for c in coords)
-            gens.append(coords)
+            gens.append((nr * z).to_class_coords())
     lattice = PLattice.from_generators(p, k, gens)
     center = center_lattice(table, p)
     maximal = maximal_center_lattice(table, p)

@@ -44,7 +44,6 @@ from .groupring import (
     CentralElement,
     GroupRingElem,
     GroupRingMatrix,
-    is_integral_coeff,
     random_integral_element,
     random_integral_matrix,
     regular_det,
@@ -249,7 +248,7 @@ def _check_orthogonality():
                 ch2 = t.characters[j]
                 s = coerce(0)
                 for c in range(k):
-                    s = s + coerce(ch1.values[c]) * coerce(ch2.values[inv[c]]) * cls.sizes[c]
+                    s = s + ch1.values[c] * ch2.values[inv[c]] * cls.sizes[c]
                 want = g.order if i == j else 0
                 _require(
                     _same(s, want),
@@ -259,7 +258,7 @@ def _check_orthogonality():
             for d in range(k):
                 s = coerce(0)
                 for ch in t.characters:
-                    s = s + coerce(ch.values[c]) * coerce(ch.values[inv[d]])
+                    s = s + ch.values[c] * ch.values[inv[d]]
                 want = g.order // cls.sizes[c] if c == d else 0
                 _require(
                     _same(s, want),
@@ -551,7 +550,7 @@ def _check_adjoint_ast_identity():
             _require(h * adj == scalar, f"{label}: HH* != nr(H) on sample {i}")
             for poly in reduced_char_polys(h):
                 _require(
-                    all(is_integral_coeff(c) for c in poly.coeffs),
+                    all(c.den == 1 for c in poly.coeffs),
                     f"{label}: reduced char poly coefficient not an algebraic integer on sample {i}",
                 )
     total = per_group * len(NORM_SUITE)
@@ -569,7 +568,7 @@ def _check_regular_det_oracle():
             nr = reduced_norm(GroupRingMatrix(g, [[h]]))
             prod = coerce(1)
             for ch, v in zip(t.characters, nr.values):
-                prod = prod * coerce(v) ** ch.degree
+                prod = prod * v**ch.degree
             _require(
                 _same(prod, regular_det(h)),
                 f"{label}: regular determinant differs from the norm product on sample {i}",
@@ -588,7 +587,7 @@ def _check_char_poly_constant_term():
             _require(_same(poly.coeffs[d], 1), "reduced char poly is not monic")
             sign = -1 if d % 2 else 1
             _require(
-                _same(coerce(poly.coeffs[0]) * sign, poly.norm_value()),
+                _same(poly.coeffs[0] * sign, poly.norm_value()),
                 "constant term does not carry the reduced norm with its parity sign",
             )
     return "36 reduced char polys over S3: monic, constant term = parity sign times the norm"
@@ -755,7 +754,7 @@ def _check_defect_zero_vanishing():
                     ch = t.characters[i]
                     for c in singular:
                         _require(
-                            not coerce(ch.values[c]),
+                            not ch.values[c],
                             f"{group_name(g)} at p={p}: defect-zero character "
                             f"nonzero on a p-singular class",
                         )

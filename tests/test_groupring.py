@@ -16,7 +16,7 @@ from holring.groupring import (
     regular_det,
 )
 from holring.groups import alternating, cyclic, dihedral, quaternion, symmetric
-from holring.rednorm import adjoint_and_norm, reduced_norm
+from holring.rednorm import adjoint_and_norm, rational_character_orbits, reduced_norm
 
 S3 = symmetric(3)
 A4 = alternating(4)
@@ -78,26 +78,30 @@ def test_central_values_match_linear_extension():
 
 
 def test_idempotent_coefficients_and_ring_law():
+    # the rational idempotents of A4: one per Galois orbit of characters
     t = character_table(A4)
     n = A4.order
-    for i, ch in enumerate(t.characters):
-        e = CentralElement.from_indicator(t, [i]).to_group_ring()
-        # direct formula: coefficient at g is chi(1)/|G| times chi(g^{-1})
+    orbits = [set(members.values()) for _, members in rational_character_orbits(t)]
+    assert sorted(map(len, orbits)) == [1, 1, 2]
+    idempotents = []
+    for orbit in orbits:
+        e = CentralElement.from_indicator(t, orbit).to_group_ring()
+        # direct formula: coefficient at g is the sum over the orbit of
+        # chi(1)/|G| times chi(g^{-1})
         for gid in range(n):
-            want = ch.value_on(A4.inv(gid)) * Fraction(ch.degree, n)
-            got = e.coeffs[gid]
-            assert (got - want if isinstance(got, CycloNum)
-                    else want - got) == 0
+            want = sum(
+                (t.characters[i].value_on(A4.inv(gid)) * Fraction(t.characters[i].degree, n)
+                 for i in orbit),
+                CycloNum.rational(0),
+            )
+            assert want == e.coeffs[gid]
         assert e * e == e
-    chars = range(len(t.characters))
-    for i in chars:
-        for j in chars:
-            ei = CentralElement.from_indicator(t, [i]).to_group_ring()
-            ej = CentralElement.from_indicator(t, [j]).to_group_ring()
+        idempotents.append(e)
+    for i, ei in enumerate(idempotents):
+        for j, ej in enumerate(idempotents):
             if i != j:
                 assert ei * ej == GroupRingElem.zero(A4)
-    total = CentralElement.from_indicator(t, chars).to_group_ring()
-    assert total == GroupRingElem.one(A4)
+    assert sum(idempotents, GroupRingElem.zero(A4)) == GroupRingElem.one(A4)
 
 
 def test_equal_central_elements_hash_equal():
@@ -121,7 +125,8 @@ def test_rationality_and_equivariance():
     assert not e_single.is_galois_equivariant()
     assert e_pair.is_rational()
     assert e_pair.is_galois_equivariant()
-    assert not e_single.to_group_ring().has_integral_coeffs()
+    with pytest.raises(ValueError, match="not rational"):
+        e_single.to_group_ring()
 
 
 def test_pointwise_products():
@@ -323,15 +328,29 @@ def test_operands_from_different_groups_are_rejected():
 
 
 def test_matrix_products_need_rational_entries():
+    # Q[G] holds rationals only, so a matrix entry cannot be non-rational
     c3 = cyclic(3)
-    e = CentralElement.from_indicator(character_table(c3), [1]).to_group_ring()
-    assert any(isinstance(c, CycloNum) for c in e.coeffs)
-    assert e * e == e  # element products take any numerators
-    m = GroupRingMatrix(c3, [[e]])
-    with pytest.raises(TypeError, match="rational entries"):
-        m * m
-    with pytest.raises(TypeError, match="rational entries"):
-        GroupRingMatrix.combination([e], [GroupRingMatrix.identity(c3, 1)])
+    z = CycloNum.root_of_unity(3)
+    with pytest.raises(TypeError, match="expected rational"):
+        GroupRingElem(c3, [1, z, 0])
+    with pytest.raises(TypeError, match="expected rational"):
+        GroupRingElem.one(c3).scale(z)
+
+
+def test_matrix_sizes_must_agree():
+    rng = random.Random(7)
+    a = random_integral_matrix(S3, 2, rng)
+    b = random_integral_matrix(S3, 3, rng)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="2x2 and 3x3"):
+            op(a, b)
+        with pytest.raises(ValueError, match="3x3 and 2x2"):
+            op(b, a)
+    one = GroupRingElem.one(S3)
+    with pytest.raises(ValueError, match="2x2 and 3x3"):
+        GroupRingMatrix.combination([one, one], [a, b])
+    with pytest.raises(ValueError, match="1 scalars for 2 matrices"):
+        GroupRingMatrix.combination([one], [a, a])
 
 
 @settings(derandomize=True, max_examples=50)

@@ -47,3 +47,24 @@ def test_library_does_not_import_cli_or_verify(module):
 def test_cli_takes_only_run_checks_from_verify():
     names = {name for target, name in _imports("cli") if target == "holring.verify"}
     assert names == {"run_checks"}
+
+
+def _scalar_type_leaks(module: str) -> list:
+    """Lines that test a value for CycloNum or name canon_coeff."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            if any(getattr(n, "id", None) == "CycloNum" for a in node.args[1:] for n in ast.walk(a)):
+                out.append(node.lineno)
+        elif "canon_coeff" in (getattr(node, "id", None), getattr(node, "attr", None),
+                               getattr(node, "name", None)):
+            out.append(node.lineno)
+    return out
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "cyclotomic"])
+def test_one_scalar_type_per_role(module):
+    # Q[G] is rational and central values are CycloNum, so no module but
+    # cyclotomic needs to ask which one it holds
+    assert _scalar_type_leaks(module) == [], f"holring.{module}"
