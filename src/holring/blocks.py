@@ -280,7 +280,7 @@ def hybrid_report(table: CharTable, normal_ids, p: int) -> HybridReport:
     """
     g = table.group
     normal_ids = frozenset(normal_ids)
-    assert g._is_normal_set(normal_ids), "subgroup must be normal"
+    g._require_normal(normal_ids)
     blocks = padic_blocks(table, p)
     split = []
     hybrid = True

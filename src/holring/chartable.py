@@ -31,7 +31,8 @@ class Character:
 
     Each value is stored at its minimal conductor, so its (conductor,
     numerators, denominator) triple is canonical; `key`, `kernel` and
-    `CharTable.galois_orbit` rely on it.
+    `CharTable.galois_orbit` rely on it.  ValueError unless there is one
+    value per class and the value at the identity is a positive integer.
     """
 
     __slots__ = ("group", "values", "degree", "_kernel")
@@ -39,14 +40,17 @@ class Character:
     def __init__(self, group: FiniteGroup, values):
         self.group = group
         self.values = tuple(coerce(v).minimal() for v in values)
+        k = len(group.classes().classes)
+        if len(self.values) != k:
+            raise ValueError(f"{len(self.values)} character values for {k} classes")
         d = self.values[0].as_rational()
-        assert d is not None and d.denominator == 1 and d > 0
+        if d is None or d.denominator != 1 or d <= 0:
+            raise ValueError(
+                f"a character's value at the identity must be a positive integer, "
+                f"got {self.values[0].to_text()}"
+            )
         self.degree = int(d)
         self._kernel = None
-
-    def value_on(self, element_id: int) -> CycloNum:
-        cls = self.group.classes()
-        return self.values[cls.class_of[element_id]]
 
     @property
     def kernel(self) -> frozenset:

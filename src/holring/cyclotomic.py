@@ -11,8 +11,8 @@ product of the other conjugates of x over the rational N(x).
 The power basis is an integral basis of Z[zeta_m] (Washington, Thm. 2.6),
 so with gcd(den, *num) = 1 a value is integral at every prime above p
 exactly when p does not divide den, and an algebraic integer exactly when
-den = 1.  Fractions appear only at the edges: input checks, `as_rational`,
-the hash of a rational value, and text I/O.  No floating point anywhere.
+den = 1.  Fractions appear only at the edges: input checks, `as_rational`
+and the hash of a rational value.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -413,22 +413,6 @@ class CycloNum:
                 term = f"{cj}*{mono}"
             parts.append(term)
         return " + ".join(parts).replace("+ -", "- ")
-
-    @staticmethod
-    def from_text(m: int, text: str) -> "CycloNum":
-        out = _cyclo(m, [0])
-        for term in text.strip().replace("- ", "+ -").replace(" ", "").split("+"):
-            if not term:
-                continue
-            if "z" in term:
-                head, _, tail = term.partition("z")
-                j = int(tail[1:]) if tail.startswith("^") else 1
-                head = head.rstrip("*")
-                c = Fraction(head + "1" if head in ("", "-") else head)
-            else:
-                j, c = 0, Fraction(term)
-            out = out + CycloNum(m, [0] * j + [c])
-        return out
 
     def __repr__(self):
         return f"CycloNum({self.m}, {self.to_text()!r})"

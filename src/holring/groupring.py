@@ -23,13 +23,18 @@ the two denominators.
 Fractions appear only at the boundary: ``coeffs`` returns the int or
 Fraction values that printing and JSON use, and ``class_collapse``
 returns each class sum as a Fraction.  Equality and hashing compare
-(num, den).  Operands of one operation must belong to the same group
-object, or ValueError is raised, as it is for matrices of different
-sizes.
+(num, den).  Each type checks its own shape when it is built, and
+raises ValueError: an element has one coefficient per group element, and
+a matrix is square, at least 1 x 1, with every entry an element of the
+matrix's own group.  So the matrix type guarantees one group per
+matrix, and an operation between matrices checks only its operands'
+group and size.  Operands of one element operation must belong to the
+same group object, or ValueError is raised.
 
 A central element of C[G] is held by its scalar action on each
 irreducible character, a CycloNum like the character values, which
-turns products of central elements into pointwise multiplications.  Its
+turns products of central elements into pointwise multiplications
+between elements over the same table object (ValueError otherwise).  Its
 class coordinates are the one way back into Q[G]: ``to_class_coords``
 and ``to_group_ring`` raise ValueError for an element that is not
 rational.
@@ -38,15 +43,17 @@ rational.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
-from .chartable import CharTable, Character
+from .chartable import CharTable
 from .cyclotomic import CycloNum, _rational, coerce
 from .groups import FiniteGroup
 
 
-def _same_group(group: FiniteGroup, elem: "GroupRingElem") -> None:
-    if elem.group is not group:
+def _same_group(group: FiniteGroup, operand) -> None:
+    """ValueError unless the element or matrix operand belongs to group."""
+    if operand.group is not group:
         raise ValueError("group-ring operands belong to different groups")
 
 
@@ -78,11 +85,7 @@ def _pack(group: FiniteGroup, entries, den: int, stride: int) -> "GroupRingElem"
 def _packed_product(group: FiniteGroup, a, b) -> list:
     """The p x r grid a*b of a p x q and a q x r grid of rational elements,
     by one product of packed elements per inner index (layout, width and
-    decode as in the module docstring).  Raises ValueError for an entry of
-    another group."""
-    for row in (*a, *b):
-        for e in row:
-            _same_group(group, e)
+    decode as in the module docstring).  Every entry belongs to group."""
     da = math.lcm(*(e.den for row in a for e in row))
     db = math.lcm(*(e.den for row in b for e in row))
     row_l1 = max(sum(da // e.den * sum(map(abs, e.num)) for e in row) for row in a)
@@ -109,7 +112,8 @@ class GroupRingElem:
 
     def __init__(self, group: FiniteGroup, coeffs):
         num, den = tuple(coeffs), 1
-        assert len(num) == group.order
+        if len(num) != group.order:
+            raise ValueError(f"{len(num)} coefficients for a group of order {group.order}")
         if not set(map(type, num)) <= {int}:
             num = tuple(map(_rational, num))
             den = math.lcm(*(c.denominator for c in num))
@@ -142,13 +146,6 @@ class GroupRingElem:
         c = [0] * group.order
         c[element_id] = 1
         return GroupRingElem._reduced(group, c, 1)
-
-    @staticmethod
-    def from_dict(group: FiniteGroup, d: dict) -> "GroupRingElem":
-        c = [0] * group.order
-        for gid, v in d.items():
-            c[gid] = v
-        return GroupRingElem(group, c)
 
     # -- boundary ---------------------------------------------------------
 
@@ -223,12 +220,6 @@ class GroupRingElem:
 
     # -- structure --------------------------------------------------------
 
-    def support(self) -> list:
-        return [i for i, c in enumerate(self.num) if c]
-
-    def has_integral_coeffs(self) -> bool:
-        return self.den == 1
-
     def class_collapse(self) -> list:
         """Sum of coefficients over each conjugacy class, as Fractions."""
         cls = self.group.classes()
@@ -246,23 +237,23 @@ class GroupRingElem:
                 return False
         return True
 
-    def char_value(self, ch: Character) -> CycloNum:
-        """chi extended linearly: sum of a_g chi(g)."""
-        total = CycloNum.rational(0)
-        for s, v in zip(self.class_collapse(), ch.values):
-            if s:
-                total = total + v * s
-        return total
-
 
 class GroupRingMatrix:
     __slots__ = ("group", "n", "rows")
 
     def __init__(self, group: FiniteGroup, rows):
-        self.group = group
-        self.rows = tuple(tuple(r) for r in rows)
-        self.n = len(self.rows)
-        assert all(len(r) == self.n for r in self.rows)
+        rows = tuple(tuple(r) for r in rows)
+        n = len(rows)
+        if not n:
+            raise ValueError("a group-ring matrix must be at least 1x1, got 0x0")
+        if any(len(r) != n for r in rows):
+            lengths = [len(r) for r in rows]
+            raise ValueError(f"a group-ring matrix must be square, got {n} rows of lengths {lengths}")
+        for row in rows:
+            for e in row:
+                if not (isinstance(e, GroupRingElem) and e.group is group):
+                    raise ValueError("matrix entries must be elements of the matrix's group")
+        self.group, self.rows, self.n = group, rows, n
 
     @staticmethod
     def identity(group: FiniteGroup, n: int) -> "GroupRingMatrix":
@@ -292,26 +283,29 @@ class GroupRingMatrix:
         if len(scalars) != len(matrices):
             raise ValueError(f"{len(scalars)} scalars for {len(matrices)} matrices")
         for m in matrices:
-            matrices[0]._same_size(m)
+            matrices[0]._same_shape(m)
+        for s in scalars:
+            _same_group(group, s)
         flat = [[e for row in m.rows for e in row] for m in matrices]
         (entries,) = _packed_product(group, [scalars], flat)
         return GroupRingMatrix(group, [entries[i * n:(i + 1) * n] for i in range(n)])
 
-    def _same_size(self, other: "GroupRingMatrix") -> None:
+    def _same_shape(self, other: "GroupRingMatrix") -> None:
+        _same_group(self.group, other)
         if other.n != self.n:
             raise ValueError(
                 f"matrix sizes differ: {self.n}x{self.n} and {other.n}x{other.n}"
             )
 
     def __add__(self, other):
-        self._same_size(other)
+        self._same_shape(other)
         return GroupRingMatrix(
             self.group,
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
         )
 
     def __sub__(self, other):
-        self._same_size(other)
+        self._same_shape(other)
         return GroupRingMatrix(
             self.group,
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
@@ -326,7 +320,7 @@ class GroupRingMatrix:
         and the signed decode of the module docstring.
         """
         if isinstance(other, GroupRingMatrix):
-            self._same_size(other)
+            self._same_shape(other)
             return GroupRingMatrix(self.group, _packed_product(self.group, self.rows, other.rows))
         return GroupRingMatrix(
             self.group, [[e * other for e in row] for row in self.rows]
@@ -338,19 +332,11 @@ class GroupRingMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def scale(self, s) -> "GroupRingMatrix":
-        return GroupRingMatrix(
-            self.group, [[e.scale(s) for e in row] for row in self.rows]
-        )
-
     def trace(self) -> GroupRingElem:
         acc = GroupRingElem.zero(self.group)
         for i in range(self.n):
             acc = acc + self.rows[i][i]
         return acc
-
-    def has_integral_coeffs(self) -> bool:
-        return all(e.has_integral_coeffs() for row in self.rows for e in row)
 
 
 def _central_value(v) -> CycloNum:
@@ -368,17 +354,19 @@ class CentralElement:
     values of chi; products of central elements are pointwise products of
     values.
 
-    The class coordinates are computed once, as CycloNum sums.
-    `is_rational` reads them; `to_class_coords` and `to_group_ring`, the
-    way back into Q[G], raise ValueError for an element that is not
-    rational.
+    Sums, differences and products of two central elements need the same
+    table object.  The class coordinates are computed once, as CycloNum
+    sums.  `is_rational` reads them; `to_class_coords` and
+    `to_group_ring`, the way back into Q[G], raise ValueError for an
+    element that is not rational.
     """
 
     __slots__ = ("table", "values", "_coords")
 
     def __init__(self, table: CharTable, values):
         values = list(values)
-        assert len(values) == len(table.characters)
+        if len(values) != len(table.characters):
+            raise ValueError(f"{len(values)} values for {len(table.characters)} characters")
         self.table = table
         self.values = tuple(map(_central_value, values))
         self._coords = None
@@ -417,7 +405,9 @@ class CentralElement:
 
     @staticmethod
     def from_group_ring(table: CharTable, elem: GroupRingElem) -> "CentralElement":
-        assert elem.is_central(), "element is not central"
+        _same_group(table.group, elem)
+        if not elem.is_central():
+            raise ValueError("element is not central")
         cls = table.group.classes()
         coeffs = elem.coeffs
         coords = [coeffs[members[0]] for members in cls.classes]
@@ -466,28 +456,21 @@ class CentralElement:
         """True when the group ring coefficients are all rational."""
         return all(c.as_rational() is not None for c in self._class_sums())
 
-    def is_galois_equivariant(self) -> bool:
-        """Values commute with the Galois action permuting the characters."""
-        for i, vi in enumerate(self.values):
-            for k, j in self.table.galois_orbit(i).items():
-                if vi.galois(k) != self.values[j]:
-                    return False
-        return True
-
     # -- arithmetic ---------------------------------------------------------
+
+    def _pointwise(self, op, other: "CentralElement") -> "CentralElement":
+        if other.table is not self.table:
+            raise ValueError("central elements belong to different character tables")
+        return CentralElement(self.table, list(map(op, self.values, other.values)))
 
     def __add__(self, other):
         if isinstance(other, CentralElement):
-            return CentralElement(
-                self.table, [a + b for a, b in zip(self.values, other.values)]
-            )
+            return self._pointwise(operator.add, other)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, CentralElement):
-            return CentralElement(
-                self.table, [a - b for a, b in zip(self.values, other.values)]
-            )
+            return self._pointwise(operator.sub, other)
         return NotImplemented
 
     def __neg__(self):
@@ -495,9 +478,7 @@ class CentralElement:
 
     def __mul__(self, other):
         if isinstance(other, CentralElement):
-            return CentralElement(
-                self.table, [a * b for a, b in zip(self.values, other.values)]
-            )
+            return self._pointwise(operator.mul, other)
         return CentralElement(self.table, [other * a for a in self.values])
 
     def __rmul__(self, other):

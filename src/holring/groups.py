@@ -239,6 +239,19 @@ class FiniteGroup:
         cls = self.classes()
         return all(set(cls.classes[cls.class_of[x]]) <= ids for x in ids)
 
+    def _require_normal(self, ids: frozenset) -> None:
+        """ValueError unless ids is a normal subgroup: a union of classes
+        that holds 1 and is closed under products.  As ids is closed under
+        conjugation, products r*n with r one representative per class of
+        ids suffice: x*n = g(r(g^-1 n g))g^-1 for x = g r g^-1."""
+        cls = self.classes()
+        if not (0 in ids and self._is_normal_set(ids) and all(
+            self.mul(r, n) in ids
+            for r in {cls.representatives[cls.class_of[x]] for x in ids}
+            for n in ids
+        )):
+            raise ValueError("subgroup must be normal")
+
     def _make_subgroup(self, ids: frozenset) -> Subgroup:
         abelian = all(
             self.mul(a, b) == self.mul(b, a)
@@ -362,7 +375,7 @@ class FiniteGroup:
         if key in self._cache:
             return self._cache[key]
         normal_ids = key[1]
-        assert self._is_normal_set(normal_ids)
+        self._require_normal(normal_ids)
         coset_of = {}
         cosets = []
         for g in range(self.order):
@@ -403,8 +416,10 @@ class FiniteGroup:
 
 
 def abelian_invariants(g: FiniteGroup) -> list:
-    """Invariant factors [d1, d2, ...] with d_{i+1} | d_i, for abelian g."""
-    assert g.is_abelian()
+    """Invariant factors [d1, d2, ...] with d_{i+1} | d_i, for abelian g;
+    ValueError for a non-abelian g."""
+    if not g.is_abelian():
+        raise ValueError("invariant factors of a non-abelian group")
     n = g.order
     if n == 1:
         return []

@@ -6,6 +6,9 @@ increasing columns, rows below a pivot are zero in its column, and
 entries above a pivot are the canonical representatives mod p^a Z_(p).
 Two lattices are equal iff their canonical forms are identical, so no
 p-adic precision is involved anywhere.
+
+A vector of the wrong length, and a comparison of lattices with another
+p or dimension, raise ValueError.
 """
 
 from __future__ import annotations
@@ -30,6 +33,14 @@ def canonical_residue(x: Fraction, p: int, a: int) -> Fraction:
     return Fraction(m) * Fraction(p) ** b
 
 
+def _row(dim: int, v) -> list:
+    """v as a list of Fractions; ValueError unless it has dim entries."""
+    row = [Fraction(x) for x in v]
+    if len(row) != dim:
+        raise ValueError(f"a vector of length {len(row)} in a lattice of dimension {dim}")
+    return row
+
+
 class PLattice:
     __slots__ = ("p", "dim", "rows", "pivots")
 
@@ -43,8 +54,7 @@ class PLattice:
     def from_generators(p: int, dim: int, generators) -> "PLattice":
         pool = []
         for v in generators:
-            row = [Fraction(x) for x in v]
-            assert len(row) == dim
+            row = _row(dim, v)
             if any(row):
                 pool.append(row)
         basis = []
@@ -92,8 +102,7 @@ class PLattice:
                 for i, c in enumerate(self.pivots)]
 
     def contains_vector(self, v) -> bool:
-        w = [Fraction(x) for x in v]
-        assert len(w) == self.dim
+        w = _row(self.dim, v)
         for i, col in enumerate(self.pivots):
             if w[col]:
                 q = w[col] / self.rows[i][col]
@@ -103,8 +112,15 @@ class PLattice:
                     w[t] -= q * self.rows[i][t]
         return not any(w)
 
+    def _same_space(self, other: "PLattice") -> None:
+        if (other.p, other.dim) != (self.p, self.dim):
+            raise ValueError(
+                f"lattices over Z_({self.p}) in dimension {self.dim} and "
+                f"over Z_({other.p}) in dimension {other.dim}"
+            )
+
     def contains(self, other: "PLattice") -> bool:
-        assert self.p == other.p and self.dim == other.dim
+        self._same_space(other)
         return all(self.contains_vector(r) for r in other.rows)
 
     def __eq__(self, other):
@@ -125,12 +141,6 @@ class PLattice:
 
     # -- operations -----------------------------------------------------------
 
-    def sum(self, other: "PLattice") -> "PLattice":
-        assert self.p == other.p and self.dim == other.dim
-        return PLattice.from_generators(
-            self.p, self.dim, list(self.rows) + list(other.rows)
-        )
-
     def scaled(self, s) -> "PLattice":
         s = Fraction(s)
         return PLattice.from_generators(
@@ -138,8 +148,10 @@ class PLattice:
         )
 
     def index_valuation(self, sub: "PLattice"):
-        """v_p of the module index [self : sub], INF if ranks differ."""
-        assert self.contains(sub)
+        """v_p of the module index [self : sub], INF if ranks differ;
+        ValueError unless sub is a sublattice of self."""
+        if not self.contains(sub):
+            raise ValueError("index of a lattice that is not a sublattice")
         if sub.rank != self.rank:
             return INF
         return sum(sub.pivot_valuations()) - sum(self.pivot_valuations())

@@ -212,10 +212,6 @@ def adjoint_and_norm(H: GroupRingMatrix):
     return GroupRingMatrix.combination(layers, [eye] + powers), nr
 
 
-def generalized_adjoint(H: GroupRingMatrix) -> GroupRingMatrix:
-    return adjoint_and_norm(H)[0]
-
-
 # --------------------------------------------------- center as a lattice
 
 

@@ -415,8 +415,14 @@ def test_hybrid_requires_normal_subgroup():
     s3 = G.symmetric(3)
     t = character_table(s3)
     s = next(x for x in range(6) if s3.element_order(x) == 2)
-    with pytest.raises(AssertionError):
-        hybrid_report(t, frozenset([0, s]), 2)
+    # a subgroup that is not normal, and a union of classes that is not a
+    # subgroup
+    transpositions = s3.classes().classes[s3.classes().class_of[s]]
+    for ids in (frozenset([0, s]), frozenset([0, *transpositions])):
+        with pytest.raises(ValueError, match="must be normal"):
+            hybrid_report(t, ids, 2)
+        with pytest.raises(ValueError, match="must be normal"):
+            s3.quotient(ids)
 
 
 @pytest.mark.parametrize("name,make", CATALOG)

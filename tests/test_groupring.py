@@ -18,6 +18,8 @@ from holring.groupring import (
 from holring.groups import alternating, cyclic, dihedral, quaternion, symmetric
 from holring.rednorm import adjoint_and_norm, rational_character_orbits, reduced_norm
 
+from helpers import is_galois_equivariant
+
 S3 = symmetric(3)
 A4 = alternating(4)
 KERNEL_GROUPS = {"S3": S3, "Q8": quaternion(), "A4": A4, "D10": dihedral(5)}
@@ -68,19 +70,26 @@ def test_central_element_round_trip():
     assert CentralElement.from_group_ring(t, elem) == z
 
 
+def linear_extension(elem, ch):
+    """chi extended linearly to elem: sum over classes of the class sum of
+    elem's coefficients times chi's value there."""
+    return sum((v * s for s, v in zip(elem.class_collapse(), ch.values)), CycloNum.rational(0))
+
+
 def test_central_values_match_linear_extension():
     """The stored value on chi times chi(1) is chi applied to the element."""
     t = character_table(S3)
     z = CentralElement.from_class_coords(t, [1, 2, -1])
     elem = z.to_group_ring()
     for v, ch in zip(z.values, t.characters):
-        assert elem.char_value(ch) == v * ch.degree
+        assert linear_extension(elem, ch) == v * ch.degree
 
 
 def test_idempotent_coefficients_and_ring_law():
     # the rational idempotents of A4: one per Galois orbit of characters
     t = character_table(A4)
     n = A4.order
+    cls = A4.classes()
     orbits = [set(members.values()) for _, members in rational_character_orbits(t)]
     assert sorted(map(len, orbits)) == [1, 1, 2]
     idempotents = []
@@ -90,7 +99,8 @@ def test_idempotent_coefficients_and_ring_law():
         # chi(1)/|G| times chi(g^{-1})
         for gid in range(n):
             want = sum(
-                (t.characters[i].value_on(A4.inv(gid)) * Fraction(t.characters[i].degree, n)
+                (t.characters[i].values[cls.class_of[A4.inv(gid)]]
+                 * Fraction(t.characters[i].degree, n)
                  for i in orbit),
                 CycloNum.rational(0),
             )
@@ -122,11 +132,31 @@ def test_rationality_and_equivariance():
     e_single = CentralElement.from_indicator(t, [single])
     e_pair = CentralElement.from_indicator(t, pair)
     assert not e_single.is_rational()
-    assert not e_single.is_galois_equivariant()
+    assert not is_galois_equivariant(e_single)
     assert e_pair.is_rational()
-    assert e_pair.is_galois_equivariant()
+    assert is_galois_equivariant(e_pair)
     with pytest.raises(ValueError, match="not rational"):
         e_single.to_group_ring()
+
+
+def test_galois_equivariance_at_the_minimal_conductor():
+    # one element of Z(Q[C3]), its values written at conductor 3 and at 6
+    t = character_table(cyclic(3))
+    z = CycloNum.root_of_unity(3)
+    assert is_galois_equivariant(CentralElement(t, [1, z, z.conjugate()]))
+    assert is_galois_equivariant(
+        CentralElement(t, [1, z.embedded(6), z.conjugate().embedded(6)])
+    )
+    assert not is_galois_equivariant(CentralElement(t, [1, z, z.embedded(6)]))
+
+
+def test_central_arithmetic_needs_one_table():
+    # both tables have 3 characters, so the values would line up silently
+    a = CentralElement(character_table(S3), [1, 2, 3])
+    b = CentralElement(character_table(cyclic(3)), [1, 2, 3])
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="different character tables"):
+            op(a, b)
 
 
 def test_pointwise_products():
@@ -151,8 +181,8 @@ def test_matrices():
     assert tr == sum(
         ((m * a).rows[i][i] for i in range(2)), GroupRingElem.zero(S3)
     )
-    assert m.has_integral_coeffs()
-    assert not m.scale(Fraction(1, 5)).has_integral_coeffs()
+    assert all(e.den == 1 for row in m.rows for e in row)
+    assert any(e.den > 1 for row in (m * Fraction(1, 5)).rows for e in row)
 
 
 def test_sampling_is_seed_deterministic():
@@ -165,10 +195,11 @@ def test_sampling_is_seed_deterministic():
 
 def test_char_value_on_noncentral():
     t = character_table(S3)
-    x = GroupRingElem.from_dict(S3, {0: 2, 1: 1})
+    x = GroupRingElem(S3, [2, 1, 0, 0, 0, 0])
     std = t.characters[2]
-    got = x.char_value(std)
-    want = 2 * std.value_on(0) + std.value_on(1)
+    got = linear_extension(x, std)
+    class_of = S3.classes().class_of
+    want = 2 * std.values[class_of[0]] + std.values[class_of[1]]
     assert got == want.as_rational()
 
 
@@ -325,6 +356,8 @@ def test_operands_from_different_groups_are_rejected():
         mx * my
     with pytest.raises(ValueError, match="different groups"):
         GroupRingMatrix.combination([x], [my])
+    with pytest.raises(ValueError, match="different groups"):
+        CentralElement.from_group_ring(character_table(S3), y)
 
 
 def test_matrix_products_need_rational_entries():
@@ -374,8 +407,8 @@ def test_integral_values_are_stored_as_ints(values, dens):
 def test_adjoint_identity_for_non_integral_matrix(seed, label):
     g = KERNEL_GROUPS[label]
     h = random_integral_matrix(g, 2, random.Random(seed))
-    half = h.scale(Fraction(1, 2))
-    assert not half.has_integral_coeffs()
+    half = h * Fraction(1, 2)
+    assert any(e.den > 1 for row in half.rows for e in row)
     adj, nr = adjoint_and_norm(half)
     scalar = GroupRingMatrix.scalar(g, 2, nr.to_group_ring())
     assert adj * half == scalar

@@ -326,6 +326,8 @@ def test_abelian_invariants():
     kernel = g.frobenius_kernel_complement()[0]
     h, _ = g.subgroup_as_group(kernel.element_ids)
     assert abelian_invariants(h) == [3, 3]
+    with pytest.raises(ValueError, match="non-abelian"):
+        abelian_invariants(symmetric(3))
 
 
 def test_affine_field_and_decomposition():

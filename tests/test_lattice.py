@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from holring.cyclotomic import INF
@@ -63,7 +64,7 @@ def test_sum_and_scale_and_index():
     p = 5
     a = PLattice.from_generators(p, 2, [[5, 0], [0, 5]])
     b = PLattice.from_generators(p, 2, [[1, 1]])
-    s = a.sum(b)
+    s = PLattice.from_generators(p, 2, a.rows + b.rows)
     assert s.contains(a) and s.contains(b)
     assert s.pivot_valuations() == [0, 1]
     assert a.scaled(Fraction(1, 5)) == PLattice.from_generators(p, 2, [[1, 0], [0, 1]])
@@ -71,6 +72,19 @@ def test_sum_and_scale_and_index():
     assert full.index_valuation(a) == 2
     assert full.index_valuation(s) == 1
     assert full.index_valuation(b) == INF
+
+
+def test_lattices_of_another_space_are_rejected():
+    a = PLattice.from_generators(5, 2, [[1, 0]])
+    for other in (PLattice.from_generators(3, 2, [[1, 0]]), PLattice.from_generators(5, 3, [])):
+        with pytest.raises(ValueError, match="dimension"):
+            a.contains(other)
+        with pytest.raises(ValueError, match="dimension"):
+            a.index_valuation(other)
+    with pytest.raises(ValueError, match="not a sublattice"):
+        a.index_valuation(PLattice.from_generators(5, 2, [[0, 1]]))
+    with pytest.raises(ValueError, match="length 3"):
+        a.contains_vector([1, 0, 0])
 
 
 def test_pivot_normalization():
