@@ -8,7 +8,7 @@ valuation of the different.  Everything is subgroup arithmetic inside
 
 On top of the block data the module decides integrality of the central
 idempotents, computes central conductor exponents, and classifies
-(group, normal subgroup, prime) triples as hybrid / weakly hybrid.
+(group, normal subgroup, prime) triples as hybrid; `dt` adds weakly hybrid.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .chartable import CharTable, derived_table
+from .chartable import CharTable
 from .citations import register
 from .cyclotomic import padic_valuation
 
@@ -26,29 +26,6 @@ HYBRID_CRITERION = register(
     "Z_p[G] is N-hybrid if and only if every irreducible character whose "
     "kernel does not contain N satisfies v_p(chi(1)) = v_p(|G|).",
 )
-HYBRID_IMPLIES_WEAKLY = register(
-    "hybrid-implies-weakly",
-    "An N-hybrid p-adic group ring is in particular weakly N-hybrid.",
-)
-WEAK_HYBRID_COPRIME = register(
-    "weak-hybrid-coprime",
-    "If Z_p[G] is weakly N-hybrid then p does not divide |N|.",
-)
-WEAK_HYBRID_PRODUCT = register(
-    "weak-hybrid-product",
-    "If G = M x H where Z_p[M] is N-hybrid, every irreducible character "
-    "of M not trivial on N spans a matrix-ring block over Z_p, and "
-    "DT(Z_p[H]) is trivial, then Z_p[G] is weakly (N x 1)-hybrid.",
-)
-WEAK_HYBRID_OBSTRUCTION = register(
-    "weak-hybrid-product-obstruction",
-    "In the product situation above the non-N part of Z_p[M x H] is a "
-    "direct sum of matrix rings over Z_p[H], so a nontrivial DT(Z_p[H]) "
-    "forces DT of that part to be nontrivial and Z_p[M x H] is not "
-    "weakly (N x 1)-hybrid.",
-)
-
-
 def _mult_order(a: int, m: int) -> int:
     assert m > 1 and math.gcd(a, m) == 1
     x = a % m
@@ -311,99 +288,4 @@ def hybrid_report(table: CharTable, normal_ids, p: int) -> HybridReport:
         block_split=tuple(split),
         blocks=tuple(blocks),
         quotient_order_desc=desc,
-    )
-
-
-@dataclass(frozen=True)
-class WeaklyHybridReport:
-    verdict: str  # "yes" | "no" | "unknown"
-    citations: tuple
-    detail: str
-
-    def to_jsonable(self):
-        return {
-            "verdict": self.verdict,
-            "citations": list(self.citations),
-            "detail": self.detail,
-        }
-
-
-def _product_decompositions(group, normal_ids):
-    # internal direct products G = M x H with N <= M, both factors normal
-    subs = group.normal_subgroups()
-    out = []
-    for m_sub in subs:
-        if not normal_ids <= m_sub.element_ids:
-            continue
-        for h_sub in subs:
-            if m_sub.order * h_sub.order != group.order:
-                continue
-            if len(m_sub.element_ids & h_sub.element_ids) != 1:
-                continue
-            if h_sub.order == 1:
-                continue  # the trivial split retries G itself
-            out.append((m_sub, h_sub))
-    out.sort(key=lambda pair: (pair[0].order, sorted(pair[0].element_ids)))
-    return out
-
-
-def weakly_hybrid(table: CharTable, normal_ids, p: int) -> WeaklyHybridReport:
-    """Three-valued weak-hybrid test with a citation trail.
-
-    "yes" and "no" are certified by the cited statements; "unknown"
-    means no decomposition matched, not a negative result.
-    """
-    g = table.group
-    normal_ids = frozenset(normal_ids)
-    rep = hybrid_report(table, normal_ids, p)
-    if rep.is_hybrid:
-        return WeaklyHybridReport(
-            "yes",
-            (HYBRID_CRITERION, HYBRID_IMPLIES_WEAKLY),
-            "the ring is N-hybrid outright",
-        )
-    if len(normal_ids) % p == 0:
-        return WeaklyHybridReport(
-            "no",
-            (WEAK_HYBRID_COPRIME,),
-            f"p = {p} divides |N| = {len(normal_ids)}",
-        )
-    from .dt import dt_triviality  # deferred: dt builds on this module
-
-    for m_sub, h_sub in _product_decompositions(g, normal_ids):
-        mg, membed = g.subgroup_as_group(m_sub.element_ids)
-        back = {gid: hid for hid, gid in enumerate(membed)}
-        inner = frozenset(back[x] for x in normal_ids)
-        mtable = derived_table(table, mg, membed, h_sub.element_ids)
-        mrep = hybrid_report(mtable, inner, p)
-        if not mrep.is_hybrid:
-            continue
-        rational = all(
-            mrep.blocks[bi].residue_degree == 1
-            and mrep.blocks[bi].ram_index == 1
-            for bi in mrep.block_split
-        )
-        if not rational:
-            continue
-        hg, hembed = g.subgroup_as_group(h_sub.element_ids)
-        derived_table(table, hg, hembed, m_sub.element_ids)
-        verdict, chain = dt_triviality(hg, p)
-        if verdict == "trivial":
-            return WeaklyHybridReport(
-                "yes",
-                (WEAK_HYBRID_PRODUCT,) + chain,
-                f"G = M x H, |M| = {m_sub.order} is N-hybrid with "
-                f"matrix-ring blocks over Z_{p}, |H| = {h_sub.order} "
-                "has trivial DT",
-            )
-        if verdict == "nontrivial":
-            return WeaklyHybridReport(
-                "no",
-                (WEAK_HYBRID_OBSTRUCTION,) + chain,
-                f"G = M x H, |M| = {m_sub.order} is N-hybrid with "
-                f"matrix-ring blocks over Z_{p}, but DT of the "
-                f"order-{h_sub.order} factor is nontrivial",
-            )
-    return WeaklyHybridReport(
-        "unknown", (), "no applicable product decomposition found"
     )

@@ -357,24 +357,13 @@ def dixon_table(group: FiniteGroup) -> CharTable:
                          "generic")
     exponent = group.exponent()
     q = _find_modulus(exponent, group.order)
-    reps = cls.representatives
-
-    mats = []
-    for i in range(k):
-        a = [[0] * k for _ in range(k)]
-        for kk in range(k):
-            z = reps[kk]
-            for x in cls.classes[i]:
-                j = cls.class_of[group.mul(group.inv(x), z)]
-                a[j][kk] += 1
-        mats.append([[v % q for v in row] for row in a])
+    mats = cls.structure_constants(group)
 
     # split F_q^k into the joint eigenspaces of the class matrices
     spaces = [[[1 if t == s else 0 for t in range(k)] for s in range(k)]]
     for i in range(1, k):
         if all(len(w) == 1 for w in spaces):
             break
-        mat = mats[i]
         next_spaces = []
         for basis in spaces:
             d = len(basis)
@@ -384,7 +373,7 @@ def dixon_table(group: FiniteGroup) -> CharTable:
             rref, trans, piv = _fq_rref(basis, q)
             restricted = []
             for b in basis:
-                img = _fq_matvec(mat, b, q)
+                img = _fq_matvec(mats[i], b, q)
                 coords = [img[p] for p in piv]
                 assert _fq_vecmat(coords, rref, q) == img
                 restricted.append(_fq_vecmat(coords, trans, q))
@@ -414,7 +403,8 @@ def dixon_table(group: FiniteGroup) -> CharTable:
         raise RuntimeError("class matrices failed to separate the characters")
 
     inv_size = [pow(sz, q - 2, q) for sz in cls.sizes]
-    jstar = [cls.class_of[group.inv(r)] for r in reps]
+    power_classes = [cls.power_classes(j, group) for j in range(k)]
+    jstar = [powers[-1] for powers in power_classes]  # class of rep^-1
     omegas = []
     for (vec,) in spaces:
         assert vec[0] % q, "central character vanishes at the identity"
@@ -424,7 +414,6 @@ def dixon_table(group: FiniteGroup) -> CharTable:
     # per class: the classes of rep^t, and the o powers of a primitive
     # o-th root of unity's inverse mod q, for the Fourier inversion below
     root = _primitive_root(q)
-    power_classes = [cls.power_classes(j, group) for j in range(k)]
     fourier = []
     for powers in power_classes:
         o = len(powers)

@@ -29,12 +29,11 @@ from .blocks import (
     central_conductor,
     hybrid_report,
     padic_blocks,
-    weakly_hybrid,
 )
 from .chartable import character_table
 from .citations import statement
 from .cyclotomic import is_prime
-from .dt import dt_query, maximality_consequence
+from .dt import dt_query, maximality_consequence, weakly_hybrid
 from .groupring import (
     CentralElement,
     GroupRingElem,

@@ -6,7 +6,8 @@ small base of known structure facts with functorial rules: quotient
 maps are surjective on DT, restriction to an order-p subgroup is
 surjective, and a weakly hybrid quotient induces an isomorphism.
 Answers carry the labels of every statement used; "unknown" is a
-legitimate verdict and is never silently strengthened.
+legitimate verdict and is never silently strengthened.  The weak-hybrid
+test lives here too, as it asks the engine for DT of a direct factor.
 
 A quotient G/N that a rule recurses into is built once per G and N, and
 its character table is derived from G's by inflation, not recomputed;
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .blocks import padic_blocks, weakly_hybrid
-from .chartable import character_table, derived_table
+from .blocks import HYBRID_CRITERION, hybrid_report, padic_blocks
+from .chartable import CharTable, character_table, derived_table
 from .citations import register
 from .cyclotomic import padic_valuation
 from .groups import FiniteGroup
@@ -70,6 +71,28 @@ DT_MAXIMALITY = register(
     "dt-maximality-consequence",
     "If DT(Z_p[G]) is a p-group then Z_p[G] is maximal or p = 2; if "
     "it is trivial then Z_p[G] is maximal or p = 2 and v_2(|G|) = 1.",
+)
+
+HYBRID_IMPLIES_WEAKLY = register(
+    "hybrid-implies-weakly",
+    "An N-hybrid p-adic group ring is in particular weakly N-hybrid.",
+)
+WEAK_HYBRID_COPRIME = register(
+    "weak-hybrid-coprime",
+    "If Z_p[G] is weakly N-hybrid then p does not divide |N|.",
+)
+WEAK_HYBRID_PRODUCT = register(
+    "weak-hybrid-product",
+    "If G = M x H where Z_p[M] is N-hybrid, every irreducible character "
+    "of M not trivial on N spans a matrix-ring block over Z_p, and "
+    "DT(Z_p[H]) is trivial, then Z_p[G] is weakly (N x 1)-hybrid.",
+)
+WEAK_HYBRID_OBSTRUCTION = register(
+    "weak-hybrid-product-obstruction",
+    "In the product situation above the non-N part of Z_p[M x H] is a "
+    "direct sum of matrix rings over Z_p[H], so a nontrivial DT(Z_p[H]) "
+    "forces DT of that part to be nontrivial and Z_p[M x H] is not "
+    "weakly (N x 1)-hybrid.",
 )
 
 
@@ -239,6 +262,99 @@ def _quotient(table, sub) -> FiniteGroup:
     return quot
 
 
+@dataclass(frozen=True)
+class WeaklyHybridReport:
+    verdict: str  # "yes" | "no" | "unknown"
+    citations: tuple
+    detail: str
+
+    def to_jsonable(self):
+        return {
+            "verdict": self.verdict,
+            "citations": list(self.citations),
+            "detail": self.detail,
+        }
+
+
+def _product_decompositions(group, normal_ids):
+    # internal direct products G = M x H with N <= M, both factors normal
+    subs = group.normal_subgroups()
+    out = []
+    for m_sub in subs:
+        if not normal_ids <= m_sub.element_ids:
+            continue
+        for h_sub in subs:
+            if m_sub.order * h_sub.order != group.order:
+                continue
+            if len(m_sub.element_ids & h_sub.element_ids) != 1:
+                continue
+            if h_sub.order == 1:
+                continue  # the trivial split retries G itself
+            out.append((m_sub, h_sub))
+    out.sort(key=lambda pair: (pair[0].order, sorted(pair[0].element_ids)))
+    return out
+
+
+def weakly_hybrid(table: CharTable, normal_ids, p: int) -> WeaklyHybridReport:
+    """Three-valued weak-hybrid test with a citation trail.
+
+    "yes" and "no" are certified by the cited statements; "unknown"
+    means no decomposition matched, not a negative result.
+    """
+    g = table.group
+    normal_ids = frozenset(normal_ids)
+    rep = hybrid_report(table, normal_ids, p)
+    if rep.is_hybrid:
+        return WeaklyHybridReport(
+            "yes",
+            (HYBRID_CRITERION, HYBRID_IMPLIES_WEAKLY),
+            "the ring is N-hybrid outright",
+        )
+    if len(normal_ids) % p == 0:
+        return WeaklyHybridReport(
+            "no",
+            (WEAK_HYBRID_COPRIME,),
+            f"p = {p} divides |N| = {len(normal_ids)}",
+        )
+    for m_sub, h_sub in _product_decompositions(g, normal_ids):
+        mg, membed = g.subgroup_as_group(m_sub.element_ids)
+        back = {gid: hid for hid, gid in enumerate(membed)}
+        inner = frozenset(back[x] for x in normal_ids)
+        mtable = derived_table(table, mg, membed, h_sub.element_ids)
+        mrep = hybrid_report(mtable, inner, p)
+        if not mrep.is_hybrid:
+            continue
+        rational = all(
+            mrep.blocks[bi].residue_degree == 1
+            and mrep.blocks[bi].ram_index == 1
+            for bi in mrep.block_split
+        )
+        if not rational:
+            continue
+        hg, hembed = g.subgroup_as_group(h_sub.element_ids)
+        derived_table(table, hg, hembed, m_sub.element_ids)
+        h_dt = dt_query(hg, p)
+        if h_dt.triviality() == "trivial":
+            return WeaklyHybridReport(
+                "yes",
+                (WEAK_HYBRID_PRODUCT,) + h_dt.citations,
+                f"G = M x H, |M| = {m_sub.order} is N-hybrid with "
+                f"matrix-ring blocks over Z_{p}, |H| = {h_sub.order} "
+                "has trivial DT",
+            )
+        if h_dt.triviality() == "nontrivial":
+            return WeaklyHybridReport(
+                "no",
+                (WEAK_HYBRID_OBSTRUCTION,) + h_dt.citations,
+                f"G = M x H, |M| = {m_sub.order} is N-hybrid with "
+                f"matrix-ring blocks over Z_{p}, but DT of the "
+                f"order-{h_sub.order} factor is nontrivial",
+            )
+    return WeaklyHybridReport(
+        "unknown", (), "no applicable product decomposition found"
+    )
+
+
 def _via_weak_hybrid_quotient(group, p, depth, name):
     table = character_table(group)
     for sub in _proper_normals(group):
@@ -281,12 +397,6 @@ def _via_quotient_surjectivity(group, p, depth, name):
                 + inner.derivation,
             )
     return None
-
-
-def dt_triviality(group: FiniteGroup, p: int):
-    """Three-valued wrapper around dt_query used by the hybrid tests."""
-    out = dt_query(group, p)
-    return out.triviality(), out.citations
 
 
 def maximality_consequence(

@@ -277,14 +277,19 @@ class GroupRingMatrix:
         This is the 1 x J row of scalars times the J x n^2 grid whose row j
         holds the entries of matrices[j]: the n^2 entries of each matrix
         are packed into one element, one element product per scalar, and
-        each entry is reduced once.
+        each entry is reduced once.  ValueError on no matrices, TypeError
+        on a scalar that is not a group-ring element.
         """
+        if not matrices:
+            raise ValueError("a combination of no matrices")
         group, n = matrices[0].group, matrices[0].n
         if len(scalars) != len(matrices):
             raise ValueError(f"{len(scalars)} scalars for {len(matrices)} matrices")
         for m in matrices:
             matrices[0]._same_shape(m)
         for s in scalars:
+            if not isinstance(s, GroupRingElem):
+                raise TypeError(f"a scalar of type {type(s).__name__}, not a group-ring element")
             _same_group(group, s)
         flat = [[e for row in m.rows for e in row] for m in matrices]
         (entries,) = _packed_product(group, [scalars], flat)
@@ -298,6 +303,8 @@ class GroupRingMatrix:
             )
 
     def __add__(self, other):
+        if not isinstance(other, GroupRingMatrix):
+            return NotImplemented
         self._same_shape(other)
         return GroupRingMatrix(
             self.group,
@@ -305,6 +312,8 @@ class GroupRingMatrix:
         )
 
     def __sub__(self, other):
+        if not isinstance(other, GroupRingMatrix):
+            return NotImplemented
         self._same_shape(other)
         return GroupRingMatrix(
             self.group,

@@ -3,6 +3,7 @@
 Elements are permutation tuples; ids are 0..|G|-1 with the identity always
 id 0 and the remaining elements sorted lexicographically, so serialization
 is deterministic.  Multiplication is composition: (g*h)(x) = g(h(x)).
+The class-sum structure constants live in `ConjClassData`, and only there.
 """
 
 from __future__ import annotations
@@ -61,6 +62,21 @@ class ConjClassData:
     def power_class(self, c: int, k: int, group: "FiniteGroup") -> int:
         powers = self.power_classes(c, group)
         return powers[k % len(powers)]
+
+    def structure_constants(self, group: "FiniteGroup") -> list:
+        """a[i][j][k]: how many x in class i have x^-1 rep_k in class j, so
+        z_i z_j = sum_k a[i][j][k] z_k for the class sums z (Isaacs,
+        Character Theory of Finite Groups, ch. 2-3).  Not kept: each
+        caller reads them once per group."""
+        k = len(self.classes)
+        table, class_of = group.cayley_table(), self.class_of
+        out = [[[0] * k for _ in range(k)] for _ in range(k)]
+        for members, a in zip(self.classes, out):
+            rows = [table[group.inv(x)] for x in members]
+            for kk, z in enumerate(self.representatives):
+                for row in rows:
+                    a[class_of[row[z]]][kk] += 1
+        return out
 
 
 class FiniteGroup:

@@ -7,18 +7,21 @@ of that sit the denominator-ideal certificates: conductor membership,
 the commutator-order criterion, and seeded sampling of x * adj(H) when
 no certificate applies.  Norm-ideal probes collect reduced norms of
 structured and random matrices into an exact lattice over the rationals
-with denominators prime to p, so there is no p-adic rounding anywhere.
+with denominators prime to p, so there is no p-adic rounding anywhere,
+and compare it with the center of the maximal order, whose lattice is
+saturated at p so that it is right under wild ramification too.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .blocks import central_conductor
-from .chartable import Character, CharTable, character_table
+from .chartable import Character, CharTable, _fq_kernel, character_table
 from .citations import register
 from .cyclotomic import (
     INF,
@@ -236,25 +239,49 @@ def center_lattice(table: CharTable, p: int) -> PLattice:
     return PLattice.from_generators(p, k, rows)
 
 
+def _saturated(lat: PLattice) -> PLattice:
+    """The p-integral vectors of the rational span of a lattice of
+    p-integral rows: while a combination of the rows with coefficients
+    not all divisible by p is divisible by p, add it divided by p."""
+    p = lat.p
+    while True:
+        rows = [[x.numerator * pow(x.denominator, -1, p) % p for x in r] for r in lat.rows]
+        relations = _fq_kernel([list(col) for col in zip(*rows)], p)
+        if not relations:
+            return lat
+        new = [sum(c * r[t] for c, r in zip(relations[0], lat.rows)) / p for t in range(lat.dim)]
+        lat = PLattice.from_generators(p, lat.dim, lat.rows + (new,))
+
+
 def maximal_center_lattice(table: CharTable, p: int) -> PLattice:
     """z(M_(p)(G)) in class-sum coordinates.
 
-    Per rational block the integers of the character field are spanned
-    by the traces of all powers of a root of unity of the field's exact
-    conductor down to the field, spread over the Galois orbit.
+    Per rational block the center is the ring of integers of the
+    character field K, spread over the Galois orbit.  The traces of the
+    powers of zeta_m down to K, m the field's conductor, span K but reach
+    its integers at p only when Q(zeta_m)/K is tamely ramified at p (not
+    so for Q(sqrt 2) in D16 at p = 2).  So their lattice is saturated at p
+    in the power-basis coordinates of Q(zeta_m), an integral basis
+    (Washington, Thm. 2.6), and each of its rows is converted to class
+    coordinates once.
     """
     k = len(table.characters)
     gens = []
     for rep, members in rational_character_orbits(table):
         m = table.characters[rep].field_conductor
         stab = {u % m for u, idx in members.items() if idx == rep}
+        traces = []
         for j in range(m):
             t = CycloNum.rational(0)
             for u in stab:
                 t = t + CycloNum.root_of_unity(m, j * u % m)
+            traces.append(t.num)
+        integers = _saturated(PLattice.from_generators(p, euler_phi(m), traces))
+        for row in integers.rows:
+            x = CycloNum(m, row)
             values = [0] * k
             for kk, idx in members.items():
-                values[idx] = t.galois(kk % m)
+                values[idx] = x.galois(kk % m)
             gens.append(CentralElement(table, values).to_class_coords())
     lat = PLattice.from_generators(p, k, gens)
     assert lat.rank == k
@@ -478,7 +505,10 @@ def norm_ideal_probe(
     Structured witnesses always come first, then `budget` seeded random
     integral matrices of sizes 1..3.  The result compares the generated
     lattice against z(Z_(p)[G]) and the center of the maximal order,
-    and against the closed form when the group is in the catalog.
+    and against the closed form when the group is in the catalog.  Each
+    distinct norm is converted to class coordinates once; its generators
+    nr z_c are the rows of its matrix on the class sums, from the
+    class-sum structure constants.
     """
     table = character_table(group)
     k = len(table.characters)
@@ -488,20 +518,17 @@ def norm_ideal_probe(
         random_integral_matrix(group, 1 + i % 3, rng, bound=2)
         for i in range(budget)
     ]
-    class_sums = [
-        CentralElement.from_class_coords(
-            table, [1 if c == j else 0 for j in range(k)]
-        )
-        for c in range(k)
-    ]
+    # keyed by value, as an equal norm adds the same generators
+    norms = {nr.values: nr for nr in map(reduced_norm, matrices)}
+    consts = group.classes().structure_constants(group)
     gens = []
-    all_integral = True
-    for h in matrices:
-        nr = reduced_norm(h)
-        if any(v.den % p == 0 for v in nr.values):
-            all_integral = False
-        for z in class_sums:
-            gens.append((nr * z).to_class_coords())
+    for nr in norms.values():
+        # nr = sum_i (num_i / den) z_i, so nr z_c = sum_i num_i/den a[i][c][.]
+        coords = nr.to_class_coords()
+        den = math.lcm(*(a.denominator for a in coords))
+        num = [(a.numerator * (den // a.denominator), consts[i]) for i, a in enumerate(coords) if a]
+        for c in range(k):
+            gens.append([Fraction(sum(n * a[c][kk] for n, a in num), den) for kk in range(k)])
     lattice = PLattice.from_generators(p, k, gens)
     center = center_lattice(table, p)
     maximal = maximal_center_lattice(table, p)
@@ -521,7 +548,7 @@ def norm_ideal_probe(
         maximal_center=maximal,
         structured=len(witnesses),
         sampled=budget,
-        all_values_integral=all_integral,
+        all_values_integral=all(v.den % p for values in norms for v in values),
         contains_center=lattice.contains(center),
         within_maximal=maximal.contains(lattice),
         equals_center=lattice == center,

@@ -16,11 +16,11 @@ them.  No statement is emitted without a complete hypothesis match.
 from dataclasses import dataclass
 from typing import Optional
 
-from .blocks import HYBRID_CRITERION, hybrid_report, weakly_hybrid
+from .blocks import HYBRID_CRITERION, hybrid_report
 from .chartable import CharTable, character_table
 from .citations import register
 from .cyclotomic import is_prime, prime_divisors
-from .dt import DT_INVERSION, dt_query
+from .dt import DT_INVERSION, dt_query, weakly_hybrid
 from .groups import FiniteGroup
 
 SSC_RATIONAL = register(

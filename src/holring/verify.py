@@ -20,13 +20,10 @@ from typing import Optional
 
 from .blocks import (
     HYBRID_CRITERION,
-    HYBRID_IMPLIES_WEAKLY,
-    WEAK_HYBRID_PRODUCT,
     central_conductor,
     hybrid_report,
     idempotent_certificate,
     padic_blocks,
-    weakly_hybrid,
 )
 from .chartable import CharTable, character_table
 from .cyclotomic import CycloNum, coerce, euler_phi, padic_valuation, prime_divisors
@@ -36,9 +33,12 @@ from .dt import (
     DT_INVERSION,
     DT_KLEIN_FOUR,
     DT_MAXIMALITY,
+    HYBRID_IMPLIES_WEAKLY,
+    WEAK_HYBRID_PRODUCT,
     DTAssertion,
     dt_query,
     maximality_consequence,
+    weakly_hybrid,
 )
 from .groupring import (
     CentralElement,

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from holring.cyclotomic import CycloNum
+from holring.groupring import CentralElement
 
 
 def cyclo_from_text(m: int, text: str) -> CycloNum:
@@ -34,3 +35,16 @@ def is_galois_equivariant(z) -> bool:
         for i in range(len(values))
         for k, j in z.table.galois_orbit(i).items()
     )
+
+
+def class_sum_generators(nr) -> list:
+    """The generators nr z_c of the norm ideal, one per class sum z_c, by the
+    route through character values: each class sum as a central element, one
+    central product with nr, and one conversion back to class coordinates
+    per product.  The reference for the structure-constant route."""
+    k = len(nr.table.characters)
+    class_sums = [
+        CentralElement.from_class_coords(nr.table, [1 if c == j else 0 for j in range(k)])
+        for c in range(k)
+    ]
+    return [(nr * z).to_class_coords() for z in class_sums]

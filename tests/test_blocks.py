@@ -11,11 +11,11 @@ from holring.blocks import (
     hybrid_report,
     idempotent_certificate,
     padic_blocks,
-    weakly_hybrid,
 )
 from holring.chartable import character_table
 from holring.citations import REGISTRY
 from holring.cyclotomic import CycloNum, euler_phi, padic_valuation
+from holring.dt import weakly_hybrid
 from holring.rednorm import rational_character_orbits
 
 CATALOG = [

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from holring import chartable
-from holring.blocks import _product_decompositions
 from holring.chartable import (
     Character,
     _finish,
@@ -19,6 +18,7 @@ from holring.chartable import (
     product_table,
 )
 from holring.cyclotomic import CycloNum, prime_divisors
+from holring.dt import _product_decompositions
 from holring.groups import (
     affine,
     alternating,

@@ -254,6 +254,15 @@ def test_norm_ideal_s4_at_two(capsys):
     assert probe["closed_form_consistent"] is True
 
 
+def test_norm_ideal_d16_at_two_with_wild_ramification(capsys):
+    # Q(sqrt 2) is wildly ramified at 2; the maximal center still
+    # contains the group ring's center, so the index is finite
+    code, out, err = run(capsys, "norm-ideal", "--family", "dihedral", "--n", "8", "--p", "2")
+    assert (code, err) == (0, "")
+    assert "contains the center: true" in out
+    assert "within the maximal-order center: true" in out
+
+
 @pytest.mark.parametrize("command", ["norm-ideal", "denom-cert"])
 def test_negative_budget_is_usage_error(capsys, command):
     code, out, err = run(

@@ -5,8 +5,8 @@ from holring.blocks import hybrid_report, padic_blocks
 from holring.dt import (
     DTAssertion,
     dt_query,
-    dt_triviality,
     maximality_consequence,
+    weakly_hybrid,
     _match_fact,
 )
 
@@ -113,8 +113,6 @@ def test_product_with_matrix_factor_stops_at_the_c6_quotient():
     # degree-2 characters survive outside its kernel), but the quotient
     # is C6 whose DT the fact base cannot settle, so the engine reports
     # unknown instead of overclaiming triviality
-    from holring.blocks import weakly_hybrid
-
     g = G.direct_product(G.cyclic(3), G.symmetric(3))
     table = character_table(g)
     by_rep = {}
@@ -166,16 +164,6 @@ def test_depth_zero_still_sound_but_weaker():
     assert (deep.kind, deep.size) == ("order", 2)
     assert shallow.kind == "nontrivial"
     assert deep.triviality() == shallow.triviality() == "nontrivial"
-
-
-def test_triviality_wrapper_matches_query():
-    for name, make in CATALOG:
-        g = make()
-        for p in _primes_for(g):
-            verdict, citations = dt_triviality(g, p)
-            out = dt_query(g, p)
-            assert verdict == out.triviality()
-            assert citations == out.citations
 
 
 def test_jsonable_shape():

@@ -386,6 +386,26 @@ def test_matrix_sizes_must_agree():
         GroupRingMatrix.combination([one], [a, a])
 
 
+def test_matrix_sum_with_a_non_matrix_is_a_type_error():
+    m = GroupRingMatrix.identity(S3, 2)
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(m, 1)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(1, m)
+
+
+def test_combination_scalars_must_be_group_ring_elements():
+    m = GroupRingMatrix.identity(S3, 2)
+    with pytest.raises(TypeError, match="scalar of type int"):
+        GroupRingMatrix.combination([1], [m])
+
+
+def test_combination_of_no_matrices_is_a_value_error():
+    with pytest.raises(ValueError, match="no matrices"):
+        GroupRingMatrix.combination([], [])
+
+
 @settings(derandomize=True, max_examples=50)
 @given(
     values=st.lists(st.integers(-6, 6), min_size=6, max_size=6),

@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from holring import groups
+from holring.chartable import character_table
+from holring.cyclotomic import CycloNum
 from holring.groups import (
     abelian_invariants,
     affine,
@@ -163,6 +167,39 @@ def test_power_maps_over_the_catalog():
             for k in range(-e, e + 1):
                 assert cls.power_class(ci, k, g) == cls.class_of[g.power(rep, k)], (
                     g.family, ci, k)
+
+
+def test_structure_constants_count_products_over_the_catalog():
+    for g in catalog():
+        cls = g.classes()
+        a = cls.structure_constants(g)
+        k = len(cls.classes)
+        for kk, z in enumerate(cls.representatives):
+            for i in range(k):
+                for j in range(k):
+                    pairs = sum(
+                        g.mul(x, y) == z for x in cls.classes[i] for y in cls.classes[j]
+                    )
+                    assert a[i][j][kk] == pairs, (g.family, i, j, kk)
+
+
+def test_structure_constants_match_the_character_formula():
+    # a_ijk = |C_i||C_j|/|G| sum_chi chi(g_i) chi(g_j) conj(chi(g_k)) / chi(1)
+    # (Isaacs, Character Theory of Finite Groups, ch. 3), exactly in CycloNum
+    for g in catalog():
+        cls, table = g.classes(), character_table(g)
+        a = cls.structure_constants(g)
+        k = len(cls.classes)
+        conj = [[v.conjugate() for v in ch.values] for ch in table.characters]
+        for i in range(k):
+            for j in range(k):
+                weights = [
+                    ch.values[i] * ch.values[j] * Fraction(cls.sizes[i] * cls.sizes[j], g.order * ch.degree)
+                    for ch in table.characters
+                ]
+                for kk in range(k):
+                    total = sum((w * c[kk] for w, c in zip(weights, conj)), CycloNum.rational(0))
+                    assert total == a[i][j][kk], (g.family, i, j, kk)
 
 
 def test_exponent_is_computed_once(monkeypatch):

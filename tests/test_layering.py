@@ -68,3 +68,58 @@ def test_one_scalar_type_per_role(module):
     # Q[G] is rational and central values are CycloNum, so no module but
     # cyclotomic needs to ask which one it holds
     assert _scalar_type_leaks(module) == [], f"holring.{module}"
+
+
+def _holring_targets(node) -> list:
+    """The holring modules an Import or ImportFrom node names."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif node.level:
+        names = [f"holring.{node.module}"] if node.module else [f"holring.{a.name}" for a in node.names]
+    else:
+        names = [node.module]
+    return [n.split(".")[1] for n in names if n.startswith("holring.")]
+
+
+def _tree(module: str):
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_holring_imports_sit_at_module_level(module):
+    # an import deferred into a function hides a cycle from the import graph
+    inner = [
+        node.lineno
+        for fn in ast.walk(_tree(module))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and _holring_targets(node)
+    ]
+    assert inner == [], f"holring.{module} imports holring inside a function at lines {inner}"
+
+
+def test_module_import_graph_is_acyclic():
+    graph = {
+        m: {
+            t
+            for node in ast.walk(_tree(m))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for t in _holring_targets(node)
+        }
+        for m in MODULES
+    }
+    done, path = set(), []
+
+    def visit(m):
+        if m in path:
+            raise AssertionError("import cycle: " + " -> ".join(path[path.index(m):] + [m]))
+        if m in done:
+            return
+        path.append(m)
+        for t in sorted(graph.get(m, ())):
+            visit(t)
+        path.pop()
+        done.add(m)
+
+    for m in MODULES:
+        visit(m)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holring.chartable import character_table
-from holring.cyclotomic import CycloNum, padic_valuation, semilocal_valuation
+from holring.cyclotomic import CycloNum, padic_valuation, prime_divisors, semilocal_valuation
 from holring.groupring import (
     CentralElement,
     GroupRingElem,
@@ -23,7 +24,10 @@ from holring.groups import (
     quaternion,
     symmetric,
 )
+from holring.lattice import PLattice
 from holring.rednorm import (
+    SEED,
+    _structured_matrices,
     adjoint_and_norm,
     center_lattice,
     denominator_membership,
@@ -36,7 +40,7 @@ from holring.rednorm import (
 )
 from holring.verify import catalog
 
-from helpers import is_galois_equivariant
+from helpers import class_sum_generators, is_galois_equivariant
 
 S3 = symmetric(3)
 S4 = symmetric(4)
@@ -392,6 +396,52 @@ def test_maximal_center_contains_central_idempotents():
         assert maximal.contains_vector(e.to_class_coords())
 
 
+def test_maximal_center_of_d16_at_two_is_saturated():
+    # Q(zeta_8)/Q(sqrt 2) is wildly ramified at 2, where the traces of
+    # zeta_8^j span only (2, sqrt 2); the index of z(Z_(2)[D16]) is
+    # (v_2 of the trace-form discriminant on class sums, 29, minus
+    # v_2(disc Q(sqrt 2)) = 3) / 2
+    t = character_table(dihedral(8))
+    maximal = maximal_center_lattice(t, 2)
+    assert maximal.contains(center_lattice(t, 2))
+    assert maximal.index_valuation(center_lattice(t, 2)) == 13
+
+
+def _central_values_mod_p(table, row, p, m):
+    """The central values of the class-coordinate row, at conductor m,
+    as one vector of power-basis coordinates mod p (None unless
+    p-integral)."""
+    out = []
+    for v in CentralElement.from_class_coords(table, row).values:
+        if v.den % p == 0:
+            return None
+        v = v.embedded(m)
+        out += [x * pow(v.den, -1, p) % p for x in v.num]
+    return out
+
+
+def test_maximal_center_is_the_p_integral_center_over_the_catalog():
+    # each basis row has p-integral central values, and no x in
+    # (1/p) L outside L does: over the power basis, an integral basis,
+    # (sum c_i b_i) / p is p-integral iff sum c_i b_i vanishes mod p
+    brute_forced = 0
+    for g in catalog():
+        t = character_table(g)
+        k, m = len(t.characters), g.exponent()
+        for p in prime_divisors(g.order):
+            lat = maximal_center_lattice(t, p)
+            vecs = [_central_values_mod_p(t, row, p, m) for row in lat.rows]
+            assert None not in vecs, (group_name(g), p)
+            if p**k > 4096:
+                continue
+            brute_forced += 1
+            for c in itertools.product(range(p), repeat=k):
+                if any(c):
+                    total = [sum(ci * v[j] for ci, v in zip(c, vecs)) % p for j in range(len(vecs[0]))]
+                    assert any(total), (group_name(g), p, c)
+    assert brute_forced == 45  # of the 61 catalog (group, p) pairs
+
+
 # ------------------------------------------- membership certificates
 
 
@@ -526,6 +576,39 @@ def test_probe_invariants_hold_without_a_closed_form():
     assert probe.contains_center
     assert probe.within_maximal
     assert probe.index_in_maximal >= 0
+
+
+def test_probe_lattice_matches_the_class_sum_route():
+    # same matrices as the probe: structured witnesses, then the seeded draws
+    budget = 2
+    for g in catalog():
+        if g.order > 24:
+            continue
+        rng = random.Random(SEED)
+        matrices = _structured_matrices(g) + [
+            random_integral_matrix(g, 1 + i % 3, rng, bound=2) for i in range(budget)
+        ]
+        # equal norms give equal generators, so each distinct norm once
+        norms = {nr.values: nr for nr in map(reduced_norm, matrices)}
+        gens = [v for nr in norms.values() for v in class_sum_generators(nr)]
+        k = len(g.classes().classes)
+        for p in prime_divisors(g.order):
+            probe = norm_ideal_probe(g, p, budget=budget)
+            assert probe.lattice == PLattice.from_generators(p, k, gens), (group_name(g), p)
+
+
+def test_probe_converts_each_norm_to_class_coordinates_once(monkeypatch):
+    calls = []
+    convert = CentralElement.to_class_coords
+
+    def counting(self):
+        calls.append(self)
+        return convert(self)
+
+    monkeypatch.setattr(CentralElement, "to_class_coords", counting)
+    probe = norm_ideal_probe(S4, 2, budget=4)
+    maximal_gens = len(S4.classes().classes)
+    assert len(calls) <= probe.structured + probe.sampled + maximal_gens
 
 
 def test_probe_serializes():
