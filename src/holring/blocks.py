@@ -9,6 +9,8 @@ valuation of the different.  Everything is subgroup arithmetic inside
 On top of the block data the module decides integrality of the central
 idempotents, computes central conductor exponents, and classifies
 (group, normal subgroup, prime) triples as hybrid; `dt` adds weakly hybrid.
+Blocks, certificates and conductors read only character data and take a
+table; the hybrid test checks normality, so it takes the group.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .chartable import CharTable
+from .chartable import CharTable, character_table
 from .citations import register
-from .cyclotomic import padic_valuation
+from .cyclotomic import is_prime, padic_valuation
+from .groups import FiniteGroup
 
 HYBRID_CRITERION = register(
     "hybrid-criterion",
@@ -131,17 +134,18 @@ def padic_blocks(table: CharTable, p: int):
     Blocks are listed by their smallest character index, so the order
     is determined by the canonical character order of the table.  They
     are computed once per (table, p) and kept on the table; each call
-    returns a new list.
+    returns a new list.  ValueError if p is not a prime.
     """
     if p not in table._blocks:
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not a prime")
         table._blocks[p] = tuple(_padic_blocks(table, p))
     return list(table._blocks[p])
 
 
 def _padic_blocks(table: CharTable, p: int):
     chars = table.characters
-    order = table.group.order
-    v_group = padic_valuation(order, p)
+    v_group = padic_valuation(table.order, p)
     assigned = [False] * len(chars)
     blocks = []
     for start, ch in enumerate(chars):
@@ -189,8 +193,7 @@ def idempotent_certificate(table: CharTable, block: PadicBlock) -> dict:
     against vanishing of the block characters on all p-singular
     classes; the two must agree.
     """
-    g = table.group
-    singular = sorted(g.p_singular_classes(block.p))
+    singular = sorted(table.classes.p_singular_classes(block.p))
     vanishes = all(
         not table.characters[i].values[c]
         for i in block.char_indices
@@ -200,7 +203,7 @@ def idempotent_certificate(table: CharTable, block: PadicBlock) -> dict:
     return {
         "integral": block.idempotent_integral,
         "degree_valuation": padic_valuation(block.degree, block.p),
-        "group_valuation": padic_valuation(g.order, block.p),
+        "group_valuation": padic_valuation(table.order, block.p),
         "p_singular_classes": singular,
         "vanishes_on_p_singular": vanishes,
     }
@@ -215,7 +218,7 @@ def central_conductor(table: CharTable, p: int):
     the blocks with integral idempotent.
     """
     blocks = padic_blocks(table, p)
-    v_group = padic_valuation(table.group.order, p)
+    v_group = padic_valuation(table.order, p)
     out = []
     for b in blocks:
         expn = b.ram_index * (v_group - padic_valuation(b.degree, p)) - b.different_val
@@ -247,7 +250,7 @@ class HybridReport:
         }
 
 
-def hybrid_report(table: CharTable, normal_ids, p: int) -> HybridReport:
+def hybrid_report(group: FiniteGroup, normal_ids, p: int) -> HybridReport:
     """Decide whether the p-adic group ring is hybrid for the subgroup.
 
     The ring is N-hybrid when every character not trivial on N lies in
@@ -255,9 +258,9 @@ def hybrid_report(table: CharTable, normal_ids, p: int) -> HybridReport:
     the quotient group ring plus those matrix-ring blocks.  On failure
     `witness` is the first character violating the criterion.
     """
-    g = table.group
     normal_ids = frozenset(normal_ids)
-    g._require_normal(normal_ids)
+    group._require_normal(normal_ids)
+    table = character_table(group)
     blocks = padic_blocks(table, p)
     split = []
     hybrid = True

@@ -13,6 +13,13 @@ derived from the table of G rather than computed afresh: Irr(G/N) is the
 set of characters of G with N in their kernel (inflation), and Irr(M) is
 Irr(G) trivial on H, restricted to M (Isaacs, Character Theory of Finite
 Groups, Lemma 2.22).  See `derived_table`.
+
+A group keeps its tables, one per method, and a table holds no group:
+it and its characters keep the group's `ConjClassData` (classes, sizes,
+power maps), so a dropped group is freed by reference counting alone.
+A function that reads only character data takes a table; one that needs
+products, normality or Q[G] elements takes the group and asks
+`character_table` for the table.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .cyclotomic import CycloNum, coerce, is_prime, prime_divisors
-from .groups import FiniteGroup
+from .groups import ConjClassData, FiniteGroup
 
 
 class Character:
@@ -33,14 +40,15 @@ class Character:
     numerators, denominator) triple is canonical; `key`, `kernel` and
     `CharTable.galois_orbit` rely on it.  ValueError unless there is one
     value per class and the value at the identity is a positive integer.
+    It keeps the group's class data, not the group.
     """
 
-    __slots__ = ("group", "values", "degree", "_kernel")
+    __slots__ = ("classes", "values", "degree", "_kernel")
 
     def __init__(self, group: FiniteGroup, values):
-        self.group = group
+        self.classes = group.classes()
         self.values = tuple(coerce(v).minimal() for v in values)
-        k = len(group.classes().classes)
+        k = len(self.classes.classes)
         if len(self.values) != k:
             raise ValueError(f"{len(self.values)} character values for {k} classes")
         d = self.values[0].as_rational()
@@ -55,9 +63,8 @@ class Character:
     @property
     def kernel(self) -> frozenset:
         if self._kernel is None:
-            cls = self.group.classes()
             ker = set()
-            for v, members in zip(self.values, cls.classes):
+            for v, members in zip(self.values, self.classes.classes):
                 if v.m == 1 and v.den == 1 and v.num[0] == self.degree:
                     ker.update(members)
             self._kernel = frozenset(ker)
@@ -69,11 +76,11 @@ class Character:
         return math.lcm(*(v.conductor for v in self.values))
 
     def inner(self, other: "Character") -> CycloNum:
-        cls = self.group.classes()
+        cls = self.classes
         total = CycloNum.rational(0)
         for ci, size in enumerate(cls.sizes):
             total = total + self.values[ci] * other.values[ci].conjugate() * size
-        return (total * Fraction(1, self.group.order)).minimal()
+        return (total * Fraction(1, len(cls.class_of))).minimal()
 
     def __eq__(self, other):
         return isinstance(other, Character) and self.values == other.values
@@ -93,11 +100,18 @@ class Character:
 
 @dataclass(frozen=True)
 class CharTable:
-    group: FiniteGroup
+    """The irreducible characters of a group, over its class data."""
+
+    classes: ConjClassData
     characters: tuple
     method: str
     _orbits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _blocks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @property
+    def order(self) -> int:
+        """|G|."""
+        return len(self.classes.class_of)
 
     @cached_property
     def _index(self) -> dict:
@@ -109,26 +123,27 @@ class CharTable:
         class power map with no field arithmetic.  Computed once per
         character and kept on the table; each call returns a new dict."""
         if i not in self._orbits:
-            g = self.group
-            cls, exponent = g.classes(), g.exponent()
+            cls = self.classes
+            exponent = math.lcm(*map(len, cls.powers))
             key = self.characters[i].key
             self._orbits[i] = {
-                k: self._index[tuple(key[cls.power_class(c, k, g)] for c in range(len(key)))]
+                k: self._index[tuple(key[cls.power_class(c, k)] for c in range(len(key)))]
                 for k in range(1, exponent + 1)
                 if math.gcd(k, exponent) == 1
             }
         return dict(self._orbits[i])
 
-    def to_jsonable(self) -> dict:
-        g = self.group
-        cls = g.classes()
+    def to_jsonable(self, group: FiniteGroup) -> dict:
+        """The table of `group`, whose element permutations name the class
+        representatives."""
+        cls = self.classes
         return {
-            "group": {"order": g.order, "family": g.family},
+            "group": {"order": group.order, "family": group.family},
             "classes": [
                 {
-                    "representative": list(g.elements[rep]),
+                    "representative": list(group.elements[rep]),
                     "size": cls.sizes[ci],
-                    "element_order": g.element_order(rep),
+                    "element_order": len(cls.powers[ci]),
                 }
                 for ci, rep in enumerate(cls.representatives)
             ],
@@ -159,7 +174,7 @@ def _finish(group: FiniteGroup, chars: list, method: str) -> CharTable:
     assert len(set(chars)) == k, "characters must be pairwise distinct"
     exponent = group.exponent()
     chars = sorted(chars, key=lambda ch: _char_sort_key(ch, exponent))
-    return CharTable(group, tuple(chars), method)
+    return CharTable(group.classes(), tuple(chars), method)
 
 
 # -- linear algebra and polynomial arithmetic over F_q -------------------
@@ -353,8 +368,7 @@ def dixon_table(group: FiniteGroup) -> CharTable:
     cls = group.classes()
     k = len(cls.classes)
     if k == 1:
-        return CharTable(group, (Character(group, [CycloNum.rational(1)]),),
-                         "generic")
+        return CharTable(cls, (Character(group, [CycloNum.rational(1)]),), "generic")
     exponent = group.exponent()
     q = _find_modulus(exponent, group.order)
     mats = cls.structure_constants(group)
@@ -403,8 +417,7 @@ def dixon_table(group: FiniteGroup) -> CharTable:
         raise RuntimeError("class matrices failed to separate the characters")
 
     inv_size = [pow(sz, q - 2, q) for sz in cls.sizes]
-    power_classes = [cls.power_classes(j, group) for j in range(k)]
-    jstar = [powers[-1] for powers in power_classes]  # class of rep^-1
+    jstar = [powers[-1] for powers in cls.powers]  # class of rep^-1
     omegas = []
     for (vec,) in spaces:
         assert vec[0] % q, "central character vanishes at the identity"
@@ -415,7 +428,7 @@ def dixon_table(group: FiniteGroup) -> CharTable:
     # o-th root of unity's inverse mod q, for the Fourier inversion below
     root = _primitive_root(q)
     fourier = []
-    for powers in power_classes:
+    for powers in cls.powers:
         o = len(powers)
         zinv = pow(pow(root, (q - 1) // o, q), q - 2, q)
         fourier.append((o, [pow(zinv, t, q) for t in range(o)], pow(o, q - 2, q)))
@@ -431,7 +444,7 @@ def dixon_table(group: FiniteGroup) -> CharTable:
         values = []
         for j in range(k):
             o, zpow, o_inv = fourier[j]
-            series = [class_vals[c] for c in power_classes[j]]
+            series = [class_vals[c] for c in cls.powers[j]]
             coeffs = []
             for l in range(o):
                 m_l = o_inv * sum(
@@ -464,13 +477,9 @@ def cyclic_table(group: FiniteGroup) -> CharTable:
     n = group.order
     cls = group.classes()
     logs = _rotation_logs(group, group.meta["rotation"]) if n > 1 else {0: 0}
-    chars = []
-    for j in range(n):
-        values = [
-            CycloNum.root_of_unity(n, j * logs[rep])
-            for rep in cls.representatives
-        ]
-        chars.append(Character(group, values))
+    logs = [logs[rep] for rep in cls.representatives]
+    roots = [CycloNum.root_of_unity(n, k) for k in range(n)]
+    chars = [Character(group, [roots[j * t % n] for t in logs]) for j in range(n)]
     return _finish(group, chars, "closed")
 
 
@@ -641,7 +650,7 @@ def derived_table(parent: CharTable, group: FiniteGroup, lift, kernel) -> CharTa
     key = ("chartable", "auto")
     if key not in group._cache:
         kernel = frozenset(kernel)
-        parent_class = parent.group.classes().class_of
+        parent_class = parent.classes.class_of
         at = [parent_class[lift[rep]] for rep in group.classes().representatives]
         chars = [Character(group, [ch.values[c] for c in at])
                  for ch in parent.characters if kernel <= ch.kernel]

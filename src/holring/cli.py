@@ -194,7 +194,7 @@ def _bool(x) -> str:
 def _cmd_chartab(args):
     g = _build_group(args)
     t = character_table(g)
-    payload = {"command": "chartab", "name": group_name(g), "table": t.to_jsonable()}
+    payload = {"command": "chartab", "name": group_name(g), "table": t.to_jsonable(g)}
     cls = g.classes()
     lines = [
         f"group: {group_name(g)}",
@@ -235,9 +235,8 @@ def _cmd_hybrid(args):
     g = _build_group(args)
     p = _prime_arg(args)
     nids = _normal_ids(g, args.normal)
-    t = character_table(g)
-    rep = hybrid_report(t, nids, p)
-    wh = weakly_hybrid(t, nids, p)
+    rep = hybrid_report(g, nids, p)
+    wh = weakly_hybrid(g, nids, p)
     payload = {
         "command": "hybrid",
         "name": group_name(g),
@@ -257,7 +256,7 @@ def _cmd_hybrid(args):
     if rep.is_hybrid:
         lines.append(f"decomposition: {rep.quotient_order_desc}")
     elif rep.witness is not None:
-        ch = t.characters[rep.witness]
+        ch = character_table(g).characters[rep.witness]
         lines.append(f"witness character: index {rep.witness}, degree {ch.degree}")
     lines.append(f"weakly hybrid: {wh.verdict}")
     lines += _citation_lines((HYBRID_CRITERION,) + tuple(wh.citations))
@@ -267,8 +266,7 @@ def _cmd_hybrid(args):
 def _cmd_conductor(args):
     g = _build_group(args)
     p = _prime_arg(args)
-    t = character_table(g)
-    pairs = central_conductor(t, p)
+    pairs = central_conductor(character_table(g), p)
     nonzero = [(b, e) for b, e in pairs if e]
     payload = {
         "command": "conductor",
@@ -359,16 +357,15 @@ def _cmd_denom_cert(args):
     g = _build_group(args)
     p = _prime_arg(args)
     budget = _budget_arg(args, 36)
-    t = character_table(g)
     if args.normal:
         nids = _normal_ids(g, args.normal)
         elem = GroupRingElem.zero(g)
         for x in sorted(nids):
             elem = elem + GroupRingElem.basis(g, x)
-        x = CentralElement.from_group_ring(t, elem)
+        x = CentralElement.from_group_ring(elem)
         described = f"sum of the {len(nids)} elements of the selected normal subgroup"
     else:
-        x = CentralElement.one(t)
+        x = CentralElement.one(g)
         described = "the identity"
     verdict = denominator_membership(x, p, budget=budget, seed=args.seed)
     payload = {

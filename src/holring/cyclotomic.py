@@ -428,7 +428,10 @@ def coerce(x) -> CycloNum:
 
 
 def padic_valuation(x, p: int):
-    """Exponent of p in the rational x; math.inf for x == 0."""
+    """Exponent of p in the rational x; math.inf for x == 0.  ValueError
+    for p < 2, where no exponent exists."""
+    if p < 2:
+        raise ValueError(f"no valuation at p = {p}")
     x = _rational(x)
     if not x:
         return INF

@@ -9,10 +9,12 @@ Answers carry the labels of every statement used; "unknown" is a
 legitimate verdict and is never silently strengthened.  The weak-hybrid
 test lives here too, as it asks the engine for DT of a direct factor.
 
-A quotient G/N that a rule recurses into is built once per G and N, and
-its character table is derived from G's by inflation, not recomputed;
-the direct factors that the weak-hybrid test hands to the engine get
-theirs by restriction the same way (`chartable.derived_table`).
+Every query and test takes the group, as the rules need its normal
+subgroups, quotients and direct factors.  A quotient G/N that a rule
+recurses into is built once per G and N and kept by G, and its character
+table is derived from G's by inflation, not recomputed, and kept by the
+quotient; the direct factors that the weak-hybrid test hands to the
+engine get theirs by restriction the same way (`chartable.derived_table`).
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from importlib import resources
 from typing import Optional
 
 from .blocks import HYBRID_CRITERION, hybrid_report, padic_blocks
-from .chartable import CharTable, character_table, derived_table
+from .chartable import character_table, derived_table
 from .citations import register
-from .cyclotomic import padic_valuation
+from .cyclotomic import is_prime, padic_valuation
 from .groups import FiniteGroup
 
 DT_MAXIMAL = register(
@@ -212,8 +214,11 @@ def dt_query(group: FiniteGroup, p: int, depth: int = 16) -> DTAssertion:
 
     Resolution order: maximality, explicit facts, transfer along a
     weakly hybrid quotient, the non-maximality lower bound, quotient
-    surjectivity.  depth caps the recursion through quotients.
+    surjectivity.  depth caps the recursion through quotients.  ValueError
+    if p is not a prime.
     """
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
     name = _describe(group)
     if group.order % p != 0:
         return DTAssertion(
@@ -255,10 +260,11 @@ def _proper_normals(group: FiniteGroup):
             yield sub
 
 
-def _quotient(table, sub) -> FiniteGroup:
+def _quotient(group: FiniteGroup, sub) -> FiniteGroup:
     """G/N, with its table derived from G's table."""
-    quot, to_q = table.group.quotient(sub.element_ids)
-    derived_table(table, quot, dict(zip(to_q, range(len(to_q)))), sub.element_ids)
+    quot, to_q = group.quotient(sub.element_ids)
+    lift = dict(zip(to_q, range(len(to_q))))
+    derived_table(character_table(group), quot, lift, sub.element_ids)
     return quot
 
 
@@ -295,15 +301,14 @@ def _product_decompositions(group, normal_ids):
     return out
 
 
-def weakly_hybrid(table: CharTable, normal_ids, p: int) -> WeaklyHybridReport:
+def weakly_hybrid(group: FiniteGroup, normal_ids, p: int) -> WeaklyHybridReport:
     """Three-valued weak-hybrid test with a citation trail.
 
     "yes" and "no" are certified by the cited statements; "unknown"
     means no decomposition matched, not a negative result.
     """
-    g = table.group
     normal_ids = frozenset(normal_ids)
-    rep = hybrid_report(table, normal_ids, p)
+    rep = hybrid_report(group, normal_ids, p)
     if rep.is_hybrid:
         return WeaklyHybridReport(
             "yes",
@@ -316,12 +321,13 @@ def weakly_hybrid(table: CharTable, normal_ids, p: int) -> WeaklyHybridReport:
             (WEAK_HYBRID_COPRIME,),
             f"p = {p} divides |N| = {len(normal_ids)}",
         )
-    for m_sub, h_sub in _product_decompositions(g, normal_ids):
-        mg, membed = g.subgroup_as_group(m_sub.element_ids)
+    table = character_table(group)
+    for m_sub, h_sub in _product_decompositions(group, normal_ids):
+        mg, membed = group.subgroup_as_group(m_sub.element_ids)
         back = {gid: hid for hid, gid in enumerate(membed)}
         inner = frozenset(back[x] for x in normal_ids)
-        mtable = derived_table(table, mg, membed, h_sub.element_ids)
-        mrep = hybrid_report(mtable, inner, p)
+        derived_table(table, mg, membed, h_sub.element_ids)
+        mrep = hybrid_report(mg, inner, p)
         if not mrep.is_hybrid:
             continue
         rational = all(
@@ -331,7 +337,7 @@ def weakly_hybrid(table: CharTable, normal_ids, p: int) -> WeaklyHybridReport:
         )
         if not rational:
             continue
-        hg, hembed = g.subgroup_as_group(h_sub.element_ids)
+        hg, hembed = group.subgroup_as_group(h_sub.element_ids)
         derived_table(table, hg, hembed, m_sub.element_ids)
         h_dt = dt_query(hg, p)
         if h_dt.triviality() == "trivial":
@@ -356,14 +362,13 @@ def weakly_hybrid(table: CharTable, normal_ids, p: int) -> WeaklyHybridReport:
 
 
 def _via_weak_hybrid_quotient(group, p, depth, name):
-    table = character_table(group)
     for sub in _proper_normals(group):
         if sub.order % p == 0:
             continue
-        wh = weakly_hybrid(table, sub.element_ids, p)
+        wh = weakly_hybrid(group, sub.element_ids, p)
         if wh.verdict != "yes":
             continue
-        inner = dt_query(_quotient(table, sub), p, depth - 1)
+        inner = dt_query(_quotient(group, sub), p, depth - 1)
         if inner.kind == "unknown":
             continue
         return DTAssertion(
@@ -380,11 +385,10 @@ def _via_weak_hybrid_quotient(group, p, depth, name):
 
 
 def _via_quotient_surjectivity(group, p, depth, name):
-    table = character_table(group)
     for sub in _proper_normals(group):
         if (group.order // sub.order) % p != 0:
             continue
-        inner = dt_query(_quotient(table, sub), p, depth - 1)
+        inner = dt_query(_quotient(group, sub), p, depth - 1)
         if inner.triviality() == "nontrivial":
             return DTAssertion(
                 "nontrivial",

@@ -31,13 +31,13 @@ matrix, and an operation between matrices checks only its operands'
 group and size.  Operands of one element operation must belong to the
 same group object, or ValueError is raised.
 
-A central element of C[G] is held by its scalar action on each
-irreducible character, a CycloNum like the character values, which
-turns products of central elements into pointwise multiplications
-between elements over the same table object (ValueError otherwise).  Its
-class coordinates are the one way back into Q[G]: ``to_class_coords``
-and ``to_group_ring`` raise ValueError for an element that is not
-rational.
+A central element of C[G] is built from its group and held by its
+scalar action on each irreducible character of the group's table, a
+CycloNum like the character values, which turns products of central
+elements into pointwise multiplications between elements of the same
+group object (ValueError otherwise).  Its class coordinates are the one
+way back into Q[G]: ``to_class_coords`` and ``to_group_ring`` raise
+ValueError for an element that is not rational.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .chartable import CharTable
+from .chartable import character_table
 from .cyclotomic import CycloNum, _rational, coerce
 from .groups import FiniteGroup
 
@@ -363,64 +363,62 @@ class CentralElement:
     values of chi; products of central elements are pointwise products of
     values.
 
+    It keeps its group and the group's table, `character_table(group)`.
     Sums, differences and products of two central elements need the same
-    table object.  The class coordinates are computed once, as CycloNum
+    group object.  The class coordinates are computed once, as CycloNum
     sums.  `is_rational` reads them; `to_class_coords` and
     `to_group_ring`, the way back into Q[G], raise ValueError for an
     element that is not rational.
     """
 
-    __slots__ = ("table", "values", "_coords")
+    __slots__ = ("group", "table", "values", "_coords")
 
-    def __init__(self, table: CharTable, values):
+    def __init__(self, group: FiniteGroup, values):
+        table = character_table(group)
         values = list(values)
         if len(values) != len(table.characters):
             raise ValueError(f"{len(values)} values for {len(table.characters)} characters")
-        self.table = table
+        self.group, self.table = group, table
         self.values = tuple(map(_central_value, values))
         self._coords = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(table: CharTable) -> "CentralElement":
-        return CentralElement(table, [0] * len(table.characters))
+    def zero(group: FiniteGroup) -> "CentralElement":
+        return CentralElement(group, [0] * len(character_table(group).characters))
 
     @staticmethod
-    def one(table: CharTable) -> "CentralElement":
-        return CentralElement(table, [1] * len(table.characters))
+    def one(group: FiniteGroup) -> "CentralElement":
+        return CentralElement(group, [1] * len(character_table(group).characters))
 
     @staticmethod
-    def from_indicator(table: CharTable, char_indices) -> "CentralElement":
+    def from_indicator(group: FiniteGroup, char_indices) -> "CentralElement":
         s = set(char_indices)
-        return CentralElement(
-            table, [1 if i in s else 0 for i in range(len(table.characters))]
-        )
+        k = len(character_table(group).characters)
+        return CentralElement(group, [1 if i in s else 0 for i in range(k)])
 
     @staticmethod
-    def from_class_coords(table: CharTable, coords) -> "CentralElement":
+    def from_class_coords(group: FiniteGroup, coords) -> "CentralElement":
         """From coefficients a_c: the element sum_c a_c (class sum of c)."""
-        g = table.group
-        cls = g.classes()
+        sizes = group.classes().sizes
         coords = list(coords)
         values = []
-        for ch in table.characters:
+        for ch in character_table(group).characters:
             total = 0
             for c, a in enumerate(coords):
                 if a:
-                    total = total + a * cls.sizes[c] * ch.values[c]
+                    total = total + a * sizes[c] * ch.values[c]
             values.append(total * Fraction(1, ch.degree))
-        return CentralElement(table, values)
+        return CentralElement(group, values)
 
     @staticmethod
-    def from_group_ring(table: CharTable, elem: GroupRingElem) -> "CentralElement":
-        _same_group(table.group, elem)
+    def from_group_ring(elem: GroupRingElem) -> "CentralElement":
         if not elem.is_central():
             raise ValueError("element is not central")
-        cls = table.group.classes()
         coeffs = elem.coeffs
-        coords = [coeffs[members[0]] for members in cls.classes]
-        return CentralElement.from_class_coords(table, coords)
+        coords = [coeffs[members[0]] for members in elem.group.classes().classes]
+        return CentralElement.from_class_coords(elem.group, coords)
 
     # -- conversions ---------------------------------------------------------
 
@@ -428,7 +426,7 @@ class CentralElement:
         """Coefficient on (any element of) each conjugacy class, as
         CycloNums; computed once per element."""
         if self._coords is None:
-            g = self.table.group
+            g = self.group
             cls = g.classes()
             weighted = [
                 (v * ch.degree, ch.values)
@@ -437,7 +435,7 @@ class CentralElement:
             ]
             coords = []
             for c in range(len(cls.classes)):
-                cinv = cls.power_class(c, -1, g)
+                cinv = cls.power_class(c, -1)
                 total = CycloNum.rational(0)
                 for w, chi in weighted:
                     total = total + w * chi[cinv]
@@ -454,7 +452,7 @@ class CentralElement:
         return coords
 
     def to_group_ring(self) -> GroupRingElem:
-        g = self.table.group
+        g = self.group
         class_of = g.classes().class_of
         coords = self.to_class_coords()
         return GroupRingElem(g, [coords[class_of[i]] for i in range(g.order)])
@@ -468,9 +466,9 @@ class CentralElement:
     # -- arithmetic ---------------------------------------------------------
 
     def _pointwise(self, op, other: "CentralElement") -> "CentralElement":
-        if other.table is not self.table:
-            raise ValueError("central elements belong to different character tables")
-        return CentralElement(self.table, list(map(op, self.values, other.values)))
+        if other.group is not self.group:
+            raise ValueError("central elements belong to different groups")
+        return CentralElement(self.group, list(map(op, self.values, other.values)))
 
     def __add__(self, other):
         if isinstance(other, CentralElement):
@@ -483,12 +481,12 @@ class CentralElement:
         return NotImplemented
 
     def __neg__(self):
-        return CentralElement(self.table, [-a for a in self.values])
+        return CentralElement(self.group, [-a for a in self.values])
 
     def __mul__(self, other):
         if isinstance(other, CentralElement):
             return self._pointwise(operator.mul, other)
-        return CentralElement(self.table, [other * a for a in self.values])
+        return CentralElement(self.group, [other * a for a in self.values])
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -496,7 +494,7 @@ class CentralElement:
     def __eq__(self, other):
         return (
             isinstance(other, CentralElement)
-            and self.table is other.table
+            and self.group is other.group
             and self.values == other.values
         )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .cyclotomic import is_prime, padic_valuation, prime_divisors
@@ -44,24 +44,20 @@ class ConjClassData:
     representatives: tuple  # min element id per class
     sizes: tuple
     class_of: tuple         # element id -> class index
-    _powers: dict = field(default_factory=dict, compare=False, repr=False)
+    powers: tuple           # powers[c][t]: class of rep_c^t, t = 0..o(rep_c)-1
 
-    def power_classes(self, c: int, group: "FiniteGroup") -> tuple:
+    def power_classes(self, c: int) -> tuple:
         """The classes of rep^t for t = 0..o-1, rep the representative of
-        class c and o its order: one walk through the powers, kept."""
-        if c not in self._powers:
-            rep, x, out = self.representatives[c], 0, []
-            while True:
-                out.append(self.class_of[x])
-                x = group.mul(x, rep)
-                if x == 0:
-                    break
-            self._powers[c] = tuple(out)
-        return self._powers[c]
+        class c and o its order."""
+        return self.powers[c]
 
-    def power_class(self, c: int, k: int, group: "FiniteGroup") -> int:
-        powers = self.power_classes(c, group)
+    def power_class(self, c: int, k: int) -> int:
+        powers = self.powers[c]
         return powers[k % len(powers)]
+
+    def p_singular_classes(self, p: int) -> frozenset:
+        """The classes whose elements have order divisible by p."""
+        return frozenset(c for c, powers in enumerate(self.powers) if len(powers) % p == 0)
 
     def structure_constants(self, group: "FiniteGroup") -> list:
         """a[i][j][k]: how many x in class i have x^-1 rep_k in class j, so
@@ -219,20 +215,23 @@ class FiniteGroup:
         for ci, cls in enumerate(raw):
             for x in cls:
                 class_of[x] = ci
+        powers = []
+        for cls in raw:
+            x, out = 0, []
+            while True:
+                out.append(class_of[x])
+                x = self.mul(x, cls[0])
+                if x == 0:
+                    break
+            powers.append(tuple(out))
         self._classes = ConjClassData(
             classes=tuple(raw),
             representatives=tuple(c[0] for c in raw),
             sizes=tuple(len(c) for c in raw),
             class_of=tuple(class_of),
+            powers=tuple(powers),
         )
         return self._classes
-
-    def p_singular_classes(self, p: int) -> frozenset:
-        cls = self.classes()
-        return frozenset(
-            ci for ci, rep in enumerate(cls.representatives)
-            if self.element_order(rep) % p == 0
-        )
 
     # -- subgroups --------------------------------------------------------
 

@@ -7,15 +7,15 @@ entries above a pivot are the canonical representatives mod p^a Z_(p).
 Two lattices are equal iff their canonical forms are identical, so no
 p-adic precision is involved anywhere.
 
-A vector of the wrong length, and a comparison of lattices with another
-p or dimension, raise ValueError.
+A p that is not a prime, a vector of the wrong length, and a comparison
+of lattices with another p or dimension raise ValueError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import INF, padic_valuation
+from .cyclotomic import INF, is_prime, padic_valuation
 
 
 def canonical_residue(x: Fraction, p: int, a: int) -> Fraction:
@@ -52,6 +52,8 @@ class PLattice:
 
     @staticmethod
     def from_generators(p: int, dim: int, generators) -> "PLattice":
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not a prime")
         pool = []
         for v in generators:
             row = _row(dim, v)

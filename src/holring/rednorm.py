@@ -172,11 +172,10 @@ def reduced_char_polys(H: GroupRingMatrix) -> list:
 
 def reduced_norm(H: GroupRingMatrix) -> CentralElement:
     """nr(H) as a central element, one value per irreducible character."""
-    table = character_table(H.group)
-    return CentralElement(table, [p.norm_value() for p in reduced_char_polys(H)])
+    return CentralElement(H.group, [p.norm_value() for p in reduced_char_polys(H)])
 
 
-def _adjoint_layers(table: CharTable, polys: list, n: int) -> list:
+def _adjoint_layers(group: FiniteGroup, polys: list) -> list:
     """Central coefficient C_j of H^(j-1) in adj(H) = sum_j C_j H^(j-1).
 
     C_j collects (-1)^(d+1) alpha_j over every character; each layer
@@ -195,7 +194,7 @@ def _adjoint_layers(table: CharTable, polys: list, n: int) -> list:
                 continue
             sign = -1 if (d + 1) % 2 else 1
             values.append(poly.coeffs[j] * sign)
-        layers.append(CentralElement(table, values))
+        layers.append(CentralElement(group, values))
     return layers
 
 
@@ -207,10 +206,9 @@ def adjoint_and_norm(H: GroupRingMatrix):
     by entry, and each entry is summed over the layers' common
     denominator and reduced once.
     """
-    table = character_table(H.group)
     polys, powers = _polys_and_powers(H)
-    nr = CentralElement(table, [p.norm_value() for p in polys])
-    layers = [layer.to_group_ring() for layer in _adjoint_layers(table, polys, H.n)]
+    nr = CentralElement(H.group, [p.norm_value() for p in polys])
+    layers = [layer.to_group_ring() for layer in _adjoint_layers(H.group, polys)]
     eye = GroupRingMatrix.identity(H.group, H.n)
     return GroupRingMatrix.combination(layers, [eye] + powers), nr
 
@@ -253,7 +251,7 @@ def _saturated(lat: PLattice) -> PLattice:
         lat = PLattice.from_generators(p, lat.dim, lat.rows + (new,))
 
 
-def maximal_center_lattice(table: CharTable, p: int) -> PLattice:
+def maximal_center_lattice(group: FiniteGroup, p: int) -> PLattice:
     """z(M_(p)(G)) in class-sum coordinates.
 
     Per rational block the center is the ring of integers of the
@@ -265,6 +263,7 @@ def maximal_center_lattice(table: CharTable, p: int) -> PLattice:
     (Washington, Thm. 2.6), and each of its rows is converted to class
     coordinates once.
     """
+    table = character_table(group)
     k = len(table.characters)
     gens = []
     for rep, members in rational_character_orbits(table):
@@ -282,7 +281,7 @@ def maximal_center_lattice(table: CharTable, p: int) -> PLattice:
             values = [0] * k
             for kk, idx in members.items():
                 values[idx] = x.galois(kk % m)
-            gens.append(CentralElement(table, values).to_class_coords())
+            gens.append(CentralElement(group, values).to_class_coords())
     lat = PLattice.from_generators(p, k, gens)
     assert lat.rank == k
     return lat
@@ -355,8 +354,7 @@ def denominator_membership(
     only corroborates.  Integrality of cyclotomic coordinates means
     integrality at every prime above p.
     """
-    table = x.table
-    g = table.group
+    g = x.group
     if any(v.den % p == 0 for v in x.values):
         raise ValueError("central values are not p-integral")
     if in_central_conductor(x, p):
@@ -531,7 +529,7 @@ def norm_ideal_probe(
             gens.append([Fraction(sum(n * a[c][kk] for n, a in num), den) for kk in range(k)])
     lattice = PLattice.from_generators(p, k, gens)
     center = center_lattice(table, p)
-    maximal = maximal_center_lattice(table, p)
+    maximal = maximal_center_lattice(group, p)
     form, citations = _closed_form(group, p)
     ok = None
     if form == "center":

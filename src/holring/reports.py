@@ -369,7 +369,7 @@ def _rational_characters(table: CharTable):
 # -- rules at r = 0 --------------------------------------------------------
 
 
-def _rule_s3(scn, table, statements, rules):
+def _rule_s3(scn, statements, rules):
     if not _is_s3(scn.group):
         return False
     chain = (S3_FAMILY, SSC_RATIONAL, GOOD_PRIMES, DT_INVERSION)
@@ -386,14 +386,14 @@ def _rule_s3(scn, table, statements, rules):
     return True
 
 
-def _rule_d12(scn, table, statements, rules):
+def _rule_d12(scn, statements, rules):
     if not _is_d12(scn.group):
         return False
     comm = scn.group.commutator_subgroup()
     hyp = _abelian_over_q(scn, "commutator subgroup", True)
     if hyp is None:
         return False
-    wh = weakly_hybrid(table, comm.element_ids, 2)
+    wh = weakly_hybrid(scn.group, comm.element_ids, 2)
     assert wh.verdict == "yes", "expected a weak hybrid split at 2"
     chain = (D12_FAMILY, SSC_RATIONAL, GOOD_PRIMES,
              BREAKDOWN_ABELIANIZED) + wh.citations
@@ -412,12 +412,12 @@ def _rule_d12(scn, table, statements, rules):
     return True
 
 
-def _rule_s4(scn, table, statements, rules):
+def _rule_s4(scn, statements, rules):
     if not _is_s4(scn.group):
         return False
     klein = [s for s in scn.group.normal_subgroups() if s.order == 4]
     assert len(klein) == 1
-    rep = hybrid_report(table, klein[0].element_ids, 3)
+    rep = hybrid_report(scn.group, klein[0].element_ids, 3)
     assert rep.is_hybrid, "expected a Klein-four hybrid split at 3"
     statements.append(Statement(
         "SSC(L/K) holds.", (), (S4_FAMILY, SSC_RATIONAL),
@@ -436,7 +436,7 @@ def _rule_s4(scn, table, statements, rules):
     return True
 
 
-def _rule_affine(scn, table, statements, rules):
+def _rule_affine(scn, statements, rules):
     q = _affine_q(scn.group)
     if q is None:
         return False
@@ -459,7 +459,7 @@ def _rule_affine(scn, table, statements, rules):
     return True
 
 
-def _rule_dihedral(scn, table, statements, rules):
+def _rule_dihedral(scn, statements, rules):
     n = _dihedral_odd_n(scn.group)
     if n is None or scn.p is None:
         return False
@@ -524,7 +524,7 @@ def _rule_generic_zero(scn, table, statements, rules):
     if layer is None:
         return
     comm = scn.group.commutator_subgroup()
-    wh = weakly_hybrid(table, comm.element_ids, scn.p)
+    wh = weakly_hybrid(scn.group, comm.element_ids, scn.p)
     if wh.verdict != "yes":
         return
     if layer not in hyps:
@@ -581,7 +581,7 @@ def _rule_frobenius_negative(scn, statements, rules):
     return True
 
 
-def _rule_hybrid_negative(scn, table, statements, rules):
+def _rule_hybrid_negative(scn, statements, rules):
     if scn.p is None or scn.p == 2 or not scn.totally_real:
         return
     if scn.r % 2 == 0:
@@ -590,7 +590,7 @@ def _rule_hybrid_negative(scn, table, statements, rules):
     hyp = _abelian_over_q(scn, "commutator subgroup", True)
     if hyp is None:
         return
-    wh = weakly_hybrid(table, comm.element_ids, scn.p)
+    wh = weakly_hybrid(scn.group, comm.element_ids, scn.p)
     if wh.verdict != "yes":
         return
     statements.append(Statement(
@@ -620,7 +620,7 @@ def _epsilon_names(scn):
             GLOBAL_EPS_DT, GLOBAL_EPS_HYBRID)
 
 
-def _rule_epsilon(scn, table, statements, rules):
+def _rule_epsilon(scn, statements, rules):
     name, dt_label, hybrid_label = _epsilon_names(scn)
     verdict = dt_query(scn.group, scn.p)
     if verdict.triviality() == "trivial":
@@ -638,7 +638,7 @@ def _rule_epsilon(scn, table, statements, rules):
             if 1 < s.order < scn.group.order]
     subs.sort(key=lambda s: (-s.order, sorted(s.element_ids)))
     for sub in subs:
-        wh = weakly_hybrid(table, sub.element_ids, scn.p)
+        wh = weakly_hybrid(scn.group, sub.element_ids, scn.p)
         if wh.verdict != "yes":
             continue
         quot, _ = scn.group.quotient(sub.element_ids)
@@ -666,21 +666,20 @@ def conjecture_report(scn: Scenario) -> ConjectureReport:
     on scenarios outside the supported grammar.
     """
     _validate(scn)
-    table = character_table(scn.group)
     statements: list = []
     rules: list = []
     if scn.conjecture != "etnc":
-        _rule_epsilon(scn, table, statements, rules)
+        _rule_epsilon(scn, statements, rules)
     elif scn.r == 0:
         matched = False
         for rule in (_rule_s3, _rule_d12, _rule_s4, _rule_affine,
                      _rule_dihedral):
-            matched = rule(scn, table, statements, rules) or matched
+            matched = rule(scn, statements, rules) or matched
         if not matched:
-            _rule_generic_zero(scn, table, statements, rules)
+            _rule_generic_zero(scn, character_table(scn.group), statements, rules)
     else:
         if not _rule_frobenius_negative(scn, statements, rules):
-            _rule_hybrid_negative(scn, table, statements, rules)
+            _rule_hybrid_negative(scn, statements, rules)
     seen = set()
     unique = []
     for s in statements:

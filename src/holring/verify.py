@@ -83,9 +83,6 @@ from .reports import Scenario, conjecture_report
 
 AFFINE_SIZES = (3, 4, 5, 7, 8, 9)
 
-# the five groups used by the seeded reduced-norm suites
-NORM_SUITE = ("S3", "D10", "Q8", "S4", "A4")
-
 
 class VerifyFailure(AssertionError):
     pass
@@ -172,6 +169,7 @@ def catalog() -> list:
 
 
 def _norm_suite() -> list:
+    """The five groups of the seeded reduced-norm suites, with labels."""
     return [
         (symmetric(3), "S3"),
         (dihedral(5), "D10"),
@@ -242,7 +240,7 @@ def _check_orthogonality():
             len(t.characters) == k,
             f"{group_name(g)}: {len(t.characters)} characters for {k} classes",
         )
-        inv = [cls.power_class(c, -1, g) for c in range(k)]
+        inv = [cls.power_class(c, -1) for c in range(k)]
         for i, ch1 in enumerate(t.characters):
             for j in range(i, k):
                 ch2 = t.characters[j]
@@ -432,9 +430,9 @@ def _check_integral_idempotent_blocks():
 def _check_hybrid_verdicts():
     cases = 0
 
-    def expect(g, t, nids, p, want, label):
+    def expect(g, nids, p, want, label):
         nonlocal cases
-        rep = hybrid_report(t, nids, p)
+        rep = hybrid_report(g, nids, p)
         _require(
             rep.is_hybrid == want,
             f"{label}: expected {'hybrid' if want else 'not hybrid'} at p={p}",
@@ -443,38 +441,36 @@ def _check_hybrid_verdicts():
         return rep
 
     s3 = symmetric(3)
-    expect(s3, character_table(s3), s3.commutator_subgroup().element_ids, 2, True, "(S3, A3)")
+    expect(s3, s3.commutator_subgroup().element_ids, 2, True, "(S3, A3)")
     a4 = alternating(4)
-    expect(a4, character_table(a4), a4.commutator_subgroup().element_ids, 3, True, "(A4, V4)")
+    expect(a4, a4.commutator_subgroup().element_ids, 3, True, "(A4, V4)")
     for q in AFFINE_SIZES:
         g = affine(q)
-        t = character_table(g)
         kernel = frozenset(g.meta["kernel"])
         for p in prime_divisors(g.order):
             if q % p == 0:
                 continue
-            expect(g, t, kernel, p, True, f"(Aff({q}), kernel)")
+            expect(g, kernel, p, True, f"(Aff({q}), kernel)")
     s4 = symmetric(4)
     v4 = next(s.element_ids for s in s4.normal_subgroups() if s.order == 4)
-    rep = expect(s4, character_table(s4), v4, 3, True, "(S4, V4)")
+    rep = expect(s4, v4, 3, True, "(S4, V4)")
     degrees = [rep.blocks[i].degree for i in rep.block_split]
     _require(
         sorted(degrees) == [3, 3],
         f"(S4, V4) at 3: split blocks have degrees {degrees}, not two 3s",
     )
     f = frob72()
-    expect(f, character_table(f), frozenset(f.meta["kernel"]), 2, True, "(frob72, kernel)")
+    expect(f, frozenset(f.meta["kernel"]), 2, True, "(frob72, kernel)")
     for n in range(3, 16, 2):
         g = dihedral(n)
-        expect(g, character_table(g), g.commutator_subgroup().element_ids, 2, True, f"(D{2 * n}, C{n})")
+        expect(g, g.commutator_subgroup().element_ids, 2, True, f"(D{2 * n}, C{n})")
     big = direct_product(cyclic(3), alternating(4))
     fours = [s for s in big.normal_subgroups() if s.order == 4]
     _require(len(fours) == 1, "C3 x A4 should have one normal subgroup of order 4")
-    t = character_table(big)
-    rep = hybrid_report(t, fours[0].element_ids, 3)
+    rep = hybrid_report(big, fours[0].element_ids, 3)
     _require(not rep.is_hybrid, "(C3 x A4, 1 x V4) must not be hybrid at 3")
     _require(rep.witness is not None, "negative verdict carries no witness")
-    ch = t.characters[rep.witness]
+    ch = character_table(big).characters[rep.witness]
     _require(
         not fours[0].element_ids <= ch.kernel,
         "witness character is trivial on the normal subgroup",
@@ -490,20 +486,19 @@ def _check_hybrid_verdicts():
 @_check("weakly-hybrid-verdicts", 2, WEAK_HYBRID_PRODUCT, HYBRID_IMPLIES_WEAKLY)
 def _check_weakly_hybrid_verdicts():
     s3 = symmetric(3)
-    wh = weakly_hybrid(character_table(s3), s3.commutator_subgroup().element_ids, 2)
+    wh = weakly_hybrid(s3, s3.commutator_subgroup().element_ids, 2)
     _require(
         wh.verdict == "yes" and HYBRID_IMPLIES_WEAKLY in wh.citations,
         "(S3, A3, 2): hybrid input should be weakly hybrid by implication",
     )
     d12 = dihedral(6)
-    t = character_table(d12)
     comm = d12.commutator_subgroup()
     _require(comm.order == 3, f"commutator of D12 has order {comm.order}")
     _require(
-        not hybrid_report(t, comm.element_ids, 2).is_hybrid,
+        not hybrid_report(d12, comm.element_ids, 2).is_hybrid,
         "(D12, C3, 2) must not be hybrid outright",
     )
-    wh = weakly_hybrid(t, comm.element_ids, 2)
+    wh = weakly_hybrid(d12, comm.element_ids, 2)
     _require(wh.verdict == "yes", f"(D12, C3, 2): weakly-hybrid verdict {wh.verdict}")
     _require(
         WEAK_HYBRID_PRODUCT in wh.citations,
@@ -513,12 +508,11 @@ def _check_weakly_hybrid_verdicts():
     g = direct_product(s3, d10)
     embed, _ = g.meta["factor_embeddings"]
     nids = frozenset(embed[i] for i in s3.commutator_subgroup().element_ids)
-    t = character_table(g)
     _require(
-        not hybrid_report(t, nids, 2).is_hybrid,
+        not hybrid_report(g, nids, 2).is_hybrid,
         "(S3 x D10, A3 x 1, 2) must not be hybrid outright",
     )
-    wh = weakly_hybrid(t, nids, 2)
+    wh = weakly_hybrid(g, nids, 2)
     _require(
         wh.verdict == "yes"
         and WEAK_HYBRID_PRODUCT in wh.citations
@@ -527,7 +521,7 @@ def _check_weakly_hybrid_verdicts():
     )
     c4 = cyclic(4)
     c2 = next(s for s in c4.normal_subgroups() if s.order == 2)
-    wh = weakly_hybrid(character_table(c4), c2.element_ids, 2)
+    wh = weakly_hybrid(c4, c2.element_ids, 2)
     _require(wh.verdict == "no", f"(C4, C2, 2): verdict {wh.verdict}, expected no")
     return "D12 and S3 x D10 weakly hybrid via products; C4 refused; hybrid implies weakly"
 
@@ -537,8 +531,8 @@ def _check_weakly_hybrid_verdicts():
 
 @_check("adjoint-ast-identity", 3, ADJOINT_IDENTITY)
 def _check_adjoint_ast_identity():
-    per_group = 100
-    for g, label in _norm_suite():
+    per_group, suite = 100, _norm_suite()
+    for g, label in suite:
         character_table(g)
         rng = random.Random(SEED)
         for i in range(per_group):
@@ -553,14 +547,14 @@ def _check_adjoint_ast_identity():
                     all(c.den == 1 for c in poly.coeffs),
                     f"{label}: reduced char poly coefficient not an algebraic integer on sample {i}",
                 )
-    total = per_group * len(NORM_SUITE)
+    total = per_group * len(suite)
     return f"{total} seeded matrices: H*H = HH* = nr(H) with algebraically integral coefficients"
 
 
 @_check("regular-det-oracle", 4)
 def _check_regular_det_oracle():
-    per_group = 50
-    for g, label in _norm_suite():
+    per_group, suite = 50, _norm_suite()
+    for g, label in suite:
         t = character_table(g)
         rng = random.Random(SEED)
         for i in range(per_group):
@@ -573,7 +567,7 @@ def _check_regular_det_oracle():
                 _same(prod, regular_det(h)),
                 f"{label}: regular determinant differs from the norm product on sample {i}",
             )
-    return f"{per_group * len(NORM_SUITE)} seeded elements: det of the regular action equals the norm product"
+    return f"{per_group * len(suite)} seeded elements: det of the regular action equals the norm product"
 
 
 @_check("char-poly-constant-term", 4)
@@ -666,11 +660,11 @@ def _check_conductor_lattice_oracle():
         (symmetric(3), 3),
     )
 
-    def spread(t, members, value):
-        values = [coerce(0)] * len(t.characters)
+    def spread(g, members, value):
+        values = [coerce(0)] * len(g.classes().sizes)
         for k, idx in members.items():
             values[idx] = value.galois(k)
-        return CentralElement(t, values)
+        return CentralElement(g, values)
 
     blocks_checked = 0
     for g, p in pairs:
@@ -701,12 +695,12 @@ def _check_conductor_lattice_oracle():
             else:
                 uniformizer = coerce(p)
             basis = [
-                spread(t, members, CycloNum.root_of_unity(m) ** j if m > 1 else coerce(1))
+                spread(g, members, CycloNum.root_of_unity(m) ** j if m > 1 else coerce(1))
                 for j in range(euler_phi(m))
             ]
             found = None
             for k in range(expn + 3):
-                x = spread(t, members, uniformizer**k)
+                x = spread(g, members, uniformizer**k)
                 if all(
                     center.contains_vector((x * w).to_class_coords()) for w in basis
                 ):
@@ -741,7 +735,7 @@ def _check_defect_zero_vanishing():
     for g in catalog():
         t = character_table(g)
         for p in prime_divisors(g.order):
-            singular = g.p_singular_classes(p)
+            singular = g.classes().p_singular_classes(p)
             vg = padic_valuation(g.order, p)
             for block in padic_blocks(t, p):
                 if padic_valuation(block.degree, p) != vg:
@@ -829,24 +823,23 @@ def _check_dt_consistency_sweep():
     "denominator-certificates", 0, BEST_DENOMINATORS, CONDUCTOR_IN_DENOM, ADJOINT_IDENTITY
 )
 def _check_denominator_certificates():
-    t3 = character_table(symmetric(3))
-    v = denominator_membership(CentralElement.one(t3), 2)
+    v = denominator_membership(CentralElement.one(symmetric(3)), 2)
     _require(
         v.kind == "certified_in" and BEST_DENOMINATORS in v.citations,
         "S3 at 2: identity should certify via the coprime commutator order",
     )
     g, t, cls, tc, order = _s4_pinned()
-    vec = CentralElement.zero(t)
+    vec = CentralElement.zero(g)
     for block, expn in central_conductor(t, 2):
-        vec = vec + (2**expn) * CentralElement.from_indicator(t, block.char_indices)
+        vec = vec + (2**expn) * CentralElement.from_indicator(g, block.char_indices)
     _require(in_central_conductor(vec, 2), "assembled conductor generator rejected")
     v = denominator_membership(vec, 2)
     _require(
         v.kind == "certified_in" and CONDUCTOR_IN_DENOM in v.citations,
         "S4 at 2: conductor element should certify outright",
     )
-    e1 = CentralElement.from_indicator(t, [order[0]])
-    e2 = CentralElement.from_indicator(t, [order[1]])
+    e1 = CentralElement.from_indicator(g, [order[0]])
+    e2 = CentralElement.from_indicator(g, [order[1]])
     v = denominator_membership(4 * (e1 + e2), 2, budget=9)
     _require(
         v.kind == "sampled_no_counterexample" and v.samples > 0 and not v.certified,
@@ -877,11 +870,11 @@ def _check_norm_ideal_probes():
         )
         kernel = frozenset(g.meta["kernel"])
         twice = CentralElement(
-            t, [2 if kernel <= ch.kernel else 0 for ch in t.characters]
+            g, [2 if kernel <= ch.kernel else 0 for ch in t.characters]
         )
         nr_minus = reduced_norm(GroupRingMatrix(g, [[-GroupRingElem.one(g)]]))
         _require(
-            CentralElement.one(t) - nr_minus == twice,
+            CentralElement.one(g) - nr_minus == twice,
             f"Aff({q}): 1 - nr(-1) is not twice the kernel idempotent",
         )
         _require(
@@ -899,7 +892,7 @@ def _check_norm_ideal_probes():
         "S4 at 2: norm ideal index in the maximal-order center should be 2^2",
     )
     for i in order:
-        e = CentralElement.from_indicator(t, [i])
+        e = CentralElement.from_indicator(g, [i])
         _require(
             probe.lattice.contains_vector((2 * e).to_class_coords()),
             "S4 at 2: sampled norms miss a doubled block idempotent",

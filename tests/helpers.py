@@ -44,7 +44,7 @@ def class_sum_generators(nr) -> list:
     per product.  The reference for the structure-constant route."""
     k = len(nr.table.characters)
     class_sums = [
-        CentralElement.from_class_coords(nr.table, [1 if c == j else 0 for j in range(k)])
+        CentralElement.from_class_coords(nr.group, [1 if c == j else 0 for j in range(k)])
         for c in range(k)
     ]
     return [(nr * z).to_class_coords() for z in class_sums]

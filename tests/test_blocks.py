@@ -262,10 +262,10 @@ def _orbit_stabilizer(table, block, p):
     return m, members, stab
 
 
-def _spread(table, block, p, alpha):
+def _spread(g, block, p, alpha):
     """Group-ring coefficients of the central element acting as alpha on
     the block and as 0 elsewhere (alpha from the block's center field)."""
-    g = table.group
+    table = character_table(g)
     ch = table.characters[block.char_indices[0]]
     m, members, stab = _orbit_stabilizer(table, block, p)
     reps = []
@@ -288,12 +288,12 @@ def _spread(table, block, p, alpha):
     return coeffs
 
 
-def _lattice_oracle_exponent_cyclic(table, block, p):
+def _lattice_oracle_exponent_cyclic(g, block, p):
     """Smallest k with pi^k O-multiples of the block landing in Z_(p)[G],
     testing against an explicit integral basis of the block's maximal
     order; only valid when the orbit stabilizer is trivial (center is
     the full cyclotomic field) or the center is rational."""
-    ch = table.characters[block.char_indices[0]]
+    ch = character_table(g).characters[block.char_indices[0]]
     m = ch.field_conductor
     basis = [CycloNum.root_of_unity(m, j) for j in range(euler_phi(m))]
     if m % p == 0:
@@ -304,7 +304,7 @@ def _lattice_oracle_exponent_cyclic(table, block, p):
         if all(
             all(
                 padic_valuation(c, p) >= 0
-                for c in _spread(table, block, p, pi**k * b)
+                for c in _spread(g, block, p, pi**k * b)
             )
             for b in basis
         ):
@@ -316,11 +316,12 @@ def _lattice_oracle_exponent_cyclic(table, block, p):
     "n,p", [(2, 2), (3, 3), (4, 2), (5, 5)]
 )
 def test_central_conductor_lattice_oracle_cyclic(n, p):
-    table = character_table(G.cyclic(n))
+    g = G.cyclic(n)
+    table = character_table(g)
     for b, expn in central_conductor(table, p):
         m, members, stab = _orbit_stabilizer(table, b, p)
         assert len(stab) == 1 or m == 1  # oracle precondition
-        assert _lattice_oracle_exponent_cyclic(table, b, p) == expn
+        assert _lattice_oracle_exponent_cyclic(g, b, p) == expn
 
 
 def _s3_matrix_model():
@@ -382,16 +383,14 @@ def test_central_conductor_lattice_oracle_s3(p):
 
 def test_hybrid_spec_examples():
     s3 = G.symmetric(3)
-    ts3 = character_table(s3)
     a3 = s3.commutator_subgroup()
-    rep = hybrid_report(ts3, a3.element_ids, 2)
+    rep = hybrid_report(s3, a3.element_ids, 2)
     assert rep.is_hybrid and rep.witness is None
     assert rep.quotient_order_desc == "Z_2[G/N] (+) M_2x2(Z_2)"
 
     s4 = G.symmetric(4)
-    ts4 = character_table(s4)
     v4 = [n for n in s4.normal_subgroups() if n.order == 4][0]
-    rep = hybrid_report(ts4, v4.element_ids, 3)
+    rep = hybrid_report(s4, v4.element_ids, 3)
     assert rep.is_hybrid
     assert len(rep.block_split) == 2
     assert all(rep.blocks[i].degree == 3 for i in rep.block_split)
@@ -401,26 +400,24 @@ def test_hybrid_spec_examples():
     )
 
     big = G.direct_product(G.cyclic(3), G.alternating(4))
-    tb = character_table(big)
     _, pb = big.meta["factor_embeddings"]
     a4 = G.alternating(4)
     v4a = [n for n in a4.normal_subgroups() if n.order == 4][0]
     nids = frozenset(pb[i] for i in v4a.element_ids)
-    rep = hybrid_report(tb, nids, 3)
+    rep = hybrid_report(big, nids, 3)
     assert not rep.is_hybrid
-    assert tb.characters[rep.witness].degree == 3
+    assert character_table(big).characters[rep.witness].degree == 3
 
 
 def test_hybrid_requires_normal_subgroup():
     s3 = G.symmetric(3)
-    t = character_table(s3)
     s = next(x for x in range(6) if s3.element_order(x) == 2)
     # a subgroup that is not normal, and a union of classes that is not a
     # subgroup
     transpositions = s3.classes().classes[s3.classes().class_of[s]]
     for ids in (frozenset([0, s]), frozenset([0, *transpositions])):
         with pytest.raises(ValueError, match="must be normal"):
-            hybrid_report(t, ids, 2)
+            hybrid_report(s3, ids, 2)
         with pytest.raises(ValueError, match="must be normal"):
             s3.quotient(ids)
 
@@ -429,9 +426,8 @@ def test_hybrid_requires_normal_subgroup():
 @pytest.mark.parametrize("p", [2, 3])
 def test_hybrid_implies_p_coprime_to_n(name, make, p):
     g = make()
-    table = character_table(g)
     for sub in g.normal_subgroups():
-        rep = hybrid_report(table, sub.element_ids, p)
+        rep = hybrid_report(g, sub.element_ids, p)
         if rep.is_hybrid and sub.order > 1:
             assert sub.order % p != 0
 
@@ -442,20 +438,20 @@ def test_add_a_group_products():
     pa, _ = prod.meta["factor_embeddings"]
     a3 = s3.commutator_subgroup()
     nids = frozenset(pa[i] for i in a3.element_ids)
-    assert hybrid_report(character_table(prod), nids, 2).is_hybrid
+    assert hybrid_report(prod, nids, 2).is_hybrid
 
     a4 = G.alternating(4)
     prod = G.direct_product(a4, G.cyclic(2))
     pa, _ = prod.meta["factor_embeddings"]
     v4 = [n for n in a4.normal_subgroups() if n.order == 4][0]
     nids = frozenset(pa[i] for i in v4.element_ids)
-    assert hybrid_report(character_table(prod), nids, 3).is_hybrid
+    assert hybrid_report(prod, nids, 3).is_hybrid
 
     # p dividing the extra factor breaks hybridity
     prod = G.direct_product(s3, G.cyclic(2))
     pa, _ = prod.meta["factor_embeddings"]
     nids = frozenset(pa[i] for i in a3.element_ids)
-    assert not hybrid_report(character_table(prod), nids, 2).is_hybrid
+    assert not hybrid_report(prod, nids, 2).is_hybrid
 
 
 FROBENIUS = [
@@ -474,21 +470,19 @@ FROBENIUS = [
 def test_frobenius_kernel_hybrid_at_every_allowed_prime(name, make):
     g = make()
     kernel, _ = g.frobenius_kernel_complement()
-    table = character_table(g)
     n = g.order
     primes = [p for p in (2, 3, 5, 7) if n % p == 0]
     for p in primes:
         if kernel.order % p == 0:
             continue
-        assert hybrid_report(table, kernel.element_ids, p).is_hybrid, (name, p)
+        assert hybrid_report(g, kernel.element_ids, p).is_hybrid, (name, p)
 
 
 def test_weakly_hybrid_d12_yes_via_product():
     d12 = G.dihedral(6)
-    t = character_table(d12)
     n3 = [n for n in d12.normal_subgroups() if n.order == 3][0]
-    assert not hybrid_report(t, n3.element_ids, 2).is_hybrid
-    rep = weakly_hybrid(t, n3.element_ids, 2)
+    assert not hybrid_report(d12, n3.element_ids, 2).is_hybrid
+    rep = weakly_hybrid(d12, n3.element_ids, 2)
     assert rep.verdict == "yes"
     assert "weak-hybrid-product" in rep.citations
     for label in rep.citations:
@@ -497,18 +491,16 @@ def test_weakly_hybrid_d12_yes_via_product():
 
 def test_weakly_hybrid_yes_when_hybrid():
     s3 = G.symmetric(3)
-    t = character_table(s3)
     a3 = s3.commutator_subgroup()
-    rep = weakly_hybrid(t, a3.element_ids, 2)
+    rep = weakly_hybrid(s3, a3.element_ids, 2)
     assert rep.verdict == "yes"
     assert "hybrid-implies-weakly" in rep.citations
 
 
 def test_weakly_hybrid_no_when_p_divides_n():
     c4 = G.cyclic(4)
-    t = character_table(c4)
     n2 = [n for n in c4.normal_subgroups() if n.order == 2][0]
-    rep = weakly_hybrid(t, n2.element_ids, 2)
+    rep = weakly_hybrid(c4, n2.element_ids, 2)
     assert rep.verdict == "no"
     assert rep.citations == ("weak-hybrid-coprime",)
 
@@ -518,9 +510,8 @@ def test_weakly_hybrid_no_via_dt_obstruction():
     pa, _ = prod.meta["factor_embeddings"]
     a3 = G.symmetric(3).commutator_subgroup()
     nids = frozenset(pa[i] for i in a3.element_ids)
-    t = character_table(prod)
-    assert not hybrid_report(t, nids, 2).is_hybrid
-    rep = weakly_hybrid(t, nids, 2)
+    assert not hybrid_report(prod, nids, 2).is_hybrid
+    rep = weakly_hybrid(prod, nids, 2)
     assert rep.verdict == "no"
     assert "weak-hybrid-product-obstruction" in rep.citations
     assert "dt-cyclic-four" in rep.citations
@@ -530,8 +521,7 @@ def test_weakly_hybrid_unknown_without_usable_decomposition():
     prod = G.direct_product(G.cyclic(3), G.cyclic(4))
     pa, _ = prod.meta["factor_embeddings"]
     nids = frozenset(pa[i] for i in range(3))
-    t = character_table(prod)
-    rep = weakly_hybrid(t, nids, 2)
+    rep = weakly_hybrid(prod, nids, 2)
     assert rep.verdict == "unknown"
     assert rep.citations == ()
 
@@ -577,8 +567,8 @@ def test_blocks_are_computed_once_per_table_and_prime(monkeypatch):
         for p in (2, 3):
             central_conductor(t, p)
             for n in g.normal_subgroups():
-                hybrid_report(t, n.element_ids, p)
-                weakly_hybrid(t, n.element_ids, p)
+                hybrid_report(g, n.element_ids, p)
+                weakly_hybrid(g, n.element_ids, p)
             central_conductor(t, p)
     seen = [(id(t), p) for t, p in runs]
     assert len(seen) == len(set(seen))

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: output lines, JSON schema, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -416,3 +418,19 @@ def test_bad_family_parameters_are_usage_errors(group):
     assert proc.stdout == ""
     assert proc.stderr.startswith("holring: error: ")
     assert proc.stderr.strip() != "holring: error:"
+
+
+# -- byte-identical output -------------------------------------------------
+
+# sha256 of the stdout of each benchmark CLI argv, as committed with the
+# benchmark; read only
+CLI_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "cli_digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("key", sorted(CLI_DIGESTS))
+def test_cli_output_matches_the_committed_digest(capsys, key):
+    code, out, err = run(capsys, *key.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[key]

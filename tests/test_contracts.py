@@ -12,10 +12,14 @@ import holring
 # Under -O this script's own asserts would be stripped too, so it prints
 # the cases that were not rejected instead of asserting.
 SCRIPT = """
+from holring.blocks import padic_blocks
 from holring.chartable import Character, character_table
+from holring.cyclotomic import padic_valuation
+from holring.dt import dt_query
 from holring.groupring import CentralElement, GroupRingElem, GroupRingMatrix
 from holring.groups import cyclic, symmetric
 from holring.lattice import PLattice
+from holring.rednorm import norm_ideal_probe
 
 S3 = symmetric(3)
 one = GroupRingElem.one(S3)
@@ -26,12 +30,19 @@ cases = {
     "ragged matrix": lambda: GroupRingMatrix(S3, [[one, one], [one]]),
     "0x0 matrix": lambda: GroupRingMatrix(S3, []),
     "entry of another group": lambda: GroupRingMatrix(S3, [[GroupRingElem.one(cyclic(3))]]),
-    "short central element": lambda: CentralElement(table, [1, 2]),
-    "non-central element": lambda: CentralElement.from_group_ring(table, GroupRingElem.basis(S3, 1)),
+    "short central element": lambda: CentralElement(S3, [1, 2]),
+    "non-central element": lambda: CentralElement.from_group_ring(GroupRingElem.basis(S3, 1)),
     "short character": lambda: Character(S3, [1, 1]),
     "negative degree": lambda: Character(S3, [-1, 1, 1]),
     "short lattice row": lambda: PLattice.from_generators(5, 3, [[1, 2]]),
     "non-normal quotient": lambda: S3.quotient(frozenset([0, involution])),
+    "valuation at p = 1": lambda: padic_valuation(6, 1),
+    "valuation at p = 0": lambda: padic_valuation(6, 0),
+    "blocks at p = 4": lambda: padic_blocks(table, 4),
+    "lattice at p = 4": lambda: PLattice.from_generators(4, 2, [[1, 0], [0, 2]]),
+    "DT at p = 4": lambda: dt_query(S3, 4),
+    "DT at p = 1": lambda: dt_query(S3, 1),
+    "norm ideal at p = 4": lambda: norm_ideal_probe(S3, 4, budget=0),
 }
 accepted = []
 for name, build in cases.items():

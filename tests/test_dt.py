@@ -114,19 +114,18 @@ def test_product_with_matrix_factor_stops_at_the_c6_quotient():
     # is C6 whose DT the fact base cannot settle, so the engine reports
     # unknown instead of overclaiming triviality
     g = G.direct_product(G.cyclic(3), G.symmetric(3))
-    table = character_table(g)
     by_rep = {}
     for s in g.normal_subgroups():
         if s.order != 3:
             continue
-        rep = hybrid_report(table, s.element_ids, 2)
+        rep = hybrid_report(g, s.element_ids, 2)
         by_rep[rep.is_hybrid] = s
     assert set(by_rep) == {True, False}
-    wh = weakly_hybrid(table, by_rep[True].element_ids, 2)
+    wh = weakly_hybrid(g, by_rep[True].element_ids, 2)
     assert wh.verdict == "yes"
     # the other core's lone decomposition leaves a residue-degree-2
     # block, outside the rational-block hypothesis, so no verdict
-    other = weakly_hybrid(table, by_rep[False].element_ids, 2)
+    other = weakly_hybrid(g, by_rep[False].element_ids, 2)
     assert other.verdict == "unknown" and other.citations == ()
     assert dt_query(g, 2).kind == "unknown"
     assert dt_query(G.cyclic(6), 2).kind == "unknown"
@@ -232,8 +231,7 @@ def test_hybrid_bridge_agrees_with_quotient():
     ]
     for g, nord, p in cases:
         sub = [s for s in g.normal_subgroups() if s.order == nord][0]
-        table = character_table(g)
-        assert hybrid_report(table, sub.element_ids, p).is_hybrid
+        assert hybrid_report(g, sub.element_ids, p).is_hybrid
         quot, _ = g.quotient(sub.element_ids)
         a, b = dt_query(g, p), dt_query(quot, p)
         known = {"trivial", "nontrivial"}

@@ -291,10 +291,10 @@ def test_adjoint_of_minus_one_over_s4():
     adj, nr = adjoint_and_norm(minus)
     t = character_table(S4)
     expected = CentralElement(
-        t, [(-1) ** (ch.degree + 1) for ch in t.characters]
+        S4, [(-1) ** (ch.degree + 1) for ch in t.characters]
     )
-    assert CentralElement.from_group_ring(t, adj.rows[0][0]) == expected
-    assert nr == CentralElement(t, [(-1) ** ch.degree for ch in t.characters])
+    assert CentralElement.from_group_ring(adj.rows[0][0]) == expected
+    assert nr == CentralElement(S4, [(-1) ** ch.degree for ch in t.characters])
 
 
 # ------------------------------------------- pinned norm identities
@@ -314,12 +314,12 @@ def s4_idempotents():
                 if ch.degree == degree and ch.values[ct] == tau_value
             )
         )
-    return t, [CentralElement.from_indicator(t, [i]) for i in order]
+    return t, [CentralElement.from_indicator(S4, [i]) for i in order]
 
 
 def test_s4_norms_of_small_elements():
     t, (e1, e2, e3, e4, e5) = s4_idempotents()
-    one = CentralElement.one(t)
+    one = CentralElement.one(S4)
     tau = GroupRingElem.basis(S4, transposition(S4))
     sigma = GroupRingElem.basis(
         S4, next(x for x in range(S4.order) if S4.element_order(x) == 3)
@@ -348,15 +348,15 @@ def test_affine_norms_of_small_elements():
         one_by_one(g8, GroupRingElem.one(g8) + GroupRingElem.basis(g8, sigma))
     )
     linear = [i for i, ch in enumerate(t8.characters) if ch.degree == 1]
-    assert nr == 2 * CentralElement.from_indicator(t8, linear)
+    assert nr == 2 * CentralElement.from_indicator(g8, linear)
 
     # odd q: the norm of -1 separates the linear block from the big one
     g5 = affine(5)
     t5 = character_table(g5)
     nr = reduced_norm(one_by_one(g5, -GroupRingElem.one(g5)))
     linear = [i for i, ch in enumerate(t5.characters) if ch.degree == 1]
-    e_lin = CentralElement.from_indicator(t5, linear)
-    assert nr == CentralElement.one(t5) - 2 * e_lin
+    e_lin = CentralElement.from_indicator(g5, linear)
+    assert nr == CentralElement.one(g5) - 2 * e_lin
 
 
 # ------------------------------------------------- center lattices
@@ -374,25 +374,22 @@ def test_orbit_partition_covers_the_table():
 
 def test_center_lattices_agree_away_from_the_group_order():
     for g, p in ((C5, 2), (S3, 5), (Q8, 3)):
-        t = character_table(g)
-        assert center_lattice(t, p) == maximal_center_lattice(t, p)
+        assert center_lattice(character_table(g), p) == maximal_center_lattice(g, p)
 
 
 def test_maximal_center_is_strictly_larger_at_bad_primes():
     for g, p in ((C5, 5), (S3, 3), (S4, 2)):
-        t = character_table(g)
-        center = center_lattice(t, p)
-        maximal = maximal_center_lattice(t, p)
+        center = center_lattice(character_table(g), p)
+        maximal = maximal_center_lattice(g, p)
         assert maximal.contains(center)
         assert maximal != center
         assert maximal.index_valuation(center) > 0
 
 
 def test_maximal_center_contains_central_idempotents():
-    t = character_table(S4)
-    maximal = maximal_center_lattice(t, 2)
-    for i in range(len(t.characters)):
-        e = CentralElement.from_indicator(t, [i])
+    maximal = maximal_center_lattice(S4, 2)
+    for i in range(len(character_table(S4).characters)):
+        e = CentralElement.from_indicator(S4, [i])
         assert maximal.contains_vector(e.to_class_coords())
 
 
@@ -401,18 +398,19 @@ def test_maximal_center_of_d16_at_two_is_saturated():
     # zeta_8^j span only (2, sqrt 2); the index of z(Z_(2)[D16]) is
     # (v_2 of the trace-form discriminant on class sums, 29, minus
     # v_2(disc Q(sqrt 2)) = 3) / 2
-    t = character_table(dihedral(8))
-    maximal = maximal_center_lattice(t, 2)
+    d16 = dihedral(8)
+    t = character_table(d16)
+    maximal = maximal_center_lattice(d16, 2)
     assert maximal.contains(center_lattice(t, 2))
     assert maximal.index_valuation(center_lattice(t, 2)) == 13
 
 
-def _central_values_mod_p(table, row, p, m):
+def _central_values_mod_p(g, row, p, m):
     """The central values of the class-coordinate row, at conductor m,
     as one vector of power-basis coordinates mod p (None unless
     p-integral)."""
     out = []
-    for v in CentralElement.from_class_coords(table, row).values:
+    for v in CentralElement.from_class_coords(g, row).values:
         if v.den % p == 0:
             return None
         v = v.embedded(m)
@@ -429,8 +427,8 @@ def test_maximal_center_is_the_p_integral_center_over_the_catalog():
         t = character_table(g)
         k, m = len(t.characters), g.exponent()
         for p in prime_divisors(g.order):
-            lat = maximal_center_lattice(t, p)
-            vecs = [_central_values_mod_p(t, row, p, m) for row in lat.rows]
+            lat = maximal_center_lattice(g, p)
+            vecs = [_central_values_mod_p(g, row, p, m) for row in lat.rows]
             assert None not in vecs, (group_name(g), p)
             if p**k > 4096:
                 continue
@@ -446,12 +444,11 @@ def test_maximal_center_is_the_p_integral_center_over_the_catalog():
 
 
 def test_conductor_certificate_on_s3_at_three():
-    t = character_table(S3)
-    v = denominator_membership(3 * CentralElement.one(t), 3)
+    v = denominator_membership(3 * CentralElement.one(S3), 3)
     assert v.kind == "certified_in"
     assert v.citations == ("conductor-in-denominator",)
-    assert in_central_conductor(3 * CentralElement.one(t), 3)
-    assert not in_central_conductor(CentralElement.one(t), 3)
+    assert in_central_conductor(3 * CentralElement.one(S3), 3)
+    assert not in_central_conductor(CentralElement.one(S3), 3)
 
 
 def test_conductor_certificate_on_s4_blocks():
@@ -463,16 +460,14 @@ def test_conductor_certificate_on_s4_blocks():
 
 def test_commutator_certificate_when_p_misses_it():
     for g, p in ((C4, 2), (D10, 2)):
-        t = character_table(g)
-        v = denominator_membership(CentralElement.one(t), p)
+        v = denominator_membership(CentralElement.one(g), p)
         assert v.kind == "certified_in"
         assert v.citations == ("best-denominators",)
 
 
 def test_identity_fails_membership_when_p_divides_commutator():
     for g, p in ((S3, 3), (S4, 2)):
-        t = character_table(g)
-        v = denominator_membership(CentralElement.one(t), p)
+        v = denominator_membership(CentralElement.one(g), p)
         assert v.kind == "counterexample"
         assert v.counterexample is not None
         # the returned matrix really is a witness
@@ -512,16 +507,14 @@ def test_membership_for_quotient_block_multiple():
 
 
 def test_membership_rejects_nonintegral_values():
-    t = character_table(C4)
     with pytest.raises(ValueError):
         denominator_membership(
-            Fraction(1, 2) * CentralElement.one(t), 2
+            Fraction(1, 2) * CentralElement.one(C4), 2
         )
 
 
 def test_membership_verdict_serializes():
-    t = character_table(S4)
-    v = denominator_membership(CentralElement.one(t), 2)
+    v = denominator_membership(CentralElement.one(S4), 2)
     out = v.to_jsonable()
     assert out["verdict"] == "counterexample"
     assert out["samples"] == v.samples
