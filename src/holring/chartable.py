@@ -1,12 +1,16 @@
 """Exact complex character tables of finite groups.
 
 Character values are cyclotomic numbers, never floats.  The generic
-engine finds central characters as joint eigenvectors of the class
-multiplication matrices over a prime field F_q with q = 1 mod exp(G),
-then lifts values exactly by discrete Fourier inversion on cyclic
-subgroups.  Closed forms cover cyclic, dihedral, affine and direct
-product groups, plus the kernel-induction construction for Frobenius
-groups; the independent routes are cross-checked in the test suite.
+engine (Dixon, Numer. Math. 10, 1967) finds central characters as joint
+eigenvectors of the class multiplication matrices over a prime field
+F_q with q = 1 mod exp(G), then lifts values exactly by discrete Fourier
+inversion on cyclic subgroups.  As q does not divide |G|, each class
+matrix is diagonalizable over F_q, so its eigenvalues on a space are
+the distinct roots of its characteristic polynomial, found by
+evaluating that polynomial at every element of F_q.  Closed forms
+cover cyclic, dihedral, affine and direct product groups, plus the
+kernel-induction construction for Frobenius groups; the independent
+routes are cross-checked in the test suite.
 
 The table of a quotient G/N, or of a direct factor M of G = M x H, is
 derived from the table of G rather than computed afresh: Irr(G/N) is the
@@ -177,7 +181,7 @@ def _finish(group: FiniteGroup, chars: list, method: str) -> CharTable:
     return CharTable(group.classes(), tuple(chars), method)
 
 
-# -- linear algebra and polynomial arithmetic over F_q -------------------
+# -- linear algebra over F_q ---------------------------------------------
 
 
 def _find_modulus(exponent: int, order: int) -> int:
@@ -257,108 +261,58 @@ def _fq_kernel(mat, q):
     return basis
 
 
-def _ptrim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
+def _fq_charpoly(mat, q):
+    """Characteristic polynomial det(xI - mat), ascending coefficients.
 
-
-def _pmul(a, b, q):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % q
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, q):
-    a = list(a)
-    binv = pow(b[-1], q - 2, q)
-    quo = [0] * max(len(a) - len(b) + 1, 1)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
+    Reduces mat to Hessenberg form by similarity, then runs the Hessenberg
+    recurrence (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.2.9).  It divides only by nonzero pivots, so any q works,
+    including q below the dimension."""
+    h = [list(row) for row in mat]
+    n = len(h)
+    for m in range(1, n - 1):
+        sel = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if sel is None:
             continue
-        c = a[-1] * binv % q
-        shift = len(a) - len(b)
-        quo[shift] = c
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bc) % q
-        a.pop()
-    return _ptrim(quo), _ptrim(a if any(a) else [0])
-
-
-def _pgcd(a, b, q):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b != [0]:
-        a, b = b, _pdivmod(a, b, q)[1]
-    inv = pow(a[-1], q - 2, q)
-    return [x * inv % q for x in a]
-
-
-def _ppowmod(base, e, mod, q):
-    result = [1]
-    base = _pdivmod(base, mod, q)[1]
-    while e:
-        if e & 1:
-            result = _pdivmod(_pmul(result, base, q), mod, q)[1]
-        base = _pdivmod(_pmul(base, base, q), mod, q)[1]
-        e >>= 1
-    return result
+        if sel != m:
+            h[m], h[sel] = h[sel], h[m]
+            for row in h:
+                row[m], row[sel] = row[sel], row[m]
+        inv = pow(h[m][m - 1], q - 2, q)
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % q
+            if u:
+                h[i] = [(a - u * b) % q for a, b in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % q
+    # polys[m] = det(xI - h[:m, :m]); each new one is x * polys[m - 1]
+    # minus the Hessenberg column m - 1 against the earlier ones
+    polys = [[1]]
+    for m in range(1, n + 1):
+        new = [0] + polys[m - 1]
+        for t, c in enumerate(polys[m - 1]):
+            new[t] -= h[m - 1][m - 1] * c
+        sub = 1
+        for i in range(m - 1, 0, -1):
+            sub = sub * h[i][i - 1] % q
+            f = h[i - 1][m - 1] * sub
+            for t, c in enumerate(polys[i - 1]):
+                new[t] -= f * c
+        polys.append([c % q for c in new])
+    return polys[n]
 
 
 def _fq_roots(f, q):
-    """Roots of f, which must be squarefree and split over F_q."""
-    inv = pow(f[-1], q - 2, q)
-    f = [x * inv % q for x in f]
+    """The distinct roots of f in F_q, ascending, by evaluating f at each
+    element of F_q."""
     roots = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        d = len(g) - 1
-        if d == 0:
-            continue
-        if d == 1:
-            roots.append((-g[0]) % q)
-            continue
-        c = 0
-        while True:
-            h = _ppowmod([c, 1], (q - 1) // 2, g, q)
-            h = _ptrim([(h[0] - 1) % q] + list(h[1:]))
-            if h != [0]:
-                s = _pgcd(g, h, q)
-                if 0 < len(s) - 1 < d:
-                    stack.append(s)
-                    stack.append(_pdivmod(g, s, q)[0])
-                    break
-            c += 1
-    assert len(roots) == len(f) - 1
-    return sorted(roots)
-
-
-def _fq_min_poly(step, dim, q):
-    """Minimal polynomial of the linear map `step` on F_q^dim."""
-    m = [1]
-    for s in range(dim):
-        if len(m) - 1 == dim:
-            break
-        v = [0] * dim
-        v[s] = 1
-        kry = [v]
-        ann = None
-        while ann is None:
-            nxt = step(kry[-1])
-            rref, trans, piv = _fq_rref(kry, q)
-            coords = [nxt[p] for p in piv]
-            if _fq_vecmat(coords, rref, q) == nxt:
-                inbasis = _fq_vecmat(coords, trans, q)
-                ann = [(-c) % q for c in inbasis] + [1]
-            else:
-                kry.append(nxt)
-        g = _pgcd(m, ann, q)
-        m = _pdivmod(_pmul(m, ann, q), g, q)[0]
-    return m
+    for x in range(q):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * x + c) % q
+        if not acc:
+            roots.append(x)
+    return roots
 
 
 # -- the generic engine ---------------------------------------------------
@@ -391,22 +345,20 @@ def dixon_table(group: FiniteGroup) -> CharTable:
                 coords = [img[p] for p in piv]
                 assert _fq_vecmat(coords, rref, q) == img
                 restricted.append(_fq_vecmat(coords, trans, q))
-
-            def step(x, r=restricted):
-                return _fq_vecmat(x, r, q)
-
-            minpoly = _fq_min_poly(step, d, q)
-            if len(minpoly) - 1 == 1:
+            # q does not divide |G|, so the class matrix is diagonalizable:
+            # its eigenvalues are the distinct roots of its char poly, and
+            # a single one means it is scalar on this space
+            roots = _fq_roots(_fq_charpoly(restricted, q), q)
+            if len(roots) == 1:
                 next_spaces.append(basis)
                 continue
             covered = 0
-            for lam in _fq_roots(minpoly, q):
-                shifted = [
+            for lam in roots:
+                transposed = [
                     [(restricted[s][t] - (lam if s == t else 0)) % q
-                     for t in range(d)]
-                    for s in range(d)
+                     for s in range(d)]
+                    for t in range(d)
                 ]
-                transposed = [[shifted[s][t] for s in range(d)] for t in range(d)]
                 eig = _fq_kernel(transposed, q)
                 assert eig
                 next_spaces.append([_fq_vecmat(x, basis, q) for x in eig])

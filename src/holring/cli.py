@@ -57,18 +57,6 @@ from .verify import run_checks
 
 SCHEMA = "holring/1"
 
-FAMILIES = (
-    "cyclic",
-    "dihedral",
-    "symmetric",
-    "alternating",
-    "quaternion",
-    "affine",
-    "inversion",
-    "metacyclic",
-    "frob72",
-)
-
 # which of --n / --q each family consumes
 FAMILY_PARAMS = {
     "cyclic": ("n",),
@@ -81,6 +69,7 @@ FAMILY_PARAMS = {
     "metacyclic": ("n", "q"),
     "frob72": (),
 }
+FAMILIES = tuple(FAMILY_PARAMS)
 
 
 class UsageError(Exception):
@@ -134,7 +123,11 @@ def _build_group(args) -> FiniteGroup:
 
 def _prime_arg(args) -> int:
     p = args.p
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise UsageError(f"--p: {exc}")
+    if not prime:
         raise UsageError(f"--p must be a prime, got {p}")
     return p
 

@@ -59,16 +59,37 @@ def euler_phi(m: int) -> int:
     return result
 
 
+# Miller-Rabin on the 13 prime bases 2..41 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test; ValueError for n at or above
+    _MR_BOUND, where the bases no longer prove the answer."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large for an exact primality test "
+                         f"(the bound is {_MR_BOUND})")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -19,9 +19,7 @@ engine get theirs by restriction the same way (`chartable.derived_table`).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional
 
 from .blocks import HYBRID_CRITERION, hybrid_report, padic_blocks
@@ -163,44 +161,29 @@ def _odd_part_inverted(g: FiniteGroup):
     return odd_set
 
 
-_MATCHERS = {
-    "cyclic-of-order-p": lambda g, p: g.order == p and _is_cyclic(g),
-    "cyclic-4": lambda g, p: g.order == 4 and _is_cyclic(g),
-    "klein-four": lambda g, p: g.order == 4 and g.exponent() == 2,
-    "odd-abelian-by-inversion": lambda g, p: _odd_part_inverted(g)
-    is not None,
-}
-
-
-def _load_facts():
-    path = resources.files(__package__).joinpath("data/dt_facts.json")
-    data = json.loads(path.read_text())
-    assert data["schema"] == "holring.dt-facts/1"
-    return tuple(data["facts"])
-
-
-_FACTS = _load_facts()
+# (name, the prime it holds at or None for every p, test on (G, p), kind,
+# size at p, citation, source)
+_FACTS = (
+    ("cyclic-of-order-p", None, lambda g, p: g.order == p and _is_cyclic(g),
+     "cyclic", lambda p: p - 1, DT_CYCLIC_PRIME,
+     "torsion classification for the cyclic group of prime order"),
+    ("cyclic-4", 2, lambda g, p: g.order == 4 and _is_cyclic(g),
+     "order", lambda p: 2, DT_CYCLIC_FOUR,
+     "computation for the cyclic group of order 4 at p = 2"),
+    ("klein-four", 2, lambda g, p: g.order == 4 and g.exponent() == 2,
+     "order", lambda p: 2, DT_KLEIN_FOUR,
+     "computation for the Klein four-group at p = 2"),
+    ("odd-abelian-by-inversion", 2, lambda g, p: _odd_part_inverted(g) is not None,
+     "trivial", lambda p: None, DT_INVERSION,
+     "odd abelian group extended by an inverting involution"),
+)
 
 
 def _match_fact(group: FiniteGroup, p: int):
-    for fact in _FACTS:
-        want = fact["prime"]
-        if want != "p" and want != p:
+    for name, prime, holds, kind, size, citation, source in _FACTS:
+        if prime not in (None, p) or not holds(group, p):
             continue
-        if not _MATCHERS[fact["matcher"]](group, p):
-            continue
-        spec = fact["assertion"]
-        size = spec.get("size")
-        if size == "p-1":
-            size = p - 1
-        return DTAssertion(
-            kind=spec["kind"],
-            size=size,
-            citations=(fact["citation"],),
-            derivation=(
-                f"fact[{fact['matcher']}]: {fact['source']}",
-            ),
-        )
+        return DTAssertion(kind, size(p), (citation,), (f"fact[{name}]: {source}",))
     return None
 
 

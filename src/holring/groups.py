@@ -46,11 +46,6 @@ class ConjClassData:
     class_of: tuple         # element id -> class index
     powers: tuple           # powers[c][t]: class of rep_c^t, t = 0..o(rep_c)-1
 
-    def power_classes(self, c: int) -> tuple:
-        """The classes of rep^t for t = 0..o-1, rep the representative of
-        class c and o its order."""
-        return self.powers[c]
-
     def power_class(self, c: int, k: int) -> int:
         powers = self.powers[c]
         return powers[k % len(powers)]
@@ -689,8 +684,8 @@ def quaternion() -> FiniteGroup:
 
 def affine(q: int) -> FiniteGroup:
     """Affine group of the line over F_q: all x -> ax + b with a != 0."""
-    field = _make_field(q)
     _check_order(q * (q - 1))
+    field = _make_field(q)
     units = [a for a in range(field.size) if a != field.zero]
     perms = {}
     for a in units:
@@ -760,10 +755,10 @@ def inversion(orders) -> FiniteGroup:
 
 def metacyclic(l: int, p: int) -> FiniteGroup:
     """C_l x| C_p with l prime and p | l - 1, acting faithfully."""
+    _check_order(l * p)
     if not is_prime(l) or p < 2 or (l - 1) % p:
         raise ValueError("metacyclic groups need l prime and p >= 2 dividing l - 1, "
                          f"got l = {l}, p = {p}")
-    _check_order(l * p)
     a = None
     for cand in range(2, l):
         x, n = cand, 1

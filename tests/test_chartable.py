@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -104,8 +105,11 @@ def test_orthogonality(group):
         (affine(7), affine_table),
         (affine(8), affine_table),
         (direct_product(symmetric(3), cyclic(2)), product_table),
+        # q = 11 is below k = 16 here
+        (direct_product(direct_product(cyclic(2), cyclic(2)),
+                        direct_product(cyclic(2), cyclic(2))), product_table),
     ],
-    ids=["c12", "d10", "d12", "aff7", "aff8", "s3xc2"],
+    ids=["c12", "d10", "d12", "aff7", "aff8", "s3xc2", "c2^4"],
 )
 def test_generic_engine_matches_closed_forms(group, closed):
     a = closed(group)
@@ -115,13 +119,66 @@ def test_generic_engine_matches_closed_forms(group, closed):
 
 @pytest.mark.parametrize(
     "group",
-    [affine(5), metacyclic(7, 3), frob72(), inversion([7])],
-    ids=["aff5", "c7:c3", "frob72", "d14"],
+    # metacyclic(29, 28) has q = 2,437, so Dixon's split scans a large F_q
+    [affine(5), metacyclic(7, 3), frob72(), inversion([7]), metacyclic(29, 28)],
+    ids=["aff5", "c7:c3", "frob72", "d14", "c29:c28"],
 )
 def test_kernel_induction_route_matches_generic(group):
     a = frobenius_table(group)
     b = dixon_table(group)
     assert a.characters == b.characters
+
+
+def _det_mod(mat, q):
+    m = [list(r) for r in mat]
+    det = 1
+    for c in range(len(m)):
+        sel = next((r for r in range(c, len(m)) if m[r][c] % q), None)
+        if sel is None:
+            return 0
+        if sel != c:
+            m[c], m[sel] = m[sel], m[c]
+            det = -det
+        det = det * m[c][c] % q
+        inv = pow(m[c][c], q - 2, q)
+        for r in range(c + 1, len(m)):
+            f = m[r][c] * inv
+            m[r] = [(a - f * b) % q for a, b in zip(m[r], m[c])]
+    return det % q
+
+
+def test_charpoly_is_det_x_minus_m_at_every_point():
+    rng = random.Random(15)
+    q = 7
+    cases = [
+        [[3 if s == t else 0 for t in range(5)] for s in range(5)],  # scalar
+        [[1 if t == s + 1 else 0 for t in range(6)] for s in range(6)],  # nilpotent
+        [[0, 0, 1], [0, 2, 0], [5, 0, 4]],  # h[1][0] = 0: needs the row swap
+    ]
+    # repeated eigenvalues: P diag(2, 2, 2, 5, 5) P^-1 with P unipotent
+    p = [[1 if s == t else (rng.randrange(q) if t > s else 0) for t in range(5)]
+         for s in range(5)]
+    p_inv = [[0] * 5 for _ in range(5)]
+    for col in range(5):
+        e = [1 if s == col else 0 for s in range(5)]
+        for s in reversed(range(5)):
+            p_inv[s][col] = (e[s] - sum(p[s][t] * p_inv[t][col]
+                                        for t in range(s + 1, 5))) % q
+    diag = [2, 2, 2, 5, 5]
+    cases.append([[sum(p[s][u] * diag[u] * p_inv[u][t] for u in range(5)) % q
+                   for t in range(5)] for s in range(5)])
+    for n in range(1, 9):
+        cases.append([[rng.randrange(q) for _ in range(n)] for _ in range(n)])
+    for mat in cases:
+        n = len(mat)
+        f = chartable._fq_charpoly(mat, q)
+        assert len(f) == n + 1 and f[-1] == 1
+        for x in range(q):
+            shifted = [[((x if s == t else 0) - mat[s][t]) % q for t in range(n)]
+                       for s in range(n)]
+            assert sum(c * x**i for i, c in enumerate(f)) % q == _det_mod(shifted, q)
+    assert chartable._fq_roots(chartable._fq_charpoly(cases[3], q), q) == [2, 5]
+    assert chartable._fq_roots(chartable._fq_charpoly(cases[1], q), q) == [0]
 
 
 def test_product_table_degrees():

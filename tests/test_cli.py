@@ -404,6 +404,8 @@ def test_metacyclic_family_flags(capsys):
     "cyclic --n=-3",
     "alternating --n 0",
     "alternating --n=-2",
+    "affine --q 1000000000000000003",
+    "metacyclic --n 1000000000000000003 --q 2",
 ])
 def test_bad_family_parameters_are_usage_errors(group):
     # a subprocess with a timeout, so a constructor that loops forever
@@ -418,6 +420,41 @@ def test_bad_family_parameters_are_usage_errors(group):
     assert proc.stdout == ""
     assert proc.stderr.startswith("holring: error: ")
     assert proc.stderr.strip() != "holring: error:"
+
+
+@pytest.mark.parametrize("argv", [
+    "blocks --family symmetric --n 3",
+    "conductor --family symmetric --n 4",
+    "hybrid --family symmetric --n 4 --normal commutator",
+    "dt --family symmetric --n 3",
+    "report --family symmetric --n 3",
+    "denom-cert --family symmetric --n 3",
+    "norm-ideal --family symmetric --n 3",
+])
+def test_huge_prime_answers_at_once(argv):
+    # p = 10^18 + 3 is prime and divides no group order: the answer is
+    # the coprime case, with no search up to sqrt(p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "holring.cli", *argv.split(), "--p", str(10**18 + 3)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+def test_prime_beyond_the_exact_test_is_a_usage_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "holring.cli", "blocks", "--family", "symmetric",
+         "--n", "3", "--p", str(10**25 + 13)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("holring: error: --p: ")
 
 
 # -- byte-identical output -------------------------------------------------

@@ -11,6 +11,7 @@ from holring.cyclotomic import (
     cyclotomic_polynomial,
     divisors,
     euler_phi,
+    is_prime,
     padic_valuation,
     prime_divisors,
     semilocal_valuation,
@@ -219,6 +220,33 @@ def test_text_round_trip():
     ]
     for v in vals:
         assert cyclo_from_text(v.conductor, v.to_text()) == v
+
+
+def test_is_prime_matches_a_sieve():
+    sieve = [False, False] + [True] * (10**5 - 2)
+    for n in range(2, math.isqrt(10**5) + 1):
+        if sieve[n]:
+            sieve[n * n::n] = [False] * len(range(n * n, 10**5, n))
+    assert [n for n in range(-3, 10**5) if is_prime(n)] == [
+        n for n in range(10**5) if sieve[n]]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to every prime base up to 7, 31 and 37
+    # respectively: the last one needs base 41
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(10**18 + 3)
+    assert is_prime(2**61 - 1)
+
+
+def test_is_prime_refuses_above_its_proven_bound():
+    bound = 3317044064679887385961981
+    assert not is_prime(bound - 1)
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(bound)
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(10**25 + 13)
 
 
 def test_padic_valuation():
