@@ -111,6 +111,7 @@ class CharTable:
     method: str
     _orbits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _blocks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _basis: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -136,6 +137,14 @@ class CharTable:
                 if math.gcd(k, exponent) == 1
             }
         return dict(self._orbits[i])
+
+    def rational_orbits(self) -> list:
+        """(first index, `galois_orbit`) of each Galois orbit of Irr(G) over Q."""
+        orbits = []
+        for i in range(len(self.characters)):
+            if all(i not in members.values() for _, members in orbits):
+                orbits.append((i, self.galois_orbit(i)))
+        return orbits
 
     def to_jsonable(self, group: FiniteGroup) -> dict:
         """The table of `group`, whose element permutations name the class

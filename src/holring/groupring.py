@@ -36,8 +36,11 @@ scalar action on each irreducible character of the group's table, a
 CycloNum like the character values, which turns products of central
 elements into pointwise multiplications between elements of the same
 group object (ValueError otherwise).  Its class coordinates are the one
-way back into Q[G]: ``to_class_coords`` and ``to_group_ring`` raise
-ValueError for an element that is not rational.
+way back into Q[G], through one integer change of basis kept on each
+table, ``orbit_basis``: from the values at one character per rational
+orbit of Irr(G) to class coordinates, with no CycloNum sums.
+``to_class_coords`` and ``to_group_ring`` raise ValueError for an element
+that is not rational, one whose values are not Galois-equivariant.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import operator
 from fractions import Fraction
 
 from .chartable import character_table
-from .cyclotomic import CycloNum, _rational, coerce
+from .cyclotomic import CycloNum, _cyclo, _rational, coerce, euler_phi, prime_divisors
 from .groups import FiniteGroup
 
 
@@ -220,14 +223,17 @@ class GroupRingElem:
 
     # -- structure --------------------------------------------------------
 
-    def class_collapse(self) -> list:
-        """Sum of coefficients over each conjugacy class, as Fractions."""
+    def class_sums(self) -> list:
+        """Sum of the int numerators over each conjugacy class."""
         cls = self.group.classes()
         out = [0] * len(cls.classes)
-        for i, c in enumerate(self.num):
-            if c:
-                out[cls.class_of[i]] += c
-        return [Fraction(x, self.den) for x in out]
+        for c, x in zip(cls.class_of, self.num):
+            out[c] += x
+        return out
+
+    def class_collapse(self) -> list:
+        """Sum of coefficients over each conjugacy class, as Fractions."""
+        return [Fraction(x, self.den) for x in self.class_sums()]
 
     def is_central(self) -> bool:
         cls = self.group.classes()
@@ -348,6 +354,71 @@ class GroupRingMatrix:
         return acc
 
 
+def _lincomb(coeffs, rows, width: int) -> list:
+    """sum_r coeffs[r] * rows[r] over ints, rows of the given width."""
+    out = [0] * width
+    for x, row in zip(coeffs, rows):
+        if x:
+            out = [a + x * r for a, r in zip(out, row)]
+    return out
+
+
+class _OrbitBasis:
+    """Values at the representative chi_0 of each rational orbit O of
+    Irr(G) <-> class coordinates, for a rational central element; m is the
+    conductor of chi_0's field.  `chi[o][c]` is chi_0(c) at Q(zeta_m), ints
+    as character values are algebraic integers.  The value sum_t w_t
+    zeta_m^t at each chi_0 gives class coordinates sum_O sum_t w_t R_O[t][c],
+    R_O[t][c] = chi_0(1) |O| Tr(zeta_m^t chi_0(c^-1)) / (|G| phi(m)), the
+    orbit's share of sum_chi chi(1) z_chi chi(c^-1) / |G| (Isaacs, ch. 2).
+    Tr(zeta_m^j) = mu(m/g) phi(m) / phi(m/g), g = gcd(j, m), so the stacked
+    `rows` are ints over one `den`.
+    """
+
+    def __init__(self, table):
+        cls, chars = table.classes, table.characters
+        self.orbits = table.rational_orbits()
+        self.conductors = [chars[rep].field_conductor for rep, _ in self.orbits]
+        self.chi = [[v.embedded(m).num for v in chars[rep].values]
+                    for (rep, _), m in zip(self.orbits, self.conductors)]
+        phi_lcm = math.lcm(*map(euler_phi, self.conductors))
+        self.den = table.order * phi_lcm
+        self.rows = []
+        for (rep, members), m, chi in zip(self.orbits, self.conductors, self.chi):
+            tr = []
+            for n in (m // math.gcd(j, m) for j in range(m)):
+                primes = prime_divisors(n)
+                tr.append((-1) ** len(primes) * euler_phi(m) // euler_phi(n) if math.prod(primes) == n else 0)
+            scale = chars[rep].degree * len(set(members.values())) * phi_lcm // euler_phi(m)
+            conj = [chi[cls.power_class(c, -1)] for c in range(len(chi))]
+            self.rows += [
+                [scale * sum(x * tr[(t + s) % m] for s, x in enumerate(xs) if x) for xs in conj]
+                for t in range(euler_phi(m))
+            ]
+        self._values = [chars[rep].values for rep, _ in self.orbits]
+
+    def rep_value(self, o: int, num, den: int) -> CycloNum:
+        """sum_c num[c] chi_0(c) / den for orbit o, at the lcm M of the
+        conductors of the chi_0(c) with num[c] != 0, as CycloNum sums are."""
+        m = self.conductors[o]
+        M = math.lcm(1, *(v.m for v, x in zip(self._values[o], num) if x))
+        value = _cyclo(m, _lincomb(num, self.chi[o], euler_phi(m)), den)
+        return value if M == m else value.minimal().embedded(M)
+
+    def class_coords(self, values) -> tuple:
+        """(numerators, den) of the class coordinates of the element with
+        values[o] (0 or at a conductor dividing m) at orbit o's chi_0."""
+        vals = [coerce(v).embedded(m) for v, m in zip(values, self.conductors)]
+        den = math.lcm(*(v.den for v in vals))
+        coeffs = [x * (den // v.den) for v in vals for x in v.num]
+        return _lincomb(coeffs, self.rows, len(self.rows[0])), den * self.den
+
+
+def orbit_basis(table) -> _OrbitBasis:
+    """The table's `_OrbitBasis`, built on first use."""
+    return table._basis.get("orbit") or table._basis.setdefault("orbit", _OrbitBasis(table))
+
+
 def _central_value(v) -> CycloNum:
     """v as a CycloNum; a rational value at conductor 1, so that products
     with it take CycloNum's scalar path."""
@@ -365,13 +436,16 @@ class CentralElement:
 
     It keeps its group and the group's table, `character_table(group)`.
     Sums, differences and products of two central elements need the same
-    group object.  The class coordinates are computed once, as CycloNum
-    sums.  `is_rational` reads them; `to_class_coords` and
-    `to_group_ring`, the way back into Q[G], raise ValueError for an
+    group object.  The element is rational exactly when its values are
+    Galois-equivariant, sigma_k(value at chi) = value at sigma_k(chi), and
+    lie in Q(zeta_exp(G)); its class coordinates are then read from the
+    values at the orbit representatives through the table's
+    `orbit_basis`, as ints.  `is_rational` tests this; `to_class_coords`
+    and `to_group_ring`, the way back into Q[G], raise ValueError for an
     element that is not rational.
     """
 
-    __slots__ = ("group", "table", "values", "_coords")
+    __slots__ = ("group", "table", "values")
 
     def __init__(self, group: FiniteGroup, values):
         table = character_table(group)
@@ -380,7 +454,6 @@ class CentralElement:
             raise ValueError(f"{len(values)} values for {len(table.characters)} characters")
         self.group, self.table = group, table
         self.values = tuple(map(_central_value, values))
-        self._coords = None
 
     # -- constructors ------------------------------------------------------
 
@@ -422,46 +495,39 @@ class CentralElement:
 
     # -- conversions ---------------------------------------------------------
 
-    def _class_sums(self) -> tuple:
-        """Coefficient on (any element of) each conjugacy class, as
-        CycloNums; computed once per element."""
-        if self._coords is None:
-            g = self.group
-            cls = g.classes()
-            weighted = [
-                (v * ch.degree, ch.values)
-                for v, ch in zip(self.values, self.table.characters)
-                if v
-            ]
-            coords = []
-            for c in range(len(cls.classes)):
-                cinv = cls.power_class(c, -1)
-                total = CycloNum.rational(0)
-                for w, chi in weighted:
-                    total = total + w * chi[cinv]
-                coords.append(total * Fraction(1, g.order))
-            self._coords = tuple(coords)
-        return self._coords
+    def _class_coords(self) -> tuple:
+        """(numerators, denominator) of the class coordinates; ValueError unless
+        sigma_k(z_chi) = z_sigma_k(chi) for every chi and k (equivariance)."""
+        basis = orbit_basis(self.table)
+        reps = []
+        for (rep, members), m in zip(basis.orbits, basis.conductors):
+            v = self.values[rep]
+            v = v if m % v.m == 0 else v.minimal()
+            # a rational element's value at chi_0 lies in chi_0's field
+            pairs = {(k % v.m, idx) for k, idx in members.items()}
+            if m % v.m or any(self.values[idx] != v.galois(u) for u, idx in pairs):
+                raise ValueError("central element is not rational")
+            reps.append(v)
+        return basis.class_coords(reps)
 
     def to_class_coords(self) -> list:
         """Coefficient on each conjugacy class, as Fractions; ValueError if
         the element is not rational."""
-        coords = [c.as_rational() for c in self._class_sums()]
-        if None in coords:
-            raise ValueError("central element is not rational")
-        return coords
+        num, den = self._class_coords()
+        return [Fraction(x, den) for x in num]
 
     def to_group_ring(self) -> GroupRingElem:
-        g = self.group
-        class_of = g.classes().class_of
-        coords = self.to_class_coords()
-        return GroupRingElem(g, [coords[class_of[i]] for i in range(g.order)])
+        num, den = self._class_coords()
+        return GroupRingElem._reduced(self.group, [num[c] for c in self.group.classes().class_of], den)
 
     # -- predicates ------------------------------------------------------------
 
     def is_rational(self) -> bool:
         """True when the group ring coefficients are all rational."""
-        return all(c.as_rational() is not None for c in self._class_sums())
+        try:
+            return bool(self._class_coords())
+        except ValueError:
+            return False
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -2,7 +2,10 @@
 
 Everything runs on character data: the reduced characteristic polynomial
 of a matrix over Q[G] in one irreducible block comes from power traces
-and Newton's identities, never from an explicit representation.  On top
+and Newton's identities, never from an explicit representation.  Newton
+runs once per rational orbit of Irr(G), and the Galois action gives the
+orbit's other blocks; the adjoint's central layers enter Q[G] through
+the table's integer change of basis, `groupring.orbit_basis`.  On top
 of that sit the denominator-ideal certificates: conductor membership,
 the commutator-order criterion, and seeded sampling of x * adj(H) when
 no certificate applies.  Norm-ideal probes collect reduced norms of
@@ -35,6 +38,7 @@ from .groupring import (
     CentralElement,
     GroupRingElem,
     GroupRingMatrix,
+    orbit_basis,
     random_integral_matrix,
 )
 from .groups import FiniteGroup
@@ -110,29 +114,13 @@ class ReducedCharPoly:
 
 
 def _powers_and_traces(H: GroupRingMatrix, kmax: int):
-    """(H^1..H^(kmax-1), class-collapsed coefficients of tr(H^k), k = 1..kmax).
-
-    H^kmax is formed for its trace alone and not kept.
-    """
-    powers, traces = [], []
-    power = H
-    for _ in range(1, kmax):
-        powers.append(power)
-        traces.append(power.trace().class_collapse())
-        power = power * H
-    traces.append(power.trace().class_collapse())
-    return powers, traces
-
-
-def _traces_for(ch: Character, collapsed: list) -> list:
-    traces = []
-    for row in collapsed:
-        total = CycloNum.rational(0)
-        for s, v in zip(row, ch.values):
-            if s:
-                total = total + v * s
-        traces.append(total)
-    return traces
+    """(H^1..H^(kmax-1), (class sums, den) of tr(H^k) for k = 1..kmax);
+    H^kmax is formed for its trace alone and not kept."""
+    powers = [H]
+    while len(powers) < kmax:
+        powers.append(powers[-1] * H)
+    traces = [power.trace() for power in powers]
+    return powers[:-1], [(t.class_sums(), t.den) for t in traces]
 
 
 def _newton_coeffs(traces: list, d: int) -> tuple:
@@ -153,15 +141,25 @@ def _newton_coeffs(traces: list, d: int) -> tuple:
 
 def _polys_and_powers(H: GroupRingMatrix):
     """Reduced char polys of every block, and the powers H^1..H^(d-1)
-    whose traces gave them, d the largest block degree."""
+    whose traces gave them, d the largest block degree.  Newton runs once
+    per rational orbit, at its representative chi_0, and sigma_k(chi_0)
+    takes the images under sigma_k.  ValueError if a coefficient is not
+    fixed by chi_0's stabilizer: then some adjoint layer is not rational.
+    """
     table = character_table(H.group)
+    basis = orbit_basis(table)
     dmax = max(ch.degree for ch in table.characters) * H.n
-    powers, collapsed = _powers_and_traces(H, dmax)
-    polys = []
-    for ch in table.characters:
-        d = ch.degree * H.n
-        traces = _traces_for(ch, collapsed[:d])
-        polys.append(ReducedCharPoly(ch, H.n, _newton_coeffs(traces, d)))
+    powers, traces = _powers_and_traces(H, dmax)
+    polys = [None] * len(table.characters)
+    for o, (rep, members) in enumerate(basis.orbits):
+        d = table.characters[rep].degree * H.n
+        coeffs = _newton_coeffs([basis.rep_value(o, *t) for t in traces[:d]], d)
+        m = math.lcm(*(c.m for c in coeffs))
+        for u, idx in {(k % m, idx) for k, idx in members.items()}:
+            image = tuple(c.galois(u) for c in coeffs)
+            if idx == rep and image != coeffs:
+                raise ValueError("a reduced char poly coefficient is not fixed by its stabilizer")
+            polys[idx] = ReducedCharPoly(table.characters[idx], H.n, image)
     return polys, powers
 
 
@@ -175,59 +173,31 @@ def reduced_norm(H: GroupRingMatrix) -> CentralElement:
     return CentralElement(H.group, [p.norm_value() for p in reduced_char_polys(H)])
 
 
-def _adjoint_layers(group: FiniteGroup, polys: list) -> list:
-    """Central coefficient C_j of H^(j-1) in adj(H) = sum_j C_j H^(j-1).
-
-    C_j collects (-1)^(d+1) alpha_j over every character; each layer
-    must have rational class coordinates, which is exactly the
-    statement that the assembled adjoint is fixed by the Galois action,
-    and its `to_group_ring` raises ValueError otherwise.
-    """
-    dmax = max(p.degree for p in polys)
-    layers = []
-    for j in range(1, dmax + 1):
-        values = []
-        for poly in polys:
-            d = poly.degree
-            if j > d:
-                values.append(0)
-                continue
-            sign = -1 if (d + 1) % 2 else 1
-            values.append(poly.coeffs[j] * sign)
-        layers.append(CentralElement(group, values))
-    return layers
-
-
 def adjoint_and_norm(H: GroupRingMatrix):
     """(adj(H), nr(H)) from one set of matrix powers.
 
-    adj(H) = sum_j C_j H^(j-1) reuses the powers H^1..H^(d-1) that the
-    power traces formed; each power is scaled by its central layer entry
-    by entry, and each entry is summed over the layers' common
-    denominator and reduced once.
+    adj(H) = sum_j C_j H^(j-1): the central layer C_j is (-1)^(d+1) alpha_j
+    at a block of degree d >= j, 0 elsewhere, and enters Q[G] from its
+    values at the orbit representatives by one int product with the
+    table's `orbit_basis`.  Each power, formed once for the traces, is
+    scaled by its layer entry by entry; each entry is reduced once.
     """
     polys, powers = _polys_and_powers(H)
-    nr = CentralElement(H.group, [p.norm_value() for p in polys])
-    layers = [layer.to_group_ring() for layer in _adjoint_layers(H.group, polys)]
-    eye = GroupRingMatrix.identity(H.group, H.n)
-    return GroupRingMatrix.combination(layers, [eye] + powers), nr
+    group = H.group
+    nr = CentralElement(group, [p.norm_value() for p in polys])
+    basis = orbit_basis(nr.table)
+    reps = [polys[rep] for rep, _ in basis.orbits]
+    class_of = group.classes().class_of
+    layers = []
+    for j in range(1, len(powers) + 2):
+        num, den = basis.class_coords(
+            [p.coeffs[j] * (-1) ** (p.degree + 1) if j <= p.degree else 0 for p in reps]
+        )
+        layers.append(GroupRingElem._reduced(group, [num[c] for c in class_of], den))
+    return GroupRingMatrix.combination(layers, [GroupRingMatrix.identity(group, H.n)] + powers), nr
 
 
 # --------------------------------------------------- center as a lattice
-
-
-def rational_character_orbits(table: CharTable) -> list:
-    """Galois orbits of Irr(G) over Q, as (representative, {k: index}).
-
-    The dict sends each unit k mod the group exponent to the index of
-    the character obtained by applying the k-th power Galois map to the
-    values of the representative.
-    """
-    orbits = []
-    for i in range(len(table.characters)):
-        if all(i not in members.values() for _, members in orbits):
-            orbits.append((i, table.galois_orbit(i)))
-    return orbits
 
 
 def center_lattice(table: CharTable, p: int) -> PLattice:
@@ -260,28 +230,22 @@ def maximal_center_lattice(group: FiniteGroup, p: int) -> PLattice:
     its integers at p only when Q(zeta_m)/K is tamely ramified at p (not
     so for Q(sqrt 2) in D16 at p = 2).  So their lattice is saturated at p
     in the power-basis coordinates of Q(zeta_m), an integral basis
-    (Washington, Thm. 2.6), and each of its rows is converted to class
-    coordinates once.
+    (Washington, Thm. 2.6).  Each of its rows is the value at the orbit's
+    representative of one generator, read into class coordinates through
+    the table's `orbit_basis`.
     """
     table = character_table(group)
     k = len(table.characters)
+    basis = orbit_basis(table)
     gens = []
-    for rep, members in rational_character_orbits(table):
-        m = table.characters[rep].field_conductor
+    for o, ((rep, members), m) in enumerate(zip(basis.orbits, basis.conductors)):
         stab = {u % m for u, idx in members.items() if idx == rep}
-        traces = []
-        for j in range(m):
-            t = CycloNum.rational(0)
-            for u in stab:
-                t = t + CycloNum.root_of_unity(m, j * u % m)
-            traces.append(t.num)
+        zero = CycloNum(m, [0])
+        traces = [sum((CycloNum.root_of_unity(m, j * u) for u in stab), zero).num for j in range(m)]
         integers = _saturated(PLattice.from_generators(p, euler_phi(m), traces))
         for row in integers.rows:
-            x = CycloNum(m, row)
-            values = [0] * k
-            for kk, idx in members.items():
-                values[idx] = x.galois(kk % m)
-            gens.append(CentralElement(group, values).to_class_coords())
+            num, den = basis.class_coords([CycloNum(m, row) if i == o else 0 for i in range(len(basis.orbits))])
+            gens.append([Fraction(x, den) for x in num])
     lat = PLattice.from_generators(p, k, gens)
     assert lat.rank == k
     return lat

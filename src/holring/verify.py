@@ -75,7 +75,6 @@ from .rednorm import (
     denominator_membership,
     in_central_conductor,
     norm_ideal_probe,
-    rational_character_orbits,
     reduced_char_polys,
     reduced_norm,
 )
@@ -672,7 +671,7 @@ def _check_conductor_lattice_oracle():
         center = center_lattice(t, p)
         orbits = {
             frozenset(members.values()): members
-            for _, members in rational_character_orbits(t)
+            for _, members in t.rational_orbits()
         }
         for block, expn in central_conductor(t, p):
             members = orbits.get(frozenset(block.char_indices))

@@ -16,7 +16,6 @@ from holring.chartable import character_table
 from holring.citations import REGISTRY
 from holring.cyclotomic import CycloNum, euler_phi, padic_valuation
 from holring.dt import weakly_hybrid
-from holring.rednorm import rational_character_orbits
 
 CATALOG = [
     ("c12", lambda: G.cyclic(12)),
@@ -545,7 +544,7 @@ def test_galois_orbits_need_no_field_arithmetic(monkeypatch, make, p):
     for name in ("galois", "minimal", "__hash__"):
         monkeypatch.setattr(CycloNum, name, counting(name))
     padic_blocks(t, p)
-    rational_character_orbits(t)
+    t.rational_orbits()
     assert calls == []
 
 

@@ -16,9 +16,10 @@ from holring.groupring import (
     regular_det,
 )
 from holring.groups import alternating, cyclic, dihedral, quaternion, symmetric
-from holring.rednorm import adjoint_and_norm, rational_character_orbits, reduced_norm
+from holring.rednorm import adjoint_and_norm, reduced_norm
+from holring.verify import catalog
 
-from helpers import is_galois_equivariant
+from helpers import is_galois_equivariant, reference_class_coords
 
 S3 = symmetric(3)
 A4 = alternating(4)
@@ -89,7 +90,7 @@ def test_idempotent_coefficients_and_ring_law():
     t = character_table(A4)
     n = A4.order
     cls = A4.classes()
-    orbits = [set(members.values()) for _, members in rational_character_orbits(t)]
+    orbits = [set(members.values()) for _, members in t.rational_orbits()]
     assert sorted(map(len, orbits)) == [1, 1, 2]
     idempotents = []
     for orbit in orbits:
@@ -147,6 +148,39 @@ def test_galois_equivariance_at_the_minimal_conductor():
         CentralElement(c3, [1, z.embedded(6), z.conjugate().embedded(6)])
     )
     assert not is_galois_equivariant(CentralElement(c3, [1, z, z.embedded(6)]))
+
+
+@pytest.mark.parametrize("which", ["sqrt2", "unequal"])
+def test_elements_that_are_not_rational_are_refused(which):
+    # sqrt 2 = zeta_8 + zeta_8^7 lies outside Q(zeta_3); (0, zeta_3, zeta_3)
+    # is not fixed by zeta_3 -> zeta_3^2, which swaps the last two characters
+    c3 = cyclic(3)
+    z3 = CycloNum.root_of_unity(3)
+    sqrt2 = CycloNum.root_of_unity(8, 1) + CycloNum.root_of_unity(8, 7)
+    values = {"sqrt2": [sqrt2] * 3, "unequal": [0, z3, z3]}[which]
+    z = CentralElement(c3, values)
+    assert not is_galois_equivariant(z)
+    assert not z.is_rational()
+    for convert in (z.to_class_coords, z.to_group_ring):
+        with pytest.raises(ValueError, match="not rational"):
+            convert()
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_class_coordinates_match_the_character_sums(data):
+    # a rational central element of each catalog group of order <= 24, by
+    # its class coordinates, read back through the orbit basis
+    g = data.draw(st.sampled_from([g for g in catalog() if g.order <= 24]))
+    k = len(g.classes().classes)
+    coords = [Fraction(a, b) for a, b in data.draw(
+        st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 6)), min_size=k, max_size=k)
+    )]
+    z = CentralElement.from_class_coords(g, coords)
+    assert z.is_rational() and is_galois_equivariant(z)
+    assert z.to_class_coords() == reference_class_coords(z) == coords
+    class_of = g.classes().class_of
+    assert z.to_group_ring() == GroupRingElem(g, [coords[c] for c in class_of])
 
 
 def test_central_arithmetic_needs_one_table():

@@ -34,13 +34,17 @@ from holring.rednorm import (
     in_central_conductor,
     maximal_center_lattice,
     norm_ideal_probe,
-    rational_character_orbits,
     reduced_char_polys,
     reduced_norm,
 )
 from holring.verify import catalog
 
-from helpers import class_sum_generators, is_galois_equivariant
+from helpers import (
+    class_sum_generators,
+    is_galois_equivariant,
+    reference_adjoint_and_norm,
+    reference_class_coords,
+)
 
 S3 = symmetric(3)
 S4 = symmetric(4)
@@ -234,6 +238,30 @@ def test_norm_values_are_galois_equivariant(g, data):
         assert all(isinstance(c, CycloNum) for c in poly.coeffs)
 
 
+def _triples(values) -> list:
+    return [(v.m, v.num, v.den) for v in values]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("g", SMALL_CATALOG, ids=group_name)
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(data=st.data())
+def test_orbit_route_matches_the_per_character_reference(g, n, data):
+    # Newton once per rational orbit and one int change of basis per layer
+    # give what Newton in every block and CycloNum class sums give, down to
+    # the conductor each norm value is written at
+    h = draw_matrix(data, g, n)
+    adj, nr = adjoint_and_norm(h)
+    ref_adj, ref_nr, ref_polys = reference_adjoint_and_norm(h)
+    assert adj == ref_adj
+    assert _triples(nr.values) == _triples(ref_nr.values)
+    polys = reduced_char_polys(h)
+    assert polys == ref_polys
+    assert [_triples(p.coeffs) for p in polys] == [_triples(p.coeffs) for p in ref_polys]
+    assert nr.to_class_coords() == reference_class_coords(nr)
+    assert is_galois_equivariant(nr)
+
+
 # --------------------------------------------------------- adjoints
 
 
@@ -366,7 +394,7 @@ def test_orbit_partition_covers_the_table():
     for g in (S4, C5, Q8, affine(5)):
         t = character_table(g)
         seen = []
-        for rep, members in rational_character_orbits(t):
+        for rep, members in t.rational_orbits():
             assert members[1] == rep
             seen.extend(members.values())
         assert sorted(set(seen)) == list(range(len(t.characters)))
@@ -602,6 +630,31 @@ def test_probe_converts_each_norm_to_class_coordinates_once(monkeypatch):
     probe = norm_ideal_probe(S4, 2, budget=4)
     maximal_gens = len(S4.classes().classes)
     assert len(calls) <= probe.structured + probe.sampled + maximal_gens
+
+
+@pytest.mark.parametrize("g", [A4, D10], ids=group_name)
+def test_adjoint_runs_newton_once_per_rational_orbit(monkeypatch, g):
+    # A4 and D10 each have 4 characters in 3 rational orbits
+    from holring import rednorm
+
+    newton, converted = [], []
+    body, convert = rednorm._newton_coeffs, CentralElement.to_class_coords
+
+    def counting_newton(traces, d):
+        newton.append(d)
+        return body(traces, d)
+
+    def counting_convert(self):
+        converted.append(self)
+        return convert(self)
+
+    monkeypatch.setattr(rednorm, "_newton_coeffs", counting_newton)
+    monkeypatch.setattr(CentralElement, "to_class_coords", counting_convert)
+    h = random_integral_matrix(g, 2, random.Random(5))
+    adjoint_and_norm(h)
+    assert len(character_table(g).characters) == 4
+    assert len(newton) == 3
+    assert converted == []
 
 
 def test_probe_serializes():
