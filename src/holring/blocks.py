@@ -21,7 +21,7 @@ from typing import Optional
 
 from .chartable import CharTable, character_table
 from .citations import register
-from .cyclotomic import is_prime, padic_valuation
+from .cyclotomic import is_prime, multiplicative_order, padic_valuation
 from .groups import FiniteGroup
 
 HYBRID_CRITERION = register(
@@ -29,14 +29,6 @@ HYBRID_CRITERION = register(
     "Z_p[G] is N-hybrid if and only if every irreducible character whose "
     "kernel does not contain N satisfies v_p(chi(1)) = v_p(|G|).",
 )
-def _mult_order(a: int, m: int) -> int:
-    assert m > 1 and math.gcd(a, m) == 1
-    x = a % m
-    k = 1
-    while x != 1:
-        x = x * a % m
-        k += 1
-    return k
 
 
 def decomposition_group(p: int, m: int):
@@ -58,7 +50,7 @@ def decomposition_group(p: int, m: int):
     if mprime == 1:
         w, order = 1, 1
     else:
-        order = _mult_order(p, mprime)
+        order = multiplicative_order(p, mprime)
         if pa == 1:
             w = p % m
         else:

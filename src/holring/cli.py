@@ -46,10 +46,9 @@ from .groups import FiniteGroup, from_spec, group_name
 from .rednorm import (
     ADJOINT_IDENTITY,
     SEED,
-    adjoint_and_norm,
+    adjoint_norm_and_polys,
     denominator_membership,
     norm_ideal_probe,
-    reduced_char_polys,
     reduced_norm,
 )
 from .reports import Scenario, conjecture_report
@@ -319,12 +318,12 @@ def _cmd_adjoint(args):
     rng = random.Random(args.seed)
     n = 2
     h = random_integral_matrix(g, n, rng)
-    adj, nr = adjoint_and_norm(h)
+    adj, nr, polys = adjoint_norm_and_polys(h)
     scalar = GroupRingMatrix.scalar(g, n, nr.to_group_ring())
     identity = adj * h == scalar and h * adj == scalar
     # maximal-order membership certificate: every reduced characteristic
     # polynomial of an integral matrix has algebraic-integer coefficients
-    integral = all(v.den == 1 for poly in reduced_char_polys(h) for v in poly.coeffs)
+    integral = all(v.den == 1 for poly in polys for v in poly.coeffs)
     ok = identity and integral
     payload = {
         "command": "adjoint",

@@ -59,6 +59,18 @@ def euler_phi(m: int) -> int:
     return result
 
 
+def multiplicative_order(a: int, m: int) -> int:
+    """The least k >= 1 with a^k = 1 mod m; ValueError unless a is a unit
+    mod m > 1."""
+    if m < 2 or math.gcd(a, m) != 1:
+        raise ValueError(f"{a} is not a unit mod {m}")
+    x, k = a % m, 1
+    while x != 1:
+        x = x * a % m
+        k += 1
+    return k
+
+
 # Miller-Rabin on the 13 prime bases 2..41 is exact below this bound
 # (Sorenson and Webster, Math. Comp. 86, 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -14,13 +14,13 @@ from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .cyclotomic import is_prime, padic_valuation, prime_divisors
+from .cyclotomic import is_prime, multiplicative_order, padic_valuation, prime_divisors
 
 MAX_ORDER = 2000
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
-    return tuple(a[x] for x in b)
+    return tuple(map(a.__getitem__, b))
 
 
 def _inverse_perm(a: tuple) -> tuple:
@@ -470,114 +470,68 @@ def abelian_invariants(g: FiniteGroup) -> list:
 # -- field arithmetic for affine groups ---------------------------------
 
 
-class _PrimeField:
-    def __init__(self, p):
-        self.p = p
-        self.size = p
-        self.elements = list(range(p))
-        self.zero, self.one = 0, 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
+def _poly_rem(num, den, p):
+    """The element whose digits are num mod the monic den over F_p."""
+    num, d = list(num), len(den) - 1
+    for top in range(len(num) - 1, d - 1, -1):
+        c = num[top]
+        if c:
+            for j, dc in enumerate(den):
+                num[top - d + j] -= c * dc
+    return sum(c % p * p**j for j, c in enumerate(num[:d]))
 
 
-class _ExtensionField:
-    """F_{p^k} as F_p[x] modulo the lexicographically least monic irreducible."""
+class _Field:
+    """F_q, q = p^k: element i is the polynomial whose coefficients are the
+    base-p digits of i, modulo the lexicographically least monic
+    irreducible of degree k (one with no monic factor of degree 1..k//2).
+    Sums go digit by digit, through the table `sums`; products read exp
+    and log, with exp[j] = g^j for g the least unit of order q - 1."""
 
-    def __init__(self, p, k):
-        self.p, self.k = p, k
-        self.size = p**k
-        self.modulus = self._find_irreducible()
-        self.elements = [self._tuple_of(i) for i in range(self.size)]
-        self.zero = 0
-        self.one = self._index_of((1,) + (0,) * (k - 1))
-
-    def _tuple_of(self, i):
-        out = []
-        for _ in range(self.k):
-            out.append(i % self.p)
-            i //= self.p
-        return tuple(out)
-
-    def _index_of(self, t):
-        i = 0
-        for c in reversed(t):
-            i = i * self.p + c
-        return i
-
-    def _find_irreducible(self):
-        p, k = self.p, self.k
+    def __init__(self, q):
+        primes = prime_divisors(q)
+        if len(primes) != 1:
+            raise ValueError(f"{q} is not a prime power")
+        p = primes[0]
+        k = padic_valuation(q, p)
+        self.size = q
+        # digit by digit: the lowest digit of a + b is entry b % p of 0..p-1
+        # rotated by a % p, and the digits above it are (a // p) + (b // p)
+        digits = list(range(p))
+        low = self.sums = [digits[a:] + digits[:a] for a in range(p)]
+        while len(self.sums) < q:
+            self.sums = [[s + p * h for h in self.sums[a // p] for s in low[a % p]]
+                         for a in range(len(self.sums) * p)]
+        factors = [list(f) + [1] for d in range(1, k // 2 + 1)
+                   for f in itertools.product(range(p), repeat=d)]
         for tail in itertools.product(range(p), repeat=k):
-            poly = list(tail) + [1]  # monic degree k, ascending
-            if self._is_irreducible(poly):
-                return tuple(poly)
-        raise RuntimeError("no irreducible polynomial found")
+            modulus = list(tail) + [1]
+            if all(_poly_rem(modulus, f, p) for f in factors):
+                break
+        self.modulus = tuple(modulus)
 
-    def _is_irreducible(self, poly):
-        p, k = self.p, self.k
-        if poly[0] == 0:
-            return False
-        # no roots, and for k <= 3 rootlessness is enough; otherwise check
-        # gcd-based factor detection by trial division with lower degrees
-        for a in range(p):
-            if self._eval(poly, a) == 0:
-                return False
-        if k <= 3:
-            return True
-        for d in range(2, k // 2 + 1):
-            for tail in itertools.product(range(p), repeat=d):
-                div = list(tail) + [1]
-                if self._poly_mod(poly, div) == [0]:
-                    return False
-        return True
-
-    def _eval(self, poly, x):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % self.p
-        return acc
-
-    def _poly_mod(self, num, den):
-        num = list(num)
-        while len(num) >= len(den) and any(num):
-            if num[-1] == 0:
-                num.pop()
-                continue
-            c = num[-1]
-            shift = len(num) - len(den)
-            for i, dc in enumerate(den):
-                num[shift + i] = (num[shift + i] - c * dc) % self.p
-            num.pop()
-        while len(num) > 1 and num[-1] == 0:
-            num.pop()
-        return num if any(num) else [0]
+        # powers of each unit in turn, until one has order q - 1
+        for a in range(1, q):
+            powers, x = [1], a
+            while x != 1:
+                powers.append(x)
+                prod = [0] * (2 * k - 1)
+                for i in range(k):
+                    for j in range(k):
+                        prod[i + j] += x // p**i % p * (a // p**j % p)
+                x = _poly_rem(prod, modulus, p)
+            if len(powers) == q - 1:
+                break
+        self.exp = tuple(powers)
+        self.log = {x: j for j, x in enumerate(powers)}
 
     def add(self, a, b):
-        ta, tb = self.elements[a], self.elements[b]
-        return self._index_of(tuple((x + y) % self.p for x, y in zip(ta, tb)))
+        return self.sums[a][b]
 
     def mul(self, a, b):
-        ta, tb = self.elements[a], self.elements[b]
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(ta):
-            if x:
-                for j, y in enumerate(tb):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        rem = self._poly_mod(prod, list(self.modulus))
-        rem = list(rem) + [0] * (self.k - len(rem))
-        return self._index_of(tuple(rem[: self.k]))
-
-
-def _make_field(q):
-    primes = prime_divisors(q)
-    if len(primes) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    p = primes[0]
-    k = padic_valuation(q, p)
-    return _PrimeField(p) if k == 1 else _ExtensionField(p, k)
+        if not a or not b:
+            return 0
+        return self.exp[(self.log[a] + self.log[b]) % (self.size - 1)]
 
 
 # -- family constructors -------------------------------------------------
@@ -678,44 +632,23 @@ def quaternion() -> FiniteGroup:
     perms = [tuple(pidx[_mat2_f3_apply(m, v)] for v in points) for m in _Q8_MATS]
     g = FiniteGroup(_closure(perms), family={"family": "quaternion"})
     assert g.order == 8
-    g.meta["minus_one"] = g.index[perms[1]]
     return g
 
 
 def affine(q: int) -> FiniteGroup:
     """Affine group of the line over F_q: all x -> ax + b with a != 0."""
     _check_order(q * (q - 1))
-    field = _make_field(q)
-    units = [a for a in range(field.size) if a != field.zero]
+    field = _Field(q)
     perms = {}
-    for a in units:
-        for b in range(field.size):
-            perms[(a, b)] = tuple(
-                field.add(field.mul(a, x), b) for x in range(field.size)
-            )
+    for a in range(1, q):
+        scaled = tuple(field.mul(a, x) for x in range(q))
+        for b in range(q):
+            perms[(a, b)] = _compose(field.sums[b], scaled)
     g = FiniteGroup(perms.values(), family={"family": "affine", "q": q})
     assert g.order == q * (q - 1)
     g.meta["field"] = field
-    g.meta["kernel"] = frozenset(g.index[perms[(field.one, b)]] for b in range(q))
-    # deterministic generator of the multiplicative group
-    for a in units:
-        ok, x, n = True, a, 1
-        while x != field.one:
-            x = field.mul(x, a)
-            n += 1
-        if n == q - 1:
-            g.meta["unit_gen"] = a
-            g.meta["mult_gen"] = g.index[perms[(a, field.zero)]]
-            break
-    g.meta["decomp"] = {}
-    apow = {field.one: 0}
-    x, k = field.one, 0
-    for _ in range(q - 2):
-        x = field.mul(x, g.meta["unit_gen"])
-        k += 1
-        apow[x] = k
-    for (a, b), perm in perms.items():
-        g.meta["decomp"][g.index[perm]] = (apow[a], b)
+    g.meta["kernel"] = frozenset(g.index[perms[(1, b)]] for b in range(q))
+    g.meta["decomp"] = {g.index[perm]: (field.log[a], b) for (a, b), perm in perms.items()}
     return g
 
 
@@ -759,16 +692,7 @@ def metacyclic(l: int, p: int) -> FiniteGroup:
     if not is_prime(l) or p < 2 or (l - 1) % p:
         raise ValueError("metacyclic groups need l prime and p >= 2 dividing l - 1, "
                          f"got l = {l}, p = {p}")
-    a = None
-    for cand in range(2, l):
-        x, n = cand, 1
-        while x != 1:
-            x = x * cand % l
-            n += 1
-        if n == p:
-            a = cand
-            break
-    assert a is not None
+    a = next(c for c in range(2, l) if multiplicative_order(c, l) == p)
     rot = tuple((x + 1) % l for x in range(l))
     act = tuple(a * x % l for x in range(l))
     g = FiniteGroup(_closure([rot, act]),

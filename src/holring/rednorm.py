@@ -174,7 +174,12 @@ def reduced_norm(H: GroupRingMatrix) -> CentralElement:
 
 
 def adjoint_and_norm(H: GroupRingMatrix):
-    """(adj(H), nr(H)) from one set of matrix powers.
+    """(adj(H), nr(H)) from one set of matrix powers."""
+    return adjoint_norm_and_polys(H)[:2]
+
+
+def adjoint_norm_and_polys(H: GroupRingMatrix):
+    """(adj(H), nr(H), reduced char polys) from one set of matrix powers.
 
     adj(H) = sum_j C_j H^(j-1): the central layer C_j is (-1)^(d+1) alpha_j
     at a block of degree d >= j, 0 elsewhere, and enters Q[G] from its
@@ -194,7 +199,8 @@ def adjoint_and_norm(H: GroupRingMatrix):
             [p.coeffs[j] * (-1) ** (p.degree + 1) if j <= p.degree else 0 for p in reps]
         )
         layers.append(GroupRingElem._reduced(group, [num[c] for c in class_of], den))
-    return GroupRingMatrix.combination(layers, [GroupRingMatrix.identity(group, H.n)] + powers), nr
+    adj = GroupRingMatrix.combination(layers, [GroupRingMatrix.identity(group, H.n)] + powers)
+    return adj, nr, polys
 
 
 # --------------------------------------------------- center as a lattice

@@ -26,7 +26,7 @@ from .blocks import (
     padic_blocks,
 )
 from .chartable import CharTable, character_table
-from .cyclotomic import CycloNum, coerce, euler_phi, padic_valuation, prime_divisors
+from .cyclotomic import CycloNum, euler_phi, padic_valuation, prime_divisors
 from .dt import (
     DT_CYCLIC_FOUR,
     DT_CYCLIC_PRIME,
@@ -70,7 +70,7 @@ from .rednorm import (
     MAXIMAL_NORM_IDEAL,
     S4_NORM_IDEAL,
     SEED,
-    adjoint_and_norm,
+    adjoint_norm_and_polys,
     center_lattice,
     denominator_membership,
     in_central_conductor,
@@ -178,10 +178,6 @@ def _norm_suite() -> list:
     ]
 
 
-def _same(a, b) -> bool:
-    return not (coerce(a) - coerce(b))
-
-
 def _table_shape(t: CharTable, g: FiniteGroup) -> Counter:
     """Row multiset invariant under class and character reordering."""
     sizes = g.classes().sizes
@@ -220,7 +216,7 @@ def _s4_pinned():
             next(
                 i
                 for i, ch in enumerate(t.characters)
-                if ch.degree == degree and _same(ch.values[tc], tau)
+                if ch.degree == degree and ch.values[tc] == tau
             )
         )
     return g, t, cls, tc, order
@@ -243,22 +239,22 @@ def _check_orthogonality():
         for i, ch1 in enumerate(t.characters):
             for j in range(i, k):
                 ch2 = t.characters[j]
-                s = coerce(0)
+                s = CycloNum.rational(0)
                 for c in range(k):
                     s = s + ch1.values[c] * ch2.values[inv[c]] * cls.sizes[c]
                 want = g.order if i == j else 0
                 _require(
-                    _same(s, want),
+                    s == want,
                     f"{group_name(g)}: row orthogonality fails at characters ({i}, {j})",
                 )
         for c in range(k):
             for d in range(k):
-                s = coerce(0)
+                s = CycloNum.rational(0)
                 for ch in t.characters:
                     s = s + ch.values[c] * ch.values[inv[d]]
                 want = g.order // cls.sizes[c] if c == d else 0
                 _require(
-                    _same(s, want),
+                    s == want,
                     f"{group_name(g)}: column orthogonality fails at classes ({c}, {d})",
                 )
     return f"{len(catalog())} groups, both orthogonality relations exact"
@@ -361,13 +357,13 @@ def _check_kernel_induction():
     zeta = CycloNum.root_of_unity(5)
     for c in range(1, 5):
         for rep, want in zip(cls.representatives, target.values):
-            total = coerce(0)
+            total = CycloNum.rational(0)
             for x in range(g.order):
                 y = g.mul(g.mul(x, rep), g.inv(x))
                 if y in log:
                     total = total + zeta ** (c * log[y])
             _require(
-                _same(total / 5, want),
+                total / 5 == want,
                 "induced kernel character differs from the degree-4 irreducible",
             )
     return "all four nontrivial kernel characters of Aff(5) induce the degree-4 irreducible"
@@ -416,7 +412,7 @@ def _check_integral_idempotent_blocks():
         triv = next(
             b
             for b in padic_blocks(t, p)
-            if all(_same(v, 1) for v in t.characters[b.char_indices[0]].values)
+            if all(v == 1 for v in t.characters[b.char_indices[0]].values)
         )
         _require(
             not triv.idempotent_integral,
@@ -537,11 +533,11 @@ def _check_adjoint_ast_identity():
         for i in range(per_group):
             n = 1 + i % 3
             h = random_integral_matrix(g, n, rng)
-            adj, nr = adjoint_and_norm(h)
+            adj, nr, polys = adjoint_norm_and_polys(h)
             scalar = GroupRingMatrix.scalar(g, n, nr.to_group_ring())
             _require(adj * h == scalar, f"{label}: H*H != nr(H) on sample {i}")
             _require(h * adj == scalar, f"{label}: HH* != nr(H) on sample {i}")
-            for poly in reduced_char_polys(h):
+            for poly in polys:
                 _require(
                     all(c.den == 1 for c in poly.coeffs),
                     f"{label}: reduced char poly coefficient not an algebraic integer on sample {i}",
@@ -559,11 +555,11 @@ def _check_regular_det_oracle():
         for i in range(per_group):
             h = random_integral_element(g, rng)
             nr = reduced_norm(GroupRingMatrix(g, [[h]]))
-            prod = coerce(1)
+            prod = CycloNum.rational(1)
             for ch, v in zip(t.characters, nr.values):
                 prod = prod * v**ch.degree
             _require(
-                _same(prod, regular_det(h)),
+                prod == regular_det(h),
                 f"{label}: regular determinant differs from the norm product on sample {i}",
             )
     return f"{per_group * len(suite)} seeded elements: det of the regular action equals the norm product"
@@ -577,10 +573,10 @@ def _check_char_poly_constant_term():
         h = random_integral_matrix(g, 1 + i % 3, rng)
         for poly in reduced_char_polys(h):
             d = poly.degree
-            _require(_same(poly.coeffs[d], 1), "reduced char poly is not monic")
+            _require(poly.coeffs[d] == 1, "reduced char poly is not monic")
             sign = -1 if d % 2 else 1
             _require(
-                _same(poly.coeffs[0] * sign, poly.norm_value()),
+                poly.coeffs[0] * sign == poly.norm_value(),
                 "constant term does not carry the reduced norm with its parity sign",
             )
     return "36 reduced char polys over S3: monic, constant term = parity sign times the norm"
@@ -612,7 +608,7 @@ def _check_s4_norm_identities():
     ):
         got = pinned_norm(elem)
         _require(
-            all(_same(a, b) for a, b in zip(got, want)),
+            all(a == b for a, b in zip(got, want)),
             f"S4: {label} differs from the pinned identity",
         )
     return "four pinned S4 identities hold on (e1..e5)"
@@ -630,7 +626,7 @@ def _check_affine_norm_identities():
         nr = reduced_norm(GroupRingMatrix(g, [[elem]]))
         for ch, v in zip(t.characters, nr.values):
             want = 2 if kernel <= ch.kernel else 0
-            _require(_same(v, want), f"Aff({q}): nr(1+sigma) is not twice the kernel idempotent")
+            _require(v == want, f"Aff({q}): nr(1+sigma) is not twice the kernel idempotent")
     for q in (3, 5, 9):
         g = affine(q)
         t = character_table(g)
@@ -639,7 +635,7 @@ def _check_affine_norm_identities():
         for ch, v in zip(t.characters, nr.values):
             want = -1 if kernel <= ch.kernel else 1
             _require(
-                _same(v, want),
+                v == want,
                 f"Aff({q}): nr(-1) differs from the signed idempotent combination",
             )
     return "even q: nr(1+sigma) = 2e; odd q: nr(-1) = -e + e_nl"
@@ -660,7 +656,7 @@ def _check_conductor_lattice_oracle():
     )
 
     def spread(g, members, value):
-        values = [coerce(0)] * len(g.classes().sizes)
+        values = [CycloNum.rational(0)] * len(g.classes().sizes)
         for k, idx in members.items():
             values[idx] = value.galois(k)
         return CentralElement(g, values)
@@ -690,11 +686,11 @@ def _check_conductor_lattice_oracle():
                     m == p ** padic_valuation(m, p),
                     f"{group_name(g)} at p={p}: oracle needs a pure prime-power conductor",
                 )
-                uniformizer = coerce(1) - CycloNum.root_of_unity(m)
+                uniformizer = 1 - CycloNum.root_of_unity(m)
             else:
-                uniformizer = coerce(p)
+                uniformizer = CycloNum.rational(p)
             basis = [
-                spread(g, members, CycloNum.root_of_unity(m) ** j if m > 1 else coerce(1))
+                spread(g, members, CycloNum.root_of_unity(m) ** j)
                 for j in range(euler_phi(m))
             ]
             found = None

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from holring import rednorm
 from holring.cli import SCHEMA, main
 
 
@@ -226,6 +227,20 @@ def test_adjoint_self_check_passes(capsys):
     code, out, err = run(capsys, "adjoint", "--family", "quaternion")
     assert code == 0
     assert "adjoint identity" in out and ": true" in out
+
+
+def test_adjoint_forms_the_powers_of_h_once(capsys, monkeypatch):
+    calls = []
+    inner = rednorm._polys_and_powers
+
+    def counted(h):
+        calls.append(h)
+        return inner(h)
+
+    monkeypatch.setattr(rednorm, "_polys_and_powers", counted)
+    code, out, err = run(capsys, "adjoint", "--family", "quaternion")
+    assert code == 0 and "identity" in out
+    assert len(calls) == 1
 
 
 def test_denom_cert_identity_certifies(capsys):

@@ -12,6 +12,7 @@ from holring.cyclotomic import (
     divisors,
     euler_phi,
     is_prime,
+    multiplicative_order,
     padic_valuation,
     prime_divisors,
     semilocal_valuation,
@@ -330,3 +331,20 @@ def test_semilocal_valuation_matches_division_by_pi():
                 v = semilocal_valuation(a, p)
                 assert v == _reference_semilocal_valuation(a, p), (m, p, a)
                 assert (v < 0) == (a.den % p == 0)
+
+
+def test_multiplicative_order_matches_brute_force():
+    for m in range(2, 200):
+        for a in range(m):
+            if math.gcd(a, m) != 1:
+                with pytest.raises(ValueError, match="not a unit"):
+                    multiplicative_order(a, m)
+                continue
+            k, x = 1, a % m
+            while x != 1:
+                k, x = k + 1, x * a % m
+            assert multiplicative_order(a, m) == k
+            assert multiplicative_order(a + m, m) == k
+    for m in (0, 1):
+        with pytest.raises(ValueError):
+            multiplicative_order(1, m)

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from holring import groups
 from holring.chartable import character_table
-from holring.cyclotomic import CycloNum
+from holring.cyclotomic import CycloNum, prime_divisors
 from holring.groups import (
+    MAX_ORDER,
     abelian_invariants,
     affine,
     alternating,
@@ -372,14 +376,85 @@ def test_affine_field_and_decomposition():
     field = g.meta["field"]
     assert field.size == 9
     # reconstruct each permutation from its (k, b) decomposition
-    gen = g.meta["unit_gen"]
+    gen = field.exp[1]
     for eid, (k, b) in g.meta["decomp"].items():
-        a = field.one
+        a = 1
         for _ in range(k):
             a = field.mul(a, gen)
         perm = tuple(field.add(field.mul(a, x), b) for x in range(field.size))
         assert g.elements[eid] == perm
     assert len(g.meta["kernel"]) == 9
+
+
+def test_affine_and_metacyclic_groups_keep_their_element_ids():
+    """sha256 pins of the element lists, kernels and (log, b) decompositions
+    of every Aff(q) with q(q - 1) <= 2000, and of eight metacyclic groups."""
+    prime_powers = [q for q in range(2, 46)
+                    if len(prime_divisors(q)) == 1 and q * (q - 1) <= MAX_ORDER]
+    assert len(prime_powers) == 21
+    h = hashlib.sha256()
+    for q in prime_powers:
+        g = affine(q)
+        h.update(repr((q, g.elements, sorted(g.meta["kernel"]),
+                       sorted(g.meta["decomp"].items()))).encode())
+    assert h.hexdigest() == "0cc5bfd8acc4d0d631cce8d377c29dbe91896cf7498da270cda89875fec11cb2"
+    h = hashlib.sha256()
+    for l, p in ((7, 3), (13, 3), (13, 4), (13, 6), (31, 5), (43, 7), (43, 21), (43, 42)):
+        g = metacyclic(l, p)
+        h.update(repr((l, p, g.elements, sorted(g.meta["kernel"]))).encode())
+    assert h.hexdigest() == "63ba17e8b0c0121b9ba7f2eb3193c782e0602c6ecafa44c356e61b44e6b5b58a"
+
+
+def _schoolbook_product(field, a, b):
+    """a * b in F_q from the digits of a and b: the polynomial product,
+    then long division by the field's modulus."""
+    p = prime_divisors(field.size)[0]
+    k = len(field.modulus) - 1
+    da = [a // p**j % p for j in range(k)]
+    db = [b // p**j % p for j in range(k)]
+    prod = [0] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            prod[i + j] = (prod[i + j] + da[i] * db[j]) % p
+    for top in range(2 * k - 2, k - 1, -1):
+        c = prod[top]
+        for j in range(k + 1):
+            prod[top - k + j] = (prod[top - k + j] - c * field.modulus[j]) % p
+    return sum(prod[j] * p**j for j in range(k))
+
+
+@pytest.mark.parametrize(
+    "q", [q for q in range(2, 44) if len(prime_divisors(q)) == 1]
+)
+def test_field_tables_make_a_field(q):
+    field = groups._Field(q)
+    p = prime_divisors(q)[0]
+    k = len(field.modulus) - 1
+    assert p**k == q and field.modulus[-1] == 1
+    assert sorted(field.exp) == list(range(1, q))
+    assert field.log == {x: j for j, x in enumerate(field.exp)}
+    # exp[1] generates the units under the reference product (F_2: exp[0])
+    gen = field.exp[1 % (q - 1)]
+    x, order = gen, 1
+    while x != 1:
+        x = _schoolbook_product(field, x, gen)
+        order += 1
+    assert order == q - 1
+    for a in range(q):
+        for b in range(q):
+            assert field.mul(a, b) == _schoolbook_product(field, a, b)
+            assert field.add(a, b) == sum(
+                (a // p**j + b // p**j) % p * p**j for j in range(k))
+    if q <= 9:
+        triples = itertools.product(range(q), repeat=3)
+    else:
+        rng = random.Random(q)
+        triples = [tuple(rng.randrange(q) for _ in range(3)) for _ in range(300)]
+    add, mul = field.add, field.mul
+    for a, b, c in triples:
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert add(add(a, b), c) == add(a, add(b, c))
 
 
 def test_affine_rejects_non_prime_power():
