@@ -552,10 +552,9 @@ def frobenius_table(group: FiniteGroup) -> CharTable:
     Characters are the inflations from G/N plus one induced character
     per orbit of nontrivial kernel characters under conjugation.
     """
-    fk = group.frobenius_kernel_complement()
-    if fk is None:
+    kernel = group.frobenius_kernel()
+    if kernel is None:
         raise ValueError("group has no Frobenius kernel")
-    kernel, _ = fk
     cls = group.classes()
 
     qgroup, to_q = group.quotient(kernel.element_ids)

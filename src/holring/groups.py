@@ -34,8 +34,6 @@ def _inverse_perm(a: tuple) -> tuple:
 class Subgroup:
     element_ids: frozenset
     order: int
-    is_normal: bool
-    is_abelian: bool
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,6 @@ class FiniteGroup:
         self.meta = meta or {}
         self._table = None
         self._inv = None
-        self._orders = None
         self._classes = None
         self._normals = None
         self._commutator = None
@@ -162,30 +159,14 @@ class FiniteGroup:
         return result
 
     def element_order(self, a: int) -> int:
-        if self._orders is None:
-            self._orders = [0] * self.order
-        if self._orders[a] == 0:
-            n, x = 1, a
-            while x != 0:
-                x = self.mul(x, a)
-                n += 1
-            self._orders[a] = n
-        return self._orders[a]
+        cls = self.classes()
+        return len(cls.powers[cls.class_of[a]])
 
     def exponent(self) -> int:
-        if "exponent" not in self._cache:
-            self._cache["exponent"] = math.lcm(
-                *(self.element_order(a) for a in range(self.order)))
-        return self._cache["exponent"]
+        return math.lcm(*map(len, self.classes().powers))
 
     def is_abelian(self) -> bool:
-        if "abelian" not in self._cache:
-            self._cache["abelian"] = all(
-                self.mul(a, b) == self.mul(b, a)
-                for a in range(self.order)
-                for b in range(a + 1, self.order)
-            )
-        return self._cache["abelian"]
+        return len(self.classes().classes) == self.order
 
     # -- conjugacy ------------------------------------------------------
 
@@ -202,27 +183,22 @@ class FiniteGroup:
                 orbit.add(self.mul(self.mul(t, g), self.inv(t)))
             for x in orbit:
                 seen[x] = True
-            raw.append(tuple(sorted(orbit)))
+            walk, x = [0], g  # 1, g, g^2, ... up to g^(o(g) - 1)
+            while x:
+                walk.append(x)
+                x = self.mul(x, g)
+            raw.append((tuple(sorted(orbit)), walk))
         # identity class first, then by (representative order, min id)
-        raw.sort(key=lambda c: (self.element_order(c[0]) != 1,
-                                self.element_order(c[0]), c[0]))
+        raw.sort(key=lambda c: (len(c[1]), c[0][0]))
         class_of = [0] * self.order
-        for ci, cls in enumerate(raw):
+        for ci, (cls, _) in enumerate(raw):
             for x in cls:
                 class_of[x] = ci
-        powers = []
-        for cls in raw:
-            x, out = 0, []
-            while True:
-                out.append(class_of[x])
-                x = self.mul(x, cls[0])
-                if x == 0:
-                    break
-            powers.append(tuple(out))
+        powers = [tuple(class_of[x] for x in walk) for _, walk in raw]
         self._classes = ConjClassData(
-            classes=tuple(raw),
-            representatives=tuple(c[0] for c in raw),
-            sizes=tuple(len(c) for c in raw),
+            classes=tuple(c for c, _ in raw),
+            representatives=tuple(c[0] for c, _ in raw),
+            sizes=tuple(len(c) for c, _ in raw),
             class_of=tuple(class_of),
             powers=tuple(powers),
         )
@@ -245,65 +221,59 @@ class FiniteGroup:
             frontier = new
         return frozenset(current)
 
-    def _is_normal_set(self, ids: frozenset) -> bool:
-        cls = self.classes()
-        return all(set(cls.classes[cls.class_of[x]]) <= ids for x in ids)
-
     def _require_normal(self, ids: frozenset) -> None:
         """ValueError unless ids is a normal subgroup: a union of classes
         that holds 1 and is closed under products.  As ids is closed under
         conjugation, products r*n with r one representative per class of
         ids suffice: x*n = g(r(g^-1 n g))g^-1 for x = g r g^-1."""
         cls = self.classes()
-        if not (0 in ids and self._is_normal_set(ids) and all(
+        if not (0 in ids and all(set(cls.classes[cls.class_of[x]]) <= ids for x in ids) and all(
             self.mul(r, n) in ids
             for r in {cls.representatives[cls.class_of[x]] for x in ids}
             for n in ids
         )):
             raise ValueError("subgroup must be normal")
 
-    def _make_subgroup(self, ids: frozenset) -> Subgroup:
-        abelian = all(
-            self.mul(a, b) == self.mul(b, a)
-            for a in ids for b in ids if a < b
-        )
-        return Subgroup(ids, len(ids), self._is_normal_set(ids), abelian)
-
     def normal_subgroups(self) -> list:
-        """All normal subgroups, as joins of normal closures of single classes."""
-        if self._normals is not None:
-            return self._normals
-        cls = self.classes()
-        found = {frozenset([0])}
-        atoms = []
-        for c in cls.classes:
-            n = self.subgroup_closure(c)
-            if n not in found:
-                found.add(n)
-                atoms.append(n)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in itertools.combinations(sorted(found, key=sorted), 2):
-                if a <= b or b <= a:
-                    continue
-                join = self.subgroup_closure(a | b)
-                if join not in found:
-                    found.add(join)
-                    changed = True
-        subs = [self._make_subgroup(ids) for ids in found]
-        subs.sort(key=lambda s: (s.order, sorted(s.element_ids)))
-        self._normals = subs
-        return subs
+        """All normal subgroups, sorted by (order, ids).  Every normal N is
+        the join of the normal closures <C> of the classes C in N, and the
+        join of two normal subgroups A, B is the product set AB; so the
+        atoms <C> are closed under products with atoms."""
+        if self._normals is None:
+            atoms = {self.subgroup_closure(c) for c in self.classes().classes}
+            found, work = set(atoms), list(atoms)
+            while work:
+                a = work.pop()
+                for b in atoms:
+                    if a <= b or b <= a:
+                        continue
+                    # AB is a union of cosets xB, so skip each x already in it
+                    join = set(b)
+                    for x in a:
+                        if x not in join:
+                            join.update(self.mul(x, y) for y in b)
+                    join = frozenset(join)
+                    if join not in found:
+                        found.add(join)
+                        work.append(join)
+            subs = [Subgroup(ids, len(ids)) for ids in found]
+            self._normals = sorted(subs, key=lambda s: (s.order, sorted(s.element_ids)))
+        return list(self._normals)
 
     def commutator_subgroup(self) -> Subgroup:
+        """G' as the subgroup generated by the classes that meet
+        {r^-1 y : r a class representative, y in its class}.  For x =
+        h r h^-1 and k = h^-1 g h, x^-1 (g x g^-1) = h (r^-1 y) h^-1 with
+        y = k r k^-1, so every commutator is conjugate into that set."""
         if self._commutator is None:
-            comms = set()
-            for a in range(self.order):
-                ia = self.inv(a)
-                for b in range(self.order):
-                    comms.add(self.mul(self.mul(ia, self.inv(b)), self.mul(a, b)))
-            self._commutator = self._make_subgroup(self.subgroup_closure(comms))
+            cls = self.classes()
+            hit = {
+                cls.class_of[self.mul(self.inv(r), y)]
+                for r, members in zip(cls.representatives, cls.classes)
+                for y in members
+            }
+            ids = self.subgroup_closure([x for c in hit for x in cls.classes[c]])
+            self._commutator = Subgroup(ids, len(ids))
         return self._commutator
 
     def centralizer(self, g: int) -> frozenset:
@@ -313,65 +283,19 @@ class FiniteGroup:
 
     # -- Frobenius structure ----------------------------------------------
 
-    def frobenius_kernel_complement(self):
-        """(kernel, complement) if the group is Frobenius, else None.
-
-        Detection: a proper nontrivial normal subgroup N such that the
-        centralizer of every nontrivial element of N lies inside N.  The
-        complement is found by search (one exists whenever the criterion
-        holds); it is unique up to conjugacy, and the search is
-        deterministic so repeated calls agree.
-        """
-        if self._frobenius != "unset":
-            return self._frobenius
-        result = None
-        for sub in self.normal_subgroups():
-            if sub.order in (1, self.order):
-                continue
-            ids = sub.element_ids
-            if all(self.centralizer(n) <= ids for n in ids if n != 0):
-                assert result is None, "Frobenius kernel must be unique"
-                result = sub
-        if result is None:
-            self._frobenius = None
-            return None
-        m = self.order // result.order
-        comp = self._find_complement(result.element_ids, m)
-        assert comp is not None, "Frobenius complement must exist"
-        assert math.gcd(result.order, m) == 1
-        self._frobenius = (result, self._make_subgroup(comp))
+    def frobenius_kernel(self):
+        """The Frobenius kernel as a Subgroup, or None if the group is not
+        Frobenius: the unique proper nontrivial normal N with C_G(n) in N
+        for every n != 1 in N (Isaacs, Character Theory of Finite Groups,
+        ch. 7).  A complement is isomorphic to G/N, of order |G:N|."""
+        if self._frobenius == "unset":
+            found = [
+                sub for sub in self.normal_subgroups()[1:-1]
+                if all(self.centralizer(n) <= sub.element_ids for n in sub.element_ids if n)
+            ]
+            assert len(found) <= 1, "Frobenius kernel must be unique"
+            self._frobenius = found[0] if found else None
         return self._frobenius
-
-    def _find_complement(self, kernel: frozenset, m: int):
-        candidates = [
-            x for x in range(1, self.order)
-            if x not in kernel and m % self.element_order(x) == 0
-        ]
-        # cyclic complements first: covers all affine-type groups cheaply
-        for x in candidates:
-            if self.element_order(x) == m:
-                h = self.subgroup_closure([x])
-                if len(h & kernel) == 1:
-                    return h
-        dead = set()
-
-        def extend(current: frozenset):
-            if len(current) == m:
-                return current
-            if current in dead:
-                return None
-            for x in candidates:
-                if x in current:
-                    continue
-                h = self.subgroup_closure(current | {x})
-                if m % len(h) == 0 and len(h & kernel) == 1:
-                    got = extend(h)
-                    if got is not None:
-                        return got
-            dead.add(current)
-            return None
-
-        return extend(frozenset([0]))
 
     # -- derived groups -----------------------------------------------------
 
@@ -423,48 +347,6 @@ class FiniteGroup:
             embed[h.index[perms[a]]] = a
         self._cache[key] = h, tuple(embed)
         return self._cache[key]
-
-
-def abelian_invariants(g: FiniteGroup) -> list:
-    """Invariant factors [d1, d2, ...] with d_{i+1} | d_i, for abelian g;
-    ValueError for a non-abelian g."""
-    if not g.is_abelian():
-        raise ValueError("invariant factors of a non-abelian group")
-    n = g.order
-    if n == 1:
-        return []
-    columns = []
-    for p in prime_divisors(n):
-        # lambda-partition of the p-part from counts of p^k-torsion
-        counts = [1]
-        k = 1
-        while True:
-            c = sum(1 for x in range(n) if g.power(x, p**k) == 0)
-            counts.append(c)
-            if c == counts[-2]:
-                counts.pop()
-                break
-            k += 1
-        mults = []
-        for i in range(1, len(counts)):
-            ratio = counts[i] // counts[i - 1]
-            mults.append(round(math.log(ratio, p)))
-        lam = []
-        for depth, cnt in enumerate(mults, start=1):
-            while len(lam) < cnt:
-                lam.append(0)
-            for i in range(cnt):
-                lam[i] = depth
-        columns.append([p**e for e in lam])
-    width = max(len(c) for c in columns)
-    factors = []
-    for i in range(width):
-        d = 1
-        for c in columns:
-            if i < len(c):
-                d *= c[i]
-        factors.append(d)
-    return factors
 
 
 # -- field arithmetic for affine groups ---------------------------------

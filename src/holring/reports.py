@@ -545,11 +545,12 @@ def _rule_generic_zero(scn, table, statements, rules):
 
 
 def _rule_frobenius_negative(scn, statements, rules):
-    pair = scn.group.frobenius_kernel_complement()
-    if pair is None or not scn.totally_real or scn.r % 2 == 0:
+    kernel = scn.group.frobenius_kernel()
+    if kernel is None or not scn.totally_real or scn.r % 2 == 0:
         return False
-    kernel, comp = pair
-    hyp = _abelian_over_q(scn, "Frobenius kernel", comp.is_abelian)
+    # G/N is a complement's isomorphic image, abelian exactly when G' <= N
+    quotient_abelian = scn.group.commutator_subgroup().element_ids <= kernel.element_ids
+    hyp = _abelian_over_q(scn, "Frobenius kernel", quotient_abelian)
     if hyp is None:
         return False
     hyps = (HYP_TOTALLY_REAL, hyp)

@@ -1,10 +1,11 @@
 """Reference checks shared by the tests, kept out of the library API."""
 
+import itertools
 import math
 from fractions import Fraction
 
 from holring.chartable import character_table
-from holring.cyclotomic import CycloNum
+from holring.cyclotomic import CycloNum, prime_divisors
 from holring.groupring import CentralElement, GroupRingElem, GroupRingMatrix
 from holring.rednorm import ReducedCharPoly, _newton_coeffs
 
@@ -128,3 +129,78 @@ def reference_adjoint_and_norm(H):
     for layer, power in zip(layers[1:], powers):
         adj = adj + power * layer
     return adj, nr, polys
+
+
+# -- the subgroup lattice by brute force: the reference for groups ---------
+
+
+def reference_normal_subgroups(g) -> list:
+    """Element-id sets of all normal subgroups, sorted by (order, ids): the
+    normal closures of single classes, joined by all-pairs closure passes
+    until no new subgroup appears."""
+    found = {g.subgroup_closure(c) for c in g.classes().classes}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.combinations(sorted(found, key=sorted), 2):
+            if a <= b or b <= a:
+                continue
+            join = g.subgroup_closure(a | b)
+            if join not in found:
+                found.add(join)
+                changed = True
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def reference_commutator_subgroup(g) -> frozenset:
+    """Element ids of G', the closure of all |G|^2 commutators a^-1 b^-1 a b."""
+    comms = {
+        g.mul(g.mul(g.inv(a), g.inv(b)), g.mul(a, b))
+        for a in range(g.order) for b in range(g.order)
+    }
+    return g.subgroup_closure(comms)
+
+
+def abelian_invariants(g) -> list:
+    """Invariant factors [d1, d2, ...] with d_{i+1} | d_i, for abelian g;
+    ValueError for a non-abelian g."""
+    if not g.is_abelian():
+        raise ValueError("invariant factors of a non-abelian group")
+    n = g.order
+    if n == 1:
+        return []
+    columns = []
+    for p in prime_divisors(n):
+        # lambda-partition of the p-part from counts of p^k-torsion
+        counts = [1]
+        k = 1
+        while True:
+            c = sum(1 for x in range(n) if g.power(x, p**k) == 0)
+            counts.append(c)
+            if c == counts[-2]:
+                counts.pop()
+                break
+            k += 1
+        mults = []
+        for i in range(1, len(counts)):
+            ratio, e = counts[i] // counts[i - 1], 0
+            while ratio > 1:  # ratio is a power of p
+                ratio //= p
+                e += 1
+            mults.append(e)
+        lam = []
+        for depth, cnt in enumerate(mults, start=1):
+            while len(lam) < cnt:
+                lam.append(0)
+            for i in range(cnt):
+                lam[i] = depth
+        columns.append([p**e for e in lam])
+    width = max(len(c) for c in columns)
+    factors = []
+    for i in range(width):
+        d = 1
+        for c in columns:
+            if i < len(c):
+                d *= c[i]
+        factors.append(d)
+    return factors

@@ -345,6 +345,34 @@ def test_report_s4_over_rationals(capsys):
     assert "Klein four-subgroup" in out
 
 
+def test_report_frobenius_negative_reads_whether_the_quotient_is_abelian(capsys):
+    # frob72 / kernel is Q8, so over Q the abelian layer must be asserted
+    argv = ("report", "--family", "frob72", "--r", "-1", "--totally-real", "--base", "rationals")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (
+        "group: frob72\n"
+        "conjecture: etnc, r = -1, base field: rationals\n"
+        "no statements derivable for this scenario\n"
+    )
+    code, out, err = run(capsys, *argv, "--abelian-fixed-field")
+    assert (code, err) == (0, "")
+    assert out.count("statement: ") == 2
+    assert "rule frobenius-negative: 2 statement(s)\n" in out
+    assert out.count(
+        "  assuming user-asserted: the field fixed by the Frobenius kernel is abelian over Q\n"
+    ) == 2
+    # metacyclic(7, 3) / kernel is C3: the abelian layer is derived
+    code, out, err = run(capsys, "report", "--family", "metacyclic", "--n", "7", "--q", "3",
+                         "--r", "-1", "--totally-real", "--base", "rationals")
+    assert (code, err) == (0, "")
+    assert out.count(
+        "  assuming K = Q and the quotient by the Frobenius kernel is abelian, so the field "
+        "fixed by the Frobenius kernel is abelian over Q\n"
+    ) == 2
+    assert "rule frobenius-negative: 2 statement(s)\n" in out
+
+
 def test_report_rejects_positive_r(capsys):
     code, out, err = run(
         capsys, "report", "--family", "symmetric", "--n", "3", "--r", "2"

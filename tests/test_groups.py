@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from holring.chartable import character_table
 from holring.cyclotomic import CycloNum, prime_divisors
 from holring.groups import (
     MAX_ORDER,
-    abelian_invariants,
     affine,
     alternating,
     cyclic,
@@ -26,6 +26,8 @@ from holring.groups import (
     symmetric,
 )
 from holring.verify import catalog
+
+from helpers import abelian_invariants, reference_commutator_subgroup, reference_normal_subgroups
 
 
 def _inv_tuple(p):
@@ -243,9 +245,15 @@ def test_normal_subgroups_s4():
     g = symmetric(4)
     subs = g.normal_subgroups()
     assert [s.order for s in subs] == [1, 4, 12, 24]
-    v4 = subs[1]
-    assert v4.is_abelian
-    assert all(g.element_order(x) <= 2 for x in v4.element_ids)
+    v4 = subs[1].element_ids
+    assert all(g.mul(a, b) == g.mul(b, a) for a in v4 for b in v4)
+    assert all(g.element_order(x) <= 2 for x in v4)
+
+
+def test_normal_subgroups_are_copied_on_return():
+    g = symmetric(4)
+    g.normal_subgroups().pop()
+    assert [s.order for s in g.normal_subgroups()] == [1, 4, 12, 24]
 
 
 def test_normal_subgroups_various():
@@ -253,8 +261,11 @@ def test_normal_subgroups_various():
     assert [s.order for s in cyclic(12).normal_subgroups()] == [1, 2, 3, 4, 6, 12]
     assert [s.order for s in quaternion().normal_subgroups()] == [1, 2, 4, 4, 4, 8]
     assert [s.order for s in dihedral(6).normal_subgroups()] == [1, 2, 3, 6, 6, 6, 12]
-    for s in dihedral(6).normal_subgroups():
-        assert s.is_normal
+    g = dihedral(6)
+    cls = g.classes()
+    for s in g.normal_subgroups():
+        # a union of classes: closed under conjugation
+        assert all(set(cls.classes[cls.class_of[x]]) <= s.element_ids for x in s.element_ids)
 
 
 def test_commutator_subgroups():
@@ -263,6 +274,45 @@ def test_commutator_subgroups():
     assert cyclic(10).commutator_subgroup().order == 1
     assert frob72().commutator_subgroup().order == 18
     assert dihedral(5).commutator_subgroup().order == 5
+
+
+def _lattice_groups():
+    """The catalog, some larger groups, products, and every quotient of S4
+    and frob72 by a normal subgroup: 58 groups, in a fixed order."""
+    out = list(catalog()) + [
+        symmetric(5), alternating(5), metacyclic(7, 3), metacyclic(13, 4), metacyclic(31, 5),
+        inversion([3, 3]), inversion([15]),
+        direct_product(cyclic(3), alternating(4)), direct_product(symmetric(3), dihedral(5)),
+        direct_product(cyclic(2), cyclic(2)), direct_product(quaternion(), cyclic(2)),
+        direct_product(dihedral(4), cyclic(2)),
+    ]
+    for g in (symmetric(4), frob72()):
+        out += [g.quotient(n.element_ids)[0] for n in g.normal_subgroups()]
+    assert len(out) == 58
+    return out
+
+
+def test_subgroup_lattice_and_element_orders_keep_their_values():
+    """One sha256 over the elements, normal subgroups, G', Frobenius kernel,
+    element orders, exponent, abelian flag and classes of 58 groups."""
+    h = hashlib.sha256()
+    for g in _lattice_groups():
+        k = g.frobenius_kernel()
+        h.update(repr((
+            g.elements, [sorted(n.element_ids) for n in g.normal_subgroups()],
+            sorted(g.commutator_subgroup().element_ids),
+            None if k is None else sorted(k.element_ids),
+            [g.element_order(x) for x in range(g.order)], g.exponent(), g.is_abelian(),
+            g.classes(),
+        )).encode())
+    assert h.hexdigest() == "31eb028e107a6a56401eb24974c4a250a2fa080f1205b79369753ef4f6993e36"
+
+
+def test_subgroup_lattice_matches_the_brute_force_references():
+    for g in _lattice_groups():
+        assert [n.element_ids for n in g.normal_subgroups()] == reference_normal_subgroups(g)
+        assert g.commutator_subgroup().element_ids == reference_commutator_subgroup(g)
+        assert all(n.order == len(n.element_ids) for n in g.normal_subgroups())
 
 
 @pytest.mark.parametrize(
@@ -278,13 +328,13 @@ def test_commutator_subgroups():
     ],
 )
 def test_frobenius_detection(g, korder, corder):
-    got = g.frobenius_kernel_complement()
-    assert got is not None
-    kernel, comp = got
+    kernel = g.frobenius_kernel()
+    assert kernel is not None
     assert kernel.order == korder
-    assert comp.order == corder
-    assert kernel.is_normal
-    assert len(kernel.element_ids & comp.element_ids) == 1
+    # a complement maps isomorphically onto G/N, so its order is the index
+    assert g.order // kernel.order == corder
+    assert math.gcd(kernel.order, corder) == 1
+    assert kernel in g.normal_subgroups()
     # centralizer criterion holds on the kernel
     for n in kernel.element_ids:
         if n != 0:
@@ -292,18 +342,19 @@ def test_frobenius_detection(g, korder, corder):
 
 
 def test_not_frobenius():
-    assert symmetric(4).frobenius_kernel_complement() is None
-    assert quaternion().frobenius_kernel_complement() is None
-    assert cyclic(6).frobenius_kernel_complement() is None
-    assert dihedral(6).frobenius_kernel_complement() is None
+    assert symmetric(4).frobenius_kernel() is None
+    assert quaternion().frobenius_kernel() is None
+    assert cyclic(6).frobenius_kernel() is None
+    assert dihedral(6).frobenius_kernel() is None
 
 
 def test_frob72_kernel_meta_matches_detection():
     g = frob72()
-    kernel, comp = g.frobenius_kernel_complement()
+    kernel = g.frobenius_kernel()
     assert kernel.element_ids == g.meta["kernel"]
-    # complement is Q8: unique element of order 2
-    orders = sorted(g.element_order(x) for x in comp.element_ids)
+    # G/N, isomorphic to a complement, is Q8: unique element of order 2
+    q, _ = g.quotient(kernel.element_ids)
+    orders = sorted(q.element_order(x) for x in range(q.order))
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
@@ -364,8 +415,7 @@ def test_abelian_invariants():
     assert abelian_invariants(direct_product(cyclic(4), cyclic(6))) == [12, 2]
     assert abelian_invariants(direct_product(cyclic(2), cyclic(2))) == [2, 2]
     g = inversion([3, 3])
-    kernel = g.frobenius_kernel_complement()[0]
-    h, _ = g.subgroup_as_group(kernel.element_ids)
+    h, _ = g.subgroup_as_group(g.frobenius_kernel().element_ids)
     assert abelian_invariants(h) == [3, 3]
     with pytest.raises(ValueError, match="non-abelian"):
         abelian_invariants(symmetric(3))

@@ -123,3 +123,29 @@ def test_module_import_graph_is_acyclic():
 
     for m in MODULES:
         visit(m)
+
+
+MATH_EXACT = {"gcd", "lcm", "prod", "isqrt", "factorial", "inf"}
+
+
+def _float_uses(module: str) -> list:
+    """Lines with a float literal, a call to float or round, or a math name
+    outside the exact integer functions."""
+    out = []
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            out.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("float", "round"):
+            out.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "math"
+              and node.attr not in MATH_EXACT):
+            out.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            out += [node.lineno for a in node.names if a.name not in MATH_EXACT]
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_floats(module):
+    # every value is exact: ints, Fractions and cyclotomic numbers
+    assert _float_uses(module) == [], f"holring.{module}"
