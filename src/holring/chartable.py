@@ -3,14 +3,17 @@
 Character values are cyclotomic numbers, never floats.  The generic
 engine (Dixon, Numer. Math. 10, 1967) finds central characters as joint
 eigenvectors of the class multiplication matrices over a prime field
-F_q with q = 1 mod exp(G), then lifts values exactly by discrete Fourier
-inversion on cyclic subgroups.  As q does not divide |G|, each class
-matrix is diagonalizable over F_q, so its eigenvalues on a space are
-the distinct roots of its characteristic polynomial, found by
-evaluating that polynomial at every element of F_q.  Closed forms
-cover cyclic, dihedral, affine and direct product groups, plus the
-kernel-induction construction for Frobenius groups; the independent
-routes are cross-checked in the test suite.
+F_q with q = 1 mod exp(G), over the nonzero entries of each matrix row.
+As q does not divide |G|, each class matrix is diagonalizable over F_q,
+so its eigenvalues on a space are the distinct roots of its
+characteristic polynomial, found by evaluating it at every element of
+F_q.  One Fourier inversion per cyclic subgroup <g> not inside a larger
+one lifts chi(g) exactly, and re-indexing its root-of-unity
+multiplicities gives chi(g^t) for every t.  Closed forms cover cyclic,
+dihedral, affine and direct product groups, plus the kernel-induction
+construction for Frobenius groups; the independent routes are
+cross-checked in the test suite.  A build minimises each distinct value
+once, through a memo local to it (`_memo`).
 
 The table of a quotient G/N, or of a direct factor M of G = M x H, is
 derived from the table of G rather than computed afresh: Irr(G/N) is the
@@ -32,26 +35,43 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 
-from .cyclotomic import CycloNum, coerce, is_prime, prime_divisors
+from .cyclotomic import CycloNum, _cyclo, coerce, is_prime, prime_divisors
 from .groups import ConjClassData, FiniteGroup
+
+
+def _memo(fn):
+    """fn memoised on a value's (conductor, numerators, denominator) triple,
+    for one table build: a table has k^2 values but few distinct ones."""
+    seen = {}
+
+    def call(v):
+        key = (v.m, v.num, v.den)
+        out = seen.get(key)
+        if out is None:
+            out = seen[key] = fn(v)
+        return out
+    return call
 
 
 class Character:
     """An irreducible character: one cyclotomic value per conjugacy class.
 
-    Each value is stored at its minimal conductor, so its (conductor,
-    numerators, denominator) triple is canonical; `key`, `kernel` and
+    Each value is stored at its minimal conductor, so `key`, its (conductor,
+    numerators, denominator) triples, is canonical: `kernel` and
     `CharTable.galois_orbit` rely on it.  ValueError unless there is one
     value per class and the value at the identity is a positive integer.
-    It keeps the group's class data, not the group.
+    It keeps the group's class data, not the group.  A table build passes
+    one `_memo` of `minimal` for all its characters.
     """
 
-    __slots__ = ("classes", "values", "degree", "_kernel")
+    __slots__ = ("classes", "values", "key", "degree", "_kernel")
 
-    def __init__(self, group: FiniteGroup, values):
+    def __init__(self, group: FiniteGroup, values, minimal=CycloNum.minimal):
         self.classes = group.classes()
-        self.values = tuple(coerce(v).minimal() for v in values)
+        self.values = tuple(minimal(coerce(v)) for v in values)
+        self.key = tuple((v.m, v.num, v.den) for v in self.values)
         k = len(self.classes.classes)
         if len(self.values) != k:
             raise ValueError(f"{len(self.values)} character values for {k} classes")
@@ -89,12 +109,6 @@ class Character:
     def __eq__(self, other):
         return isinstance(other, Character) and self.values == other.values
 
-    @property
-    def key(self) -> tuple:
-        """The stored (conductor, numerators, denominator) triples: canonical,
-        so equal characters have equal keys, with no field arithmetic."""
-        return tuple((v.m, v.num, v.den) for v in self.values)
-
     def __hash__(self):
         return hash(self.key)
 
@@ -122,20 +136,23 @@ class CharTable:
     def _index(self) -> dict:
         return {ch.key: j for j, ch in enumerate(self.characters)}
 
+    @cached_property
+    def _unit_perms(self) -> dict:
+        """{k: (class of rep_c^k for each class c)} for each unit k mod exp(G)."""
+        cls = self.classes
+        exponent = math.lcm(*map(len, cls.powers))
+        return {k: tuple(cls.power_class(c, k) for c in range(len(cls.powers)))
+                for k in range(1, exponent + 1) if math.gcd(k, exponent) == 1}
+
     def galois_orbit(self, i: int) -> dict:
         """{k: j} for each unit k in 1..exp(G), where chi_j is chi_i under
         zeta -> zeta^k.  As chi_j(g) = chi_i(g^k), the image is read off the
         class power map with no field arithmetic.  Computed once per
         character and kept on the table; each call returns a new dict."""
         if i not in self._orbits:
-            cls = self.classes
-            exponent = math.lcm(*map(len, cls.powers))
             key = self.characters[i].key
-            self._orbits[i] = {
-                k: self._index[tuple(key[cls.power_class(c, k)] for c in range(len(key)))]
-                for k in range(1, exponent + 1)
-                if math.gcd(k, exponent) == 1
-            }
+            self._orbits[i] = {k: self._index[tuple(map(key.__getitem__, perm))]
+                               for k, perm in self._unit_perms.items()}
         return dict(self._orbits[i])
 
     def rational_orbits(self) -> list:
@@ -174,10 +191,15 @@ class CharTable:
         }
 
 
-def _char_sort_key(ch: Character, exponent: int):
-    # character values are algebraic integers, so their coordinates at the
-    # exponent are the ints `num` over den == 1
-    return (ch.degree, [tuple(-x for x in v.embedded(exponent).num) for v in ch.values])
+def _sort_coords(exponent: int):
+    """Minus a value's numerators at the exponent (ints, as character values
+    are algebraic integers), memoised for one table build."""
+    return _memo(lambda v: tuple(-x for x in v.embedded(exponent).num))
+
+
+def _char_sort_key(ch: Character, coords):
+    """A character's place in its table; `coords` is `_sort_coords(exp(G))`."""
+    return (ch.degree, [coords(v) for v in ch.values])
 
 
 def _finish(group: FiniteGroup, chars: list, method: str) -> CharTable:
@@ -185,8 +207,8 @@ def _finish(group: FiniteGroup, chars: list, method: str) -> CharTable:
     assert len(chars) == k, f"expected {k} characters, built {len(chars)}"
     assert sum(ch.degree**2 for ch in chars) == group.order
     assert len(set(chars)) == k, "characters must be pairwise distinct"
-    exponent = group.exponent()
-    chars = sorted(chars, key=lambda ch: _char_sort_key(ch, exponent))
+    coords = _sort_coords(group.exponent())
+    chars = sorted(chars, key=lambda ch: _char_sort_key(ch, coords))
     return CharTable(group.classes(), tuple(chars), method)
 
 
@@ -210,55 +232,47 @@ def _primitive_root(q: int) -> int:
     raise RuntimeError("no primitive root found")
 
 
-def _fq_matvec(mat, vec, q):
-    return [sum(row[t] * vec[t] for t in range(len(vec))) % q for row in mat]
+def _fq_matvec(rows, vec, q):
+    """rows * vec for rows given as their nonzero (column, value) pairs."""
+    return [sum(x * vec[t] for t, x in row) % q for row in rows]
 
 
 def _fq_vecmat(vec, mat, q):
-    width = len(mat[0])
-    out = [0] * width
-    for s, xs in enumerate(vec):
+    out = [0] * len(mat[0])
+    for xs, row in zip(vec, mat):
         if xs:
-            row = mat[s]
-            for t in range(width):
-                out[t] = (out[t] + xs * row[t]) % q
-    return out
+            out = [a + xs * b for a, b in zip(out, row)]
+    return [x % q for x in out]
 
 
 def _fq_rref(rows, q):
-    """(rref rows, transform, pivot columns) with transform * rows = rref."""
+    """(reduced row echelon rows, pivot columns) of the row space."""
     m = [list(r) for r in rows]
     n = len(m)
-    width = len(m[0])
-    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     pivots = []
     row = 0
-    for col in range(width):
+    for col in range(len(m[0])):
         sel = next((r for r in range(row, n) if m[r][col] % q), None)
         if sel is None:
             continue
         m[row], m[sel] = m[sel], m[row]
-        t[row], t[sel] = t[sel], t[row]
         inv = pow(m[row][col], q - 2, q)
         m[row] = [x * inv % q for x in m[row]]
-        t[row] = [x * inv % q for x in t[row]]
         for r in range(n):
             if r != row and m[r][col] % q:
                 f = m[r][col]
                 m[r] = [(a - f * b) % q for a, b in zip(m[r], m[row])]
-                t[r] = [(a - f * b) % q for a, b in zip(t[r], t[row])]
         pivots.append(col)
         row += 1
         if row == n:
             break
-    return m[:row], t[:row], pivots
+    return m[:row], pivots
 
 
 def _fq_kernel(mat, q):
     """Basis of the right kernel of mat."""
-    n_rows = len(mat)
     n_cols = len(mat[0])
-    rref, _, pivots = _fq_rref(mat, q) if n_rows else ([], [], [])
+    rref, pivots = _fq_rref(mat, q)
     free = [c for c in range(n_cols) if c not in pivots]
     basis = []
     for fc in free:
@@ -336,30 +350,32 @@ def dixon_table(group: FiniteGroup) -> CharTable:
     q = _find_modulus(exponent, group.order)
     mats = cls.structure_constants(group)
 
-    # split F_q^k into the joint eigenspaces of the class matrices
-    spaces = [[[1 if t == s else 0 for t in range(k)] for s in range(k)]]
+    # split F_q^k into the joint eigenspaces of the class matrices, each
+    # kept as (reduced echelon basis, pivots): a vector's coordinates in it
+    # are its entries at the pivots; class matrix rows are kept sparse
+    spaces = [([[1 if t == s else 0 for t in range(k)] for s in range(k)], list(range(k)))]
     for i in range(1, k):
-        if all(len(w) == 1 for w in spaces):
+        if all(len(w) == 1 for w, _ in spaces):
             break
+        rows = [[(t, x) for t, x in enumerate(row) if x] for row in mats[i]]
         next_spaces = []
-        for basis in spaces:
+        for basis, piv in spaces:
             d = len(basis)
             if d == 1:
-                next_spaces.append(basis)
+                next_spaces.append((basis, piv))
                 continue
-            rref, trans, piv = _fq_rref(basis, q)
             restricted = []
             for b in basis:
-                img = _fq_matvec(mats[i], b, q)
+                img = _fq_matvec(rows, b, q)
                 coords = [img[p] for p in piv]
-                assert _fq_vecmat(coords, rref, q) == img
-                restricted.append(_fq_vecmat(coords, trans, q))
+                assert _fq_vecmat(coords, basis, q) == img
+                restricted.append(coords)
             # q does not divide |G|, so the class matrix is diagonalizable:
             # its eigenvalues are the distinct roots of its char poly, and
             # a single one means it is scalar on this space
             roots = _fq_roots(_fq_charpoly(restricted, q), q)
             if len(roots) == 1:
-                next_spaces.append(basis)
+                next_spaces.append((basis, piv))
                 continue
             covered = 0
             for lam in roots:
@@ -370,29 +386,40 @@ def dixon_table(group: FiniteGroup) -> CharTable:
                 ]
                 eig = _fq_kernel(transposed, q)
                 assert eig
-                next_spaces.append([_fq_vecmat(x, basis, q) for x in eig])
+                next_spaces.append(_fq_rref([_fq_vecmat(x, basis, q) for x in eig], q))
                 covered += len(eig)
             assert covered == d
         spaces = next_spaces
-    if any(len(w) != 1 for w in spaces):
+    if any(len(w) != 1 for w, _ in spaces):
         raise RuntimeError("class matrices failed to separate the characters")
 
     inv_size = [pow(sz, q - 2, q) for sz in cls.sizes]
     jstar = [powers[-1] for powers in cls.powers]  # class of rep^-1
     omegas = []
-    for (vec,) in spaces:
+    for (vec,), _ in spaces:
         assert vec[0] % q, "central character vanishes at the identity"
         scale = pow(vec[0], q - 2, q)
         omegas.append([x * scale % q for x in vec])
 
-    # per class: the classes of rep^t, and the o powers of a primitive
-    # o-th root of unity's inverse mod q, for the Fourier inversion below
+    # Fourier inversion once per cyclic subgroup <rep> that lies in no
+    # larger one taken before (classes by decreasing element order): the
+    # multiplicities m_l of the o-th roots of unity in chi(rep) give every
+    # class c = [rep^t] too, as zeta_o^(lt) = zeta_(o/g)^(lt/g), g = gcd(t, o)
     root = _primitive_root(q)
-    fourier = []
-    for powers in cls.powers:
+    plan, done = [], set()
+    for j in reversed(range(k)):
+        if j in done:
+            continue
+        powers = cls.powers[j]
         o = len(powers)
         zinv = pow(pow(root, (q - 1) // o, q), q - 2, q)
-        fourier.append((o, [pow(zinv, t, q) for t in range(o)], pow(o, q - 2, q)))
+        zpow = [pow(zinv, t, q) for t in range(o)]
+        dft = [[zpow[l * t % o] for t in range(o)] for l in range(o)]
+        targets = [(c, o // math.gcd(t, o), t // math.gcd(t, o)) for t, c in enumerate(powers)
+                   if c not in done and powers.index(c) == t]
+        done.update(powers)
+        plan.append((powers, dft, pow(o, q - 2, q), targets))
+    minimal = _memo(CycloNum.minimal)
     chars = []
     for om in omegas:
         s = sum(om[j] * om[jstar[j]] * inv_size[j] for j in range(k)) % q
@@ -402,20 +429,19 @@ def dixon_table(group: FiniteGroup) -> CharTable:
         assert len(cands) == 1, f"degree not uniquely determined: {cands}"
         deg = cands[0]
         class_vals = [deg * om[j] * inv_size[j] % q for j in range(k)]
-        values = []
-        for j in range(k):
-            o, zpow, o_inv = fourier[j]
-            series = [class_vals[c] for c in cls.powers[j]]
-            coeffs = []
-            for l in range(o):
-                m_l = o_inv * sum(
-                    series[t] * zpow[l * t % o] for t in range(o)
-                ) % q
-                assert m_l <= deg, "root-of-unity multiplicity out of range"
-                coeffs.append(m_l)
-            assert sum(coeffs) == deg
-            values.append(CycloNum(o, coeffs))
-        chars.append(Character(group, values))
+        values = [None] * k
+        for powers, dft, o_inv, targets in plan:
+            series = [class_vals[c] for c in powers]
+            mults = [o_inv * sum(map(mul, series, row)) % q for row in dft]
+            assert max(mults) <= deg, "root-of-unity multiplicity out of range"
+            assert sum(mults) == deg
+            nonzero = [(l, x) for l, x in enumerate(mults) if x]
+            for c, oc, step in targets:
+                num = [0] * oc
+                for l, x in nonzero:
+                    num[l * step % oc] += x
+                values[c] = _cyclo(oc, num)
+        chars.append(Character(group, values, minimal))
     return _finish(group, chars, "generic")
 
 
@@ -440,7 +466,8 @@ def cyclic_table(group: FiniteGroup) -> CharTable:
     logs = _rotation_logs(group, group.meta["rotation"]) if n > 1 else {0: 0}
     logs = [logs[rep] for rep in cls.representatives]
     roots = [CycloNum.root_of_unity(n, k) for k in range(n)]
-    chars = [Character(group, [roots[j * t % n] for t in logs]) for j in range(n)]
+    minimal = _memo(CycloNum.minimal)
+    chars = [Character(group, [roots[j * t % n] for t in logs], minimal) for j in range(n)]
     return _finish(group, chars, "closed")
 
 
@@ -456,13 +483,14 @@ def dihedral_table(group: FiniteGroup) -> CharTable:
         else:
             kinds.append(("ref", logs[group.mul(rep, group.inv(refl))]))
     chars = []
+    minimal = _memo(CycloNum.minimal)
 
     def linear(on_rot, on_ref):
         vals = [
             CycloNum.rational(on_rot(t) if kind == "rot" else on_ref(t))
             for kind, t in kinds
         ]
-        chars.append(Character(group, vals))
+        chars.append(Character(group, vals, minimal))
 
     linear(lambda t: 1, lambda t: 1)
     linear(lambda t: 1, lambda t: -1)
@@ -470,15 +498,12 @@ def dihedral_table(group: FiniteGroup) -> CharTable:
         linear(lambda t: (-1) ** t, lambda t: (-1) ** t)
         linear(lambda t: (-1) ** t, lambda t: (-1) ** (t + 1))
     top = (n - 1) // 2 if n % 2 else n // 2 - 1
+    # zeta^j + zeta^-j once per j, read at j = h t mod n
+    cosines = [CycloNum.root_of_unity(n, j) + CycloNum.root_of_unity(n, -j) for j in range(n)]
+    zero = CycloNum.rational(0)
     for h in range(1, top + 1):
-        vals = []
-        for kind, t in kinds:
-            if kind == "rot":
-                vals.append(CycloNum.root_of_unity(n, h * t)
-                            + CycloNum.root_of_unity(n, -h * t))
-            else:
-                vals.append(CycloNum.rational(0))
-        chars.append(Character(group, vals))
+        vals = [cosines[h * t % n] if kind == "rot" else zero for kind, t in kinds]
+        chars.append(Character(group, vals, minimal))
     return _finish(group, chars, "closed")
 
 
@@ -489,12 +514,13 @@ def affine_table(group: FiniteGroup) -> CharTable:
     decomp = group.meta["decomp"]
     kernel = group.meta["kernel"]
     chars = []
+    minimal = _memo(CycloNum.minimal)
     for j in range(q - 1):
         values = [
             CycloNum.root_of_unity(q - 1, j * decomp[rep][0])
             for rep in cls.representatives
         ]
-        chars.append(Character(group, values))
+        chars.append(Character(group, values, minimal))
     big = []
     for rep in cls.representatives:
         if rep == 0:
@@ -517,10 +543,11 @@ def product_table(group: FiniteGroup) -> CharTable:
         i, j = pair_of[rep]
         pairs.append((lcls.class_of[i], rcls.class_of[j]))
     chars = []
+    minimal = _memo(CycloNum.minimal)
     for x in tl.characters:
         for y in tr.characters:
             values = [x.values[i] * y.values[j] for i, j in pairs]
-            chars.append(Character(group, values))
+            chars.append(Character(group, values, minimal))
     return _finish(group, chars, "closed")
 
 
@@ -560,10 +587,11 @@ def frobenius_table(group: FiniteGroup) -> CharTable:
     qgroup, to_q = group.quotient(kernel.element_ids)
     qcls = qgroup.classes()
     chars = []
+    minimal = _memo(CycloNum.minimal)
     for ch in character_table(qgroup).characters:
         values = [ch.values[qcls.class_of[to_q[rep]]]
                   for rep in cls.representatives]
-        chars.append(Character(group, values))
+        chars.append(Character(group, values, minimal))
 
     ngroup, embed = group.subgroup_as_group(kernel.element_ids)
     inv_embed = {gid: hid for hid, gid in enumerate(embed)}
@@ -612,7 +640,8 @@ def derived_table(parent: CharTable, group: FiniteGroup, lift, kernel) -> CharTa
         kernel = frozenset(kernel)
         parent_class = parent.classes.class_of
         at = [parent_class[lift[rep]] for rep in group.classes().representatives]
-        chars = [Character(group, [ch.values[c] for c in at])
+        minimal = _memo(CycloNum.minimal)
+        chars = [Character(group, [ch.values[c] for c in at], minimal)
                  for ch in parent.characters if kernel <= ch.kernel]
         group._cache[key] = _finish(group, chars, "derived")
     return group._cache[key]

@@ -147,13 +147,14 @@ def _odd_part_inverted(g: FiniteGroup):
     if len(odd) != m:
         return None
     odd_set = set(odd)
+    # the O(|G|) involution test before the |G|^2 / 4 products of closure
+    outside = [t for t in range(g.order) if t not in odd_set]
+    if any(g.element_order(t) != 2 for t in outside):
+        return None
     for x in odd:
         for y in odd:
             if g.mul(x, y) not in odd_set:
                 return None
-    outside = [t for t in range(g.order) if t not in odd_set]
-    if any(g.element_order(t) != 2 for t in outside):
-        return None
     t = outside[0]
     for x in odd:
         if g.mul(g.mul(t, x), t) != g.inv(x):

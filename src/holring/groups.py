@@ -173,20 +173,19 @@ class FiniteGroup:
     def classes(self) -> ConjClassData:
         if self._classes is not None:
             return self._classes
+        table, inv = self.cayley_table(), [self.inv(t) for t in range(self.order)]
         seen = [False] * self.order
         raw = []
         for g in range(self.order):
             if seen[g]:
                 continue
-            orbit = set()
-            for t in range(self.order):
-                orbit.add(self.mul(self.mul(t, g), self.inv(t)))
+            orbit = {table[row[g]][ti] for row, ti in zip(table, inv)}  # t g t^-1
             for x in orbit:
                 seen[x] = True
             walk, x = [0], g  # 1, g, g^2, ... up to g^(o(g) - 1)
             while x:
                 walk.append(x)
-                x = self.mul(x, g)
+                x = table[x][g]
             raw.append((tuple(sorted(orbit)), walk))
         # identity class first, then by (representative order, min id)
         raw.sort(key=lambda c: (len(c[1]), c[0][0]))
@@ -207,6 +206,7 @@ class FiniteGroup:
     # -- subgroups --------------------------------------------------------
 
     def subgroup_closure(self, gens) -> frozenset:
+        table = self.cayley_table()
         current = {0}
         frontier = [0]
         gens = [g for g in gens if g != 0]
@@ -214,7 +214,7 @@ class FiniteGroup:
             new = []
             for x in frontier:
                 for g in gens:
-                    y = self.mul(x, g)
+                    y = table[x][g]
                     if y not in current:
                         current.add(y)
                         new.append(y)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -108,13 +109,19 @@ def test_orthogonality(group):
         # q = 11 is below k = 16 here
         (direct_product(direct_product(cyclic(2), cyclic(2)),
                         direct_product(cyclic(2), cyclic(2))), product_table),
-    ],
-    ids=["c12", "d10", "d12", "aff7", "aff8", "s3xc2", "c2^4"],
+    ]
+    # Dixon inverts once per cyclic subgroup and re-indexes the value at
+    # every class of its powers: abelian groups have the most such classes
+    + [(cyclic(n), cyclic_table) for n in range(1, 41) if n != 12]
+    + [(direct_product(cyclic(a), cyclic(b)), product_table) for a, b in ((2, 6), (4, 6), (3, 9))],
+    ids=["c12", "d10", "d12", "aff7", "aff8", "s3xc2", "c2^4"]
+    + [f"c{n}" for n in range(1, 41) if n != 12] + ["c2xc6", "c4xc6", "c3xc9"],
 )
 def test_generic_engine_matches_closed_forms(group, closed):
     a = closed(group)
     b = dixon_table(group)
     assert a.characters == b.characters
+    assert _keys(a) == _keys(b)
 
 
 @pytest.mark.parametrize(
@@ -414,3 +421,20 @@ def test_derived_tables_seed_the_cache_for_dt(monkeypatch):
         for p in prime_divisors(g.order):
             dt_query(g, p)
     assert runs == []
+
+
+def test_tables_keep_their_keys():
+    """One sha256 over the character keys of every catalog group's "auto"
+    and "generic" tables and of the derived tables of the quotients of S4
+    and frob72, in table order."""
+    h = hashlib.sha256()
+    for g in _fresh_catalog():
+        for method in ("auto", "generic"):
+            h.update(repr(_keys(character_table(g, method))).encode())
+    for g in (symmetric(4), frob72()):
+        t = character_table(g)
+        for n in g.normal_subgroups()[1:-1]:
+            q, to_q = g.quotient(n.element_ids)
+            lift = dict(zip(to_q, range(g.order)))
+            h.update(repr(_keys(derived_table(t, q, lift, n.element_ids))).encode())
+    assert h.hexdigest() == "a6f2e14eba1c39e37b03187273e743bc1711cfb27b2a061c05a93c2dca53df45"

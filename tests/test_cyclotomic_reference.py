@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from holring.chartable import _char_sort_key, character_table
+from holring.chartable import _char_sort_key, _sort_coords, character_table
 from holring.cyclotomic import CycloNum, cyclotomic_polynomial, euler_phi, prime_divisors
 from holring.verify import catalog, group_name
 
@@ -278,4 +278,5 @@ def test_char_sort_key_orders_like_the_fraction_reference():
             by_ref = sorted(chars, key=lambda ch: _reference_sort_key(ch, exponent))
             assert by_ref == chars, (group_name(g), method)
             shuffled = chars[1::2] + chars[::2]
-            assert sorted(shuffled, key=lambda ch: _char_sort_key(ch, exponent)) == chars
+            coords = _sort_coords(exponent)
+            assert sorted(shuffled, key=lambda ch: _char_sort_key(ch, coords)) == chars

@@ -8,6 +8,7 @@ from holring.dt import (
     maximality_consequence,
     weakly_hybrid,
     _match_fact,
+    _odd_part_inverted,
 )
 
 CATALOG = [
@@ -294,3 +295,16 @@ def test_maximality_matches_block_data_directly():
         for p in _primes_for(g):
             blocks = padic_blocks(character_table(g), p)
             assert not all(b.idempotent_integral for b in blocks), (name, p)
+
+
+def test_odd_part_inverted_finds_the_odd_order_elements():
+    for g in (G.dihedral(9), G.dihedral(15), G.symmetric(3), G.inversion([7])):
+        odd = {x for x in range(g.order) if g.element_order(x) % 2}
+        assert _odd_part_inverted(g) == odd, g.family
+        assert all(g.mul(g.mul(t, x), t) == g.inv(x)
+                   for t in set(range(g.order)) - odd for x in odd)
+    # C10 and C18 have |G|/2 odd-order elements but no involution outside
+    # them; in Aff(7) the 21 odd-order elements form a subgroup, but the
+    # elements outside it are not all involutions
+    for g in (G.cyclic(10), G.cyclic(18), G.affine(7)):
+        assert _odd_part_inverted(g) is None, g.family
