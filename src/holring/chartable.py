@@ -3,17 +3,20 @@
 Character values are cyclotomic numbers, never floats.  The generic
 engine (Dixon, Numer. Math. 10, 1967) finds central characters as joint
 eigenvectors of the class multiplication matrices over a prime field
-F_q with q = 1 mod exp(G), over the nonzero entries of each matrix row.
-As q does not divide |G|, each class matrix is diagonalizable over F_q,
-so its eigenvalues on a space are the distinct roots of its
-characteristic polynomial, found by evaluating it at every element of
-F_q.  One Fourier inversion per cyclic subgroup <g> not inside a larger
-one lifts chi(g) exactly, and re-indexing its root-of-unity
-multiplicities gives chi(g^t) for every t.  Closed forms cover cyclic,
-dihedral, affine and direct product groups, plus the kernel-induction
-construction for Frobenius groups; the independent routes are
-cross-checked in the test suite.  A build minimises each distinct value
-once, through a memo local to it (`_memo`).
+F_q with q = 1 mod exp(G), with the F_q linear algebra of `linalg`.  It
+asks `ConjClassData.class_matrix` for a class matrix only when the split
+reaches it, and stops once every eigenspace is a line; it keeps the
+nonzero entries of each matrix row.  As q does not divide |G|, each
+class matrix is diagonalizable over F_q, so its eigenvalues on a space
+are the distinct roots of its characteristic polynomial, found by
+evaluating it at every element of F_q.  One Fourier inversion per cyclic
+subgroup <g> not inside a larger one lifts chi(g) exactly, and
+re-indexing its root-of-unity multiplicities gives chi(g^t) for every t.
+Closed forms cover cyclic, dihedral, affine and direct product groups,
+plus the kernel-induction construction for Frobenius groups; the
+independent routes are cross-checked in the test suite.  Every builder
+returns one row of values per character, and `_finish` minimises each
+distinct value once over the build, through one memo (`_memo`).
 
 The table of a quotient G/N, or of a direct factor M of G = M x H, is
 derived from the table of G rather than computed afresh: Irr(G/N) is the
@@ -37,8 +40,9 @@ from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
-from .cyclotomic import CycloNum, _cyclo, coerce, is_prime, prime_divisors
+from .cyclotomic import CycloNum, _cyclo, coerce, is_prime, multiplicative_order
 from .groups import ConjClassData, FiniteGroup
+from .linalg import fq_charpoly, fq_kernel, fq_matvec, fq_roots, fq_rref, lincomb
 
 
 def _memo(fn):
@@ -62,8 +66,8 @@ class Character:
     numerators, denominator) triples, is canonical: `kernel` and
     `CharTable.galois_orbit` rely on it.  ValueError unless there is one
     value per class and the value at the identity is a positive integer.
-    It keeps the group's class data, not the group.  A table build passes
-    one `_memo` of `minimal` for all its characters.
+    It keeps the group's class data, not the group.  `_finish` passes one
+    `_memo` of `minimal` for all the characters of a table build.
     """
 
     __slots__ = ("classes", "values", "key", "degree", "_kernel")
@@ -202,7 +206,11 @@ def _char_sort_key(ch: Character, coords):
     return (ch.degree, [coords(v) for v in ch.values])
 
 
-def _finish(group: FiniteGroup, chars: list, method: str) -> CharTable:
+def _finish(group: FiniteGroup, rows: list, method: str) -> CharTable:
+    """The table of `group` from one row of values per character, with one
+    `minimal` per distinct value over the whole build."""
+    minimal = _memo(CycloNum.minimal)
+    chars = [Character(group, values, minimal) for values in rows]
     k = len(group.classes().classes)
     assert len(chars) == k, f"expected {k} characters, built {len(chars)}"
     assert sum(ch.degree**2 for ch in chars) == group.order
@@ -212,7 +220,7 @@ def _finish(group: FiniteGroup, chars: list, method: str) -> CharTable:
     return CharTable(group.classes(), tuple(chars), method)
 
 
-# -- linear algebra over F_q ---------------------------------------------
+# -- the generic engine ---------------------------------------------------
 
 
 def _find_modulus(exponent: int, order: int) -> int:
@@ -224,140 +232,24 @@ def _find_modulus(exponent: int, order: int) -> int:
     raise RuntimeError("no usable prime q = 1 mod exp(G) below 10^6")
 
 
-def _primitive_root(q: int) -> int:
-    fact = prime_divisors(q - 1)
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // r, q) != 1 for r in fact):
-            return g
-    raise RuntimeError("no primitive root found")
-
-
-def _fq_matvec(rows, vec, q):
-    """rows * vec for rows given as their nonzero (column, value) pairs."""
-    return [sum(x * vec[t] for t, x in row) % q for row in rows]
-
-
-def _fq_vecmat(vec, mat, q):
-    out = [0] * len(mat[0])
-    for xs, row in zip(vec, mat):
-        if xs:
-            out = [a + xs * b for a, b in zip(out, row)]
-    return [x % q for x in out]
-
-
-def _fq_rref(rows, q):
-    """(reduced row echelon rows, pivot columns) of the row space."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    pivots = []
-    row = 0
-    for col in range(len(m[0])):
-        sel = next((r for r in range(row, n) if m[r][col] % q), None)
-        if sel is None:
-            continue
-        m[row], m[sel] = m[sel], m[row]
-        inv = pow(m[row][col], q - 2, q)
-        m[row] = [x * inv % q for x in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] % q:
-                f = m[r][col]
-                m[r] = [(a - f * b) % q for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    return m[:row], pivots
-
-
-def _fq_kernel(mat, q):
-    """Basis of the right kernel of mat."""
-    n_cols = len(mat[0])
-    rref, pivots = _fq_rref(mat, q)
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * n_cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rref[r][fc]) % q
-        basis.append(v)
-    return basis
-
-
-def _fq_charpoly(mat, q):
-    """Characteristic polynomial det(xI - mat), ascending coefficients.
-
-    Reduces mat to Hessenberg form by similarity, then runs the Hessenberg
-    recurrence (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.2.9).  It divides only by nonzero pivots, so any q works,
-    including q below the dimension."""
-    h = [list(row) for row in mat]
-    n = len(h)
-    for m in range(1, n - 1):
-        sel = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if sel is None:
-            continue
-        if sel != m:
-            h[m], h[sel] = h[sel], h[m]
-            for row in h:
-                row[m], row[sel] = row[sel], row[m]
-        inv = pow(h[m][m - 1], q - 2, q)
-        for i in range(m + 1, n):
-            u = h[i][m - 1] * inv % q
-            if u:
-                h[i] = [(a - u * b) % q for a, b in zip(h[i], h[m])]
-                for row in h:
-                    row[m] = (row[m] + u * row[i]) % q
-    # polys[m] = det(xI - h[:m, :m]); each new one is x * polys[m - 1]
-    # minus the Hessenberg column m - 1 against the earlier ones
-    polys = [[1]]
-    for m in range(1, n + 1):
-        new = [0] + polys[m - 1]
-        for t, c in enumerate(polys[m - 1]):
-            new[t] -= h[m - 1][m - 1] * c
-        sub = 1
-        for i in range(m - 1, 0, -1):
-            sub = sub * h[i][i - 1] % q
-            f = h[i - 1][m - 1] * sub
-            for t, c in enumerate(polys[i - 1]):
-                new[t] -= f * c
-        polys.append([c % q for c in new])
-    return polys[n]
-
-
-def _fq_roots(f, q):
-    """The distinct roots of f in F_q, ascending, by evaluating f at each
-    element of F_q."""
-    roots = []
-    for x in range(q):
-        acc = 0
-        for c in reversed(f):
-            acc = (acc * x + c) % q
-        if not acc:
-            roots.append(x)
-    return roots
-
-
-# -- the generic engine ---------------------------------------------------
-
-
 def dixon_table(group: FiniteGroup) -> CharTable:
     cls = group.classes()
     k = len(cls.classes)
     if k == 1:
-        return CharTable(cls, (Character(group, [CycloNum.rational(1)]),), "generic")
+        return _finish(group, [[CycloNum.rational(1)]], "generic")
     exponent = group.exponent()
     q = _find_modulus(exponent, group.order)
-    mats = cls.structure_constants(group)
 
     # split F_q^k into the joint eigenspaces of the class matrices, each
     # kept as (reduced echelon basis, pivots): a vector's coordinates in it
-    # are its entries at the pivots; class matrix rows are kept sparse
+    # are its entries at the pivots; a class matrix is built only when the
+    # split reaches it, and its rows are kept sparse
     spaces = [([[1 if t == s else 0 for t in range(k)] for s in range(k)], list(range(k)))]
     for i in range(1, k):
         if all(len(w) == 1 for w, _ in spaces):
             break
-        rows = [[(t, x) for t, x in enumerate(row) if x] for row in mats[i]]
+        mat = [[(t, x) for t, x in enumerate(row) if x]
+               for row in cls.class_matrix(group, i)]
         next_spaces = []
         for basis, piv in spaces:
             d = len(basis)
@@ -366,14 +258,14 @@ def dixon_table(group: FiniteGroup) -> CharTable:
                 continue
             restricted = []
             for b in basis:
-                img = _fq_matvec(rows, b, q)
+                img = fq_matvec(mat, b, q)
                 coords = [img[p] for p in piv]
-                assert _fq_vecmat(coords, basis, q) == img
+                assert [x % q for x in lincomb(coords, basis)] == img
                 restricted.append(coords)
             # q does not divide |G|, so the class matrix is diagonalizable:
             # its eigenvalues are the distinct roots of its char poly, and
             # a single one means it is scalar on this space
-            roots = _fq_roots(_fq_charpoly(restricted, q), q)
+            roots = fq_roots(fq_charpoly(restricted, q), q)
             if len(roots) == 1:
                 next_spaces.append((basis, piv))
                 continue
@@ -384,9 +276,9 @@ def dixon_table(group: FiniteGroup) -> CharTable:
                      for s in range(d)]
                     for t in range(d)
                 ]
-                eig = _fq_kernel(transposed, q)
+                eig = fq_kernel(transposed, q)
                 assert eig
-                next_spaces.append(_fq_rref([_fq_vecmat(x, basis, q) for x in eig], q))
+                next_spaces.append(fq_rref([lincomb(x, basis) for x in eig], q))
                 covered += len(eig)
             assert covered == d
         spaces = next_spaces
@@ -405,7 +297,7 @@ def dixon_table(group: FiniteGroup) -> CharTable:
     # larger one taken before (classes by decreasing element order): the
     # multiplicities m_l of the o-th roots of unity in chi(rep) give every
     # class c = [rep^t] too, as zeta_o^(lt) = zeta_(o/g)^(lt/g), g = gcd(t, o)
-    root = _primitive_root(q)
+    root = next(g for g in range(2, q) if multiplicative_order(g, q) == q - 1)
     plan, done = [], set()
     for j in reversed(range(k)):
         if j in done:
@@ -419,8 +311,7 @@ def dixon_table(group: FiniteGroup) -> CharTable:
                    if c not in done and powers.index(c) == t]
         done.update(powers)
         plan.append((powers, dft, pow(o, q - 2, q), targets))
-    minimal = _memo(CycloNum.minimal)
-    chars = []
+    rows = []
     for om in omegas:
         s = sum(om[j] * om[jstar[j]] * inv_size[j] for j in range(k)) % q
         deg_sq = group.order * pow(s, q - 2, q) % q
@@ -441,56 +332,48 @@ def dixon_table(group: FiniteGroup) -> CharTable:
                 for l, x in nonzero:
                     num[l * step % oc] += x
                 values[c] = _cyclo(oc, num)
-        chars.append(Character(group, values, minimal))
-    return _finish(group, chars, "generic")
+        rows.append(values)
+    return _finish(group, rows, "generic")
 
 
 # -- closed forms ---------------------------------------------------------
 
 
-def _rotation_logs(group: FiniteGroup, rot: int) -> dict:
-    logs = {0: 0}
-    x, t = 0, 0
-    while True:
-        x = group.mul(x, rot)
-        t += 1
-        if x == 0:
-            break
-        logs[x] = t
-    return logs
+def _rotation_logs(group: FiniteGroup) -> dict:
+    """{class of rot^t: t} for the group's rotation rot, off the class
+    power map.  A dihedral class {rot^t, rot^-t} keeps one of the two t,
+    as the dihedral values depend only on +-t."""
+    cls = group.classes()
+    powers = cls.powers[cls.class_of[group.meta["rotation"]]]
+    return {c: t for t, c in enumerate(powers)}
 
 
 def cyclic_table(group: FiniteGroup) -> CharTable:
     n = group.order
-    cls = group.classes()
-    logs = _rotation_logs(group, group.meta["rotation"]) if n > 1 else {0: 0}
-    logs = [logs[rep] for rep in cls.representatives]
+    logs = _rotation_logs(group)
+    logs = [logs[c] for c in range(n)]
     roots = [CycloNum.root_of_unity(n, k) for k in range(n)]
-    minimal = _memo(CycloNum.minimal)
-    chars = [Character(group, [roots[j * t % n] for t in logs], minimal) for j in range(n)]
-    return _finish(group, chars, "closed")
+    return _finish(group, [[roots[j * t % n] for t in logs] for j in range(n)], "closed")
 
 
 def dihedral_table(group: FiniteGroup) -> CharTable:
     n = group.family["n"]
     cls = group.classes()
-    refl = group.meta["reflection"]
-    logs = _rotation_logs(group, group.meta["rotation"])
+    refl_inv = group.inv(group.meta["reflection"])
+    logs = _rotation_logs(group)
     kinds = []
-    for rep in cls.representatives:
-        if rep in logs:
-            kinds.append(("rot", logs[rep]))
+    for c, rep in enumerate(cls.representatives):
+        if c in logs:
+            kinds.append(("rot", logs[c]))
         else:
-            kinds.append(("ref", logs[group.mul(rep, group.inv(refl))]))
-    chars = []
-    minimal = _memo(CycloNum.minimal)
+            kinds.append(("ref", logs[cls.class_of[group.mul(rep, refl_inv)]]))
+    rows = []
 
     def linear(on_rot, on_ref):
-        vals = [
+        rows.append([
             CycloNum.rational(on_rot(t) if kind == "rot" else on_ref(t))
             for kind, t in kinds
-        ]
-        chars.append(Character(group, vals, minimal))
+        ])
 
     linear(lambda t: 1, lambda t: 1)
     linear(lambda t: 1, lambda t: -1)
@@ -502,9 +385,8 @@ def dihedral_table(group: FiniteGroup) -> CharTable:
     cosines = [CycloNum.root_of_unity(n, j) + CycloNum.root_of_unity(n, -j) for j in range(n)]
     zero = CycloNum.rational(0)
     for h in range(1, top + 1):
-        vals = [cosines[h * t % n] if kind == "rot" else zero for kind, t in kinds]
-        chars.append(Character(group, vals, minimal))
-    return _finish(group, chars, "closed")
+        rows.append([cosines[h * t % n] if kind == "rot" else zero for kind, t in kinds])
+    return _finish(group, rows, "closed")
 
 
 def affine_table(group: FiniteGroup) -> CharTable:
@@ -513,14 +395,10 @@ def affine_table(group: FiniteGroup) -> CharTable:
     assert len(cls.classes) == q
     decomp = group.meta["decomp"]
     kernel = group.meta["kernel"]
-    chars = []
-    minimal = _memo(CycloNum.minimal)
-    for j in range(q - 1):
-        values = [
-            CycloNum.root_of_unity(q - 1, j * decomp[rep][0])
-            for rep in cls.representatives
-        ]
-        chars.append(Character(group, values, minimal))
+    rows = [
+        [CycloNum.root_of_unity(q - 1, j * decomp[rep][0]) for rep in cls.representatives]
+        for j in range(q - 1)
+    ]
     big = []
     for rep in cls.representatives:
         if rep == 0:
@@ -529,8 +407,8 @@ def affine_table(group: FiniteGroup) -> CharTable:
             big.append(CycloNum.rational(-1))
         else:
             big.append(CycloNum.rational(0))
-    chars.append(Character(group, big))
-    return _finish(group, chars, "closed")
+    rows.append(big)
+    return _finish(group, rows, "closed")
 
 
 def product_table(group: FiniteGroup) -> CharTable:
@@ -542,13 +420,9 @@ def product_table(group: FiniteGroup) -> CharTable:
     for rep in group.classes().representatives:
         i, j = pair_of[rep]
         pairs.append((lcls.class_of[i], rcls.class_of[j]))
-    chars = []
-    minimal = _memo(CycloNum.minimal)
-    for x in tl.characters:
-        for y in tr.characters:
-            values = [x.values[i] * y.values[j] for i, j in pairs]
-            chars.append(Character(group, values, minimal))
-    return _finish(group, chars, "closed")
+    rows = [[x.values[i] * y.values[j] for i, j in pairs]
+            for x in tl.characters for y in tr.characters]
+    return _finish(group, rows, "closed")
 
 
 def induce_character(group: FiniteGroup, sub_group: FiniteGroup,
@@ -586,12 +460,8 @@ def frobenius_table(group: FiniteGroup) -> CharTable:
 
     qgroup, to_q = group.quotient(kernel.element_ids)
     qcls = qgroup.classes()
-    chars = []
-    minimal = _memo(CycloNum.minimal)
-    for ch in character_table(qgroup).characters:
-        values = [ch.values[qcls.class_of[to_q[rep]]]
-                  for rep in cls.representatives]
-        chars.append(Character(group, values, minimal))
+    rows = [[ch.values[qcls.class_of[to_q[rep]]] for rep in cls.representatives]
+            for ch in character_table(qgroup).characters]
 
     ngroup, embed = group.subgroup_as_group(kernel.element_ids)
     inv_embed = {gid: hid for hid, gid in enumerate(embed)}
@@ -612,8 +482,8 @@ def frobenius_table(group: FiniteGroup) -> CharTable:
             seen.add(conj)
         ind = induce_character(group, ngroup, embed, psi)
         assert ind.inner(ind).as_rational() == 1, "induced character not irreducible"
-        chars.append(ind)
-    return _finish(group, chars, "frobenius")
+        rows.append(ind.values)
+    return _finish(group, rows, "frobenius")
 
 
 _CLOSED_FORMS = {
@@ -640,10 +510,8 @@ def derived_table(parent: CharTable, group: FiniteGroup, lift, kernel) -> CharTa
         kernel = frozenset(kernel)
         parent_class = parent.classes.class_of
         at = [parent_class[lift[rep]] for rep in group.classes().representatives]
-        minimal = _memo(CycloNum.minimal)
-        chars = [Character(group, [ch.values[c] for c in at], minimal)
-                 for ch in parent.characters if kernel <= ch.kernel]
-        group._cache[key] = _finish(group, chars, "derived")
+        rows = [[ch.values[c] for c in at] for ch in parent.characters if kernel <= ch.kernel]
+        group._cache[key] = _finish(group, rows, "derived")
     return group._cache[key]
 
 

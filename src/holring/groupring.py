@@ -52,6 +52,7 @@ from fractions import Fraction
 from .chartable import character_table
 from .cyclotomic import CycloNum, _cyclo, _rational, coerce, euler_phi, prime_divisors
 from .groups import FiniteGroup
+from .linalg import det_bareiss, lincomb
 
 
 def _same_group(group: FiniteGroup, operand) -> None:
@@ -354,15 +355,6 @@ class GroupRingMatrix:
         return acc
 
 
-def _lincomb(coeffs, rows, width: int) -> list:
-    """sum_r coeffs[r] * rows[r] over ints, rows of the given width."""
-    out = [0] * width
-    for x, row in zip(coeffs, rows):
-        if x:
-            out = [a + x * r for a, r in zip(out, row)]
-    return out
-
-
 class _OrbitBasis:
     """Values at the representative chi_0 of each rational orbit O of
     Irr(G) <-> class coordinates, for a rational central element; m is the
@@ -402,7 +394,7 @@ class _OrbitBasis:
         conductors of the chi_0(c) with num[c] != 0, as CycloNum sums are."""
         m = self.conductors[o]
         M = math.lcm(1, *(v.m for v, x in zip(self._values[o], num) if x))
-        value = _cyclo(m, _lincomb(num, self.chi[o], euler_phi(m)), den)
+        value = _cyclo(m, lincomb(num, self.chi[o]), den)
         return value if M == m else value.minimal().embedded(M)
 
     def class_coords(self, values) -> tuple:
@@ -411,7 +403,7 @@ class _OrbitBasis:
         vals = [coerce(v).embedded(m) for v, m in zip(values, self.conductors)]
         den = math.lcm(*(v.den for v in vals))
         coeffs = [x * (den // v.den) for v in vals for x in v.num]
-        return _lincomb(coeffs, self.rows, len(self.rows[0])), den * self.den
+        return lincomb(coeffs, self.rows), den * self.den
 
 
 def orbit_basis(table) -> _OrbitBasis:
@@ -601,24 +593,4 @@ def regular_det(h: GroupRingElem) -> Fraction:
             continue
         for j in range(n):
             m[g.mul(x, j)][j] += cx
-    return _det_bareiss(m) / h.den**n
-
-
-def _det_bareiss(m: list) -> Fraction:
-    """Fraction-free determinant of a square integer matrix."""
-    a = [list(row) for row in m]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1])
+    return Fraction(det_bareiss(m), h.den**n)

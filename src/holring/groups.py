@@ -52,20 +52,20 @@ class ConjClassData:
         """The classes whose elements have order divisible by p."""
         return frozenset(c for c, powers in enumerate(self.powers) if len(powers) % p == 0)
 
-    def structure_constants(self, group: "FiniteGroup") -> list:
-        """a[i][j][k]: how many x in class i have x^-1 rep_k in class j, so
-        z_i z_j = sum_k a[i][j][k] z_k for the class sums z (Isaacs,
-        Character Theory of Finite Groups, ch. 2-3).  Not kept: each
-        caller reads them once per group."""
+    def class_matrix(self, group: "FiniteGroup", i: int) -> list:
+        """a[j][k]: how many x in class i have x^-1 rep_k in class j, so
+        z_i z_j = sum_k a[j][k] z_k for the class sums z (Isaacs,
+        Character Theory of Finite Groups, ch. 2-3): the matrix of
+        multiplication by z_i.  Built on each call, one class at a time,
+        as a caller reads each matrix once per group."""
         k = len(self.classes)
         table, class_of = group.cayley_table(), self.class_of
-        out = [[[0] * k for _ in range(k)] for _ in range(k)]
-        for members, a in zip(self.classes, out):
-            rows = [table[group.inv(x)] for x in members]
-            for kk, z in enumerate(self.representatives):
-                for row in rows:
-                    a[class_of[row[z]]][kk] += 1
-        return out
+        a = [[0] * k for _ in range(k)]
+        rows = [table[group.inv(x)] for x in self.classes[i]]
+        for kk, z in enumerate(self.representatives):
+            for row in rows:
+                a[class_of[row[z]]][kk] += 1
+        return a
 
 
 class FiniteGroup:
@@ -433,7 +433,7 @@ def cyclic(n: int) -> FiniteGroup:
     _check_positive("cyclic", "n", n)
     _check_order(n)
     if n == 1:
-        return FiniteGroup([(0,)], family={"family": "cyclic", "n": 1})
+        return FiniteGroup([(0,)], family={"family": "cyclic", "n": 1}, meta={"rotation": 0})
     gen = tuple(list(range(1, n)) + [0])
     g = FiniteGroup(_closure([gen]), family={"family": "cyclic", "n": n})
     g.meta["rotation"] = g.index[gen]

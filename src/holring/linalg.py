@@ -1,0 +1,143 @@
+"""Exact linear algebra on lists of ints.
+
+The one home of the matrix routines the library runs: linear
+combinations of rows, the fraction-free (Bareiss) determinant over Z,
+and over a prime field F_q the reduced row echelon form, the kernel, the
+characteristic polynomial and the roots of a polynomial.  Matrices are
+lists of rows; F_q entries are ints, reduced mod q on output.  Dixon's
+character tables, the regular-determinant oracle and the p-saturation
+of the maximal-order center all run on these.  The module imports no
+other holring module.
+"""
+
+from __future__ import annotations
+
+
+def lincomb(coeffs, rows) -> list:
+    """sum_r coeffs[r] * rows[r], for rows of ints or Fractions of one
+    width."""
+    out = [0] * len(rows[0])
+    for x, row in zip(coeffs, rows):
+        if x:
+            out = [a + x * r for a, r in zip(out, row)]
+    return out
+
+
+def det_bareiss(m: list) -> int:
+    """Determinant of a square integer matrix, by fraction-free
+    elimination (Bareiss, Math. Comp. 22, 1968): every division is exact."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def fq_matvec(rows, vec, q):
+    """rows * vec for rows given as their nonzero (column, value) pairs."""
+    return [sum(x * vec[t] for t, x in row) % q for row in rows]
+
+
+def fq_rref(rows, q):
+    """(reduced row echelon rows, pivot columns) of the row space, for
+    rows of any ints; the pivots ascend and the rows are reduced mod q."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    pivots = []
+    row = 0
+    for col in range(len(m[0])):
+        sel = next((r for r in range(row, n) if m[r][col] % q), None)
+        if sel is None:
+            continue
+        m[row], m[sel] = m[sel], m[row]
+        inv = pow(m[row][col], q - 2, q)
+        m[row] = [x * inv % q for x in m[row]]
+        for r in range(n):
+            if r != row and m[r][col] % q:
+                f = m[r][col]
+                m[r] = [(a - f * b) % q for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == n:
+            break
+    return m[:row], pivots
+
+
+def fq_kernel(mat, q):
+    """Basis of the right kernel of mat."""
+    n_cols = len(mat[0])
+    rref, pivots = fq_rref(mat, q)
+    free = [c for c in range(n_cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [0] * n_cols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = (-rref[r][fc]) % q
+        basis.append(v)
+    return basis
+
+
+def fq_charpoly(mat, q):
+    """Characteristic polynomial det(xI - mat), ascending coefficients.
+
+    Reduces mat to Hessenberg form by similarity, then runs the Hessenberg
+    recurrence (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.2.9).  It divides only by nonzero pivots, so any q works,
+    including q below the dimension."""
+    h = [list(row) for row in mat]
+    n = len(h)
+    for m in range(1, n - 1):
+        sel = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if sel is None:
+            continue
+        if sel != m:
+            h[m], h[sel] = h[sel], h[m]
+            for row in h:
+                row[m], row[sel] = row[sel], row[m]
+        inv = pow(h[m][m - 1], q - 2, q)
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % q
+            if u:
+                h[i] = [(a - u * b) % q for a, b in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % q
+    # polys[m] = det(xI - h[:m, :m]); each new one is x * polys[m - 1]
+    # minus the Hessenberg column m - 1 against the earlier ones
+    polys = [[1]]
+    for m in range(1, n + 1):
+        new = [0] + polys[m - 1]
+        for t, c in enumerate(polys[m - 1]):
+            new[t] -= h[m - 1][m - 1] * c
+        sub = 1
+        for i in range(m - 1, 0, -1):
+            sub = sub * h[i][i - 1] % q
+            f = h[i - 1][m - 1] * sub
+            for t, c in enumerate(polys[i - 1]):
+                new[t] -= f * c
+        polys.append([c % q for c in new])
+    return polys[n]
+
+
+def fq_roots(f, q):
+    """The distinct roots of f in F_q, ascending, by evaluating f at each
+    element of F_q."""
+    roots = []
+    for x in range(q):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * x + c) % q
+        if not acc:
+            roots.append(x)
+    return roots

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .blocks import central_conductor
-from .chartable import Character, CharTable, _fq_kernel, character_table
+from .chartable import Character, CharTable, character_table
 from .citations import register
 from .cyclotomic import (
     INF,
@@ -43,6 +43,7 @@ from .groupring import (
 )
 from .groups import FiniteGroup
 from .lattice import PLattice
+from .linalg import fq_kernel, lincomb
 
 # seed of every sampled analysis that is not given one
 SEED = 1729
@@ -220,10 +221,10 @@ def _saturated(lat: PLattice) -> PLattice:
     p = lat.p
     while True:
         rows = [[x.numerator * pow(x.denominator, -1, p) % p for x in r] for r in lat.rows]
-        relations = _fq_kernel([list(col) for col in zip(*rows)], p)
+        relations = fq_kernel([list(col) for col in zip(*rows)], p)
         if not relations:
             return lat
-        new = [sum(c * r[t] for c, r in zip(relations[0], lat.rows)) / p for t in range(lat.dim)]
+        new = [x / p for x in lincomb(relations[0], lat.rows)]
         lat = PLattice.from_generators(p, lat.dim, lat.rows + (new,))
 
 
@@ -488,7 +489,7 @@ def norm_ideal_probe(
     ]
     # keyed by value, as an equal norm adds the same generators
     norms = {nr.values: nr for nr in map(reduced_norm, matrices)}
-    consts = group.classes().structure_constants(group)
+    consts = [group.classes().class_matrix(group, i) for i in range(k)]
     gens = []
     for nr in norms.values():
         # nr = sum_i (num_i / den) z_i, so nr z_c = sum_i num_i/den a[i][c][.]

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -22,12 +21,14 @@ from holring.chartable import (
 from holring.cyclotomic import CycloNum, prime_divisors
 from holring.dt import _product_decompositions
 from holring.groups import (
+    ConjClassData,
     affine,
     alternating,
     cyclic,
     dihedral,
     direct_product,
     frob72,
+    from_generators,
     from_spec,
     group_name,
     inversion,
@@ -136,56 +137,22 @@ def test_kernel_induction_route_matches_generic(group):
     assert a.characters == b.characters
 
 
-def _det_mod(mat, q):
-    m = [list(r) for r in mat]
-    det = 1
-    for c in range(len(m)):
-        sel = next((r for r in range(c, len(m)) if m[r][c] % q), None)
-        if sel is None:
-            return 0
-        if sel != c:
-            m[c], m[sel] = m[sel], m[c]
-            det = -det
-        det = det * m[c][c] % q
-        inv = pow(m[c][c], q - 2, q)
-        for r in range(c + 1, len(m)):
-            f = m[r][c] * inv
-            m[r] = [(a - f * b) % q for a, b in zip(m[r], m[c])]
-    return det % q
+@pytest.mark.parametrize("group", [
+    from_generators([tuple(t ^ 1 if t // 2 == j else t for t in range(10)) for j in range(5)]),
+    symmetric(5),
+], ids=["C2^5", "S5"])
+def test_dixon_builds_class_matrices_only_until_the_split_ends(monkeypatch, group):
+    built = []
+    class_matrix = ConjClassData.class_matrix
 
+    def counting(self, g, i):
+        built.append(i)
+        return class_matrix(self, g, i)
 
-def test_charpoly_is_det_x_minus_m_at_every_point():
-    rng = random.Random(15)
-    q = 7
-    cases = [
-        [[3 if s == t else 0 for t in range(5)] for s in range(5)],  # scalar
-        [[1 if t == s + 1 else 0 for t in range(6)] for s in range(6)],  # nilpotent
-        [[0, 0, 1], [0, 2, 0], [5, 0, 4]],  # h[1][0] = 0: needs the row swap
-    ]
-    # repeated eigenvalues: P diag(2, 2, 2, 5, 5) P^-1 with P unipotent
-    p = [[1 if s == t else (rng.randrange(q) if t > s else 0) for t in range(5)]
-         for s in range(5)]
-    p_inv = [[0] * 5 for _ in range(5)]
-    for col in range(5):
-        e = [1 if s == col else 0 for s in range(5)]
-        for s in reversed(range(5)):
-            p_inv[s][col] = (e[s] - sum(p[s][t] * p_inv[t][col]
-                                        for t in range(s + 1, 5))) % q
-    diag = [2, 2, 2, 5, 5]
-    cases.append([[sum(p[s][u] * diag[u] * p_inv[u][t] for u in range(5)) % q
-                   for t in range(5)] for s in range(5)])
-    for n in range(1, 9):
-        cases.append([[rng.randrange(q) for _ in range(n)] for _ in range(n)])
-    for mat in cases:
-        n = len(mat)
-        f = chartable._fq_charpoly(mat, q)
-        assert len(f) == n + 1 and f[-1] == 1
-        for x in range(q):
-            shifted = [[((x if s == t else 0) - mat[s][t]) % q for t in range(n)]
-                       for s in range(n)]
-            assert sum(c * x**i for i, c in enumerate(f)) % q == _det_mod(shifted, q)
-    assert chartable._fq_roots(chartable._fq_charpoly(cases[3], q), q) == [2, 5]
-    assert chartable._fq_roots(chartable._fq_charpoly(cases[1], q), q) == [0]
+    monkeypatch.setattr(ConjClassData, "class_matrix", counting)
+    k = len(group.classes().classes)
+    assert len(dixon_table(group).characters) == k
+    assert 0 < len(built) < k - 1
 
 
 def test_product_table_degrees():
@@ -310,11 +277,13 @@ def test_equal_characters_hash_equal():
 
 
 def test_finish_rejects_a_duplicate_character():
+    # the conductor-8 row goes through _finish's memo of minimal, which
+    # brings it down to the values of row 1
     g = cyclic(4)
-    chars = list(character_table(g).characters)
-    chars[3] = Character(g, [v.embedded(8) for v in chars[1].values])
+    rows = [ch.values for ch in character_table(g).characters]
+    rows[3] = [v.embedded(8) for v in rows[1]]
     with pytest.raises(AssertionError, match="pairwise distinct"):
-        _finish(g, chars, "test")
+        _finish(g, rows, "test")
 
 
 @pytest.mark.parametrize("method", ["auto", "generic"])

@@ -178,8 +178,8 @@ def test_power_maps_over_the_catalog():
 def test_structure_constants_count_products_over_the_catalog():
     for g in catalog():
         cls = g.classes()
-        a = cls.structure_constants(g)
         k = len(cls.classes)
+        a = [cls.class_matrix(g, i) for i in range(k)]
         for kk, z in enumerate(cls.representatives):
             for i in range(k):
                 for j in range(k):
@@ -194,8 +194,8 @@ def test_structure_constants_match_the_character_formula():
     # (Isaacs, Character Theory of Finite Groups, ch. 3), exactly in CycloNum
     for g in catalog():
         cls, table = g.classes(), character_table(g)
-        a = cls.structure_constants(g)
         k = len(cls.classes)
+        a = [cls.class_matrix(g, i) for i in range(k)]
         conj = [[v.conjugate() for v in ch.values] for ch in table.characters]
         for i in range(k):
             for j in range(k):

@@ -149,3 +149,24 @@ def _float_uses(module: str) -> list:
 def test_no_floats(module):
     # every value is exact: ints, Fractions and cyclotomic numbers
     assert _float_uses(module) == [], f"holring.{module}"
+
+
+def test_linalg_imports_no_holring_module():
+    # exact linear algebra sits below every other layer
+    assert [t for t, _ in _imports("linalg") if t.startswith("holring")] == []
+
+
+# cyclotomic's `_cyclo` (a value from int numerators, unchecked) and
+# `_rational` (the rational input check) serve the modules that build
+# character and central values in bulk
+SHARED_PRIVATE = {("holring.cyclotomic", "_cyclo"), ("holring.cyclotomic", "_rational")}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_name_crosses_a_module(module):
+    bad = [
+        f"{t}.{name}"
+        for t, name in _imports(module)
+        if t.startswith("holring") and name and name.startswith("_") and (t, name) not in SHARED_PRIVATE
+    ]
+    assert bad == [], f"holring.{module} imports private names {bad}"
