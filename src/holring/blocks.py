@@ -16,8 +16,7 @@ table; the hybrid test checks normality, so it takes the group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .chartable import CharTable, character_table
 from .citations import register
@@ -84,8 +83,7 @@ def different_valuation(p: int, conductor: int, stabilizer: frozenset) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class PadicBlock:
+class PadicBlock(NamedTuple):
     """One simple factor of the p-adic group algebra.
 
     char_indices lists the member characters (an orbit under the
@@ -220,8 +218,7 @@ def central_conductor(table: CharTable, p: int):
     return out
 
 
-@dataclass(frozen=True)
-class HybridReport:
+class HybridReport(NamedTuple):
     p: int
     normal_ids: frozenset
     is_hybrid: bool

@@ -35,7 +35,6 @@ products, normality or Q[G] elements takes the group and asks
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
@@ -120,16 +119,19 @@ class Character:
         return f"Character(degree={self.degree}, conductor={self.field_conductor})"
 
 
-@dataclass(frozen=True)
 class CharTable:
-    """The irreducible characters of a group, over its class data."""
+    """The irreducible characters of a group, over its class data.
 
-    classes: ConjClassData
-    characters: tuple
-    method: str
-    _orbits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _blocks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _basis: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    `_orbits`, `_blocks` and `_basis` keep what is derived from the table
+    on first use.  Tables compare by identity."""
+
+    def __init__(self, classes: ConjClassData, characters: tuple, method: str):
+        self.classes = classes
+        self.characters = characters
+        self.method = method
+        self._orbits = {}
+        self._blocks = {}
+        self._basis = {}
 
     @property
     def order(self) -> int:

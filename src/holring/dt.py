@@ -19,8 +19,7 @@ engine get theirs by restriction the same way (`chartable.derived_table`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .blocks import HYBRID_CRITERION, hybrid_report, padic_blocks
 from .chartable import character_table, derived_table
@@ -96,8 +95,7 @@ WEAK_HYBRID_OBSTRUCTION = register(
 )
 
 
-@dataclass(frozen=True)
-class DTAssertion:
+class DTAssertion(NamedTuple):
     """Engine verdict about DT(Z_p[G]).
 
     kind is one of trivial / cyclic / order / nontrivial /
@@ -252,8 +250,7 @@ def _quotient(group: FiniteGroup, sub) -> FiniteGroup:
     return quot
 
 
-@dataclass(frozen=True)
-class WeaklyHybridReport:
+class WeaklyHybridReport(NamedTuple):
     verdict: str  # "yes" | "no" | "unknown"
     citations: tuple
     detail: str

@@ -41,6 +41,11 @@ table, ``orbit_basis``: from the values at one character per rational
 orbit of Irr(G) to class coordinates, with no CycloNum sums.
 ``to_class_coords`` and ``to_group_ring`` raise ValueError for an element
 that is not rational, one whose values are not Galois-equivariant.
+
+``regular_det``, the reduced-norm oracle, reads no character table: it
+splits the determinant of left multiplication along an elementary
+abelian 2-subgroup A into |A| integer blocks of size [G:A], one per
++-1-valued character of A, and runs Bareiss on each.
 """
 
 from __future__ import annotations
@@ -578,19 +583,70 @@ def random_integral_matrix(group: FiniteGroup, n: int, rng,
     )
 
 
+def _elementary_abelian_2_subgroup(group: FiniteGroup) -> list:
+    """Ids of an elementary abelian 2-subgroup A, at position m the product
+    of the basis involutions marked by the bits of m.  The basis is greedy:
+    the involutions in id order, each kept when it commutes with those kept
+    and lies outside their span.  [0] for a group of odd order."""
+    table = group.cayley_table()
+    members = [0]
+    for z in range(1, group.order):
+        row = table[z]
+        if row[z] == 0 and z not in members and all(row[b] == table[b][z] for b in members):
+            members += [row[b] for b in members]
+    return members
+
+
 def regular_det(h: GroupRingElem) -> Fraction:
     """Determinant of left multiplication by h on the group basis.
 
     An oracle for reduced norms: it uses only the group law and the
-    coefficients of h, never character theory.  Bareiss runs on the
-    integer numerators; the common denominator is divided out at the end.
+    coefficients of h, never character theory.  Q[G] is a free right
+    Q[A]-module on a left transversal T of an elementary abelian
+    2-subgroup A, and left multiplication by h is Q[A]-linear, given by a
+    T x T matrix M over Z[A] on the numerators.  So the determinant is
+    the product over the characters psi of A of det psi(M) (Frobenius's
+    factorisation of the group determinant; K. Conrad, "The origin of
+    representation theory", Enseign. Math. 44, 1998).  Each psi is
+    +-1-valued, so the |A| blocks psi(M) are integer matrices, read off
+    by one Walsh-Hadamard transform over A, and Bareiss runs on each; the
+    common denominator is divided out at the end.  With A = 1 the one
+    block is the |G| x |G| matrix of left multiplication.
     """
     g = h.group
-    n = g.order
-    m = [[0] * n for _ in range(n)]
+    table = g.cayley_table()
+    a = _elementary_abelian_2_subgroup(g)
+    # y = reps[coset[y]] * a[bits[y]] for every element y
+    coset, bits, reps = [None] * g.order, [0] * g.order, []
+    for t in range(g.order):
+        if coset[t] is None:
+            row = table[t]
+            for m, x in enumerate(a):
+                coset[row[x]], bits[row[x]] = len(reps), m
+            reps.append(t)
+    r = len(reps)
+    # blocks[m][i*r + j]: the coefficient of a[m] in M[i][j], as x * t_j =
+    # t_i * a[m] for each x in the support of h
+    blocks = [[0] * (r * r) for _ in a]
     for x, cx in enumerate(h.num):
-        if not cx:
-            continue
-        for j in range(n):
-            m[g.mul(x, j)][j] += cx
-    return Fraction(det_bareiss(m), h.den**n)
+        if cx:
+            row = table[x]
+            for j, t in enumerate(reps):
+                y = row[t]
+                blocks[bits[y]][coset[y] * r + j] += cx
+    # Walsh-Hadamard over the bits: blocks[s] becomes psi_s(M), where
+    # psi_s(a[m]) = (-1)^popcount(s & m)
+    step = 1
+    while step < len(a):
+        for lo in range(0, len(a), 2 * step):
+            for m in range(lo, lo + step):
+                u, v = blocks[m], blocks[m + step]
+                blocks[m] = [p + q for p, q in zip(u, v)]
+                blocks[m + step] = [p - q for p, q in zip(u, v)]
+        step *= 2
+    det = 1
+    for block in blocks:
+        det *= det_bareiss([block[i * r:(i + 1) * r] for i in range(r)])
+        if not det:
+            break
+    return Fraction(det, h.den**g.order)

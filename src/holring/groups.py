@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .cyclotomic import is_prime, multiplicative_order, padic_valuation, prime_divisors
 
@@ -30,14 +30,12 @@ def _inverse_perm(a: tuple) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     element_ids: frozenset
     order: int
 
 
-@dataclass(frozen=True)
-class ConjClassData:
+class ConjClassData(NamedTuple):
     classes: tuple          # tuple of tuples of element ids
     representatives: tuple  # min element id per class
     sizes: tuple
@@ -287,9 +285,12 @@ class FiniteGroup:
         """The Frobenius kernel as a Subgroup, or None if the group is not
         Frobenius: the unique proper nontrivial normal N with C_G(n) in N
         for every n != 1 in N (Isaacs, Character Theory of Finite Groups,
-        ch. 7).  A complement is isomorphic to G/N, of order |G:N|."""
+        ch. 7).  A complement is isomorphic to G/N, of order |G:N|.  A
+        Frobenius group has trivial centre, so a group with a central
+        element other than 1 is answered with no subgroup search."""
         if self._frobenius == "unset":
-            found = [
+            central = 1 in self.classes().sizes[1:]
+            found = [] if central else [
                 sub for sub in self.normal_subgroups()[1:-1]
                 if all(self.centralizer(n) <= sub.element_ids for n in sub.element_ids if n)
             ]
@@ -637,6 +638,9 @@ def from_generators(perms) -> FiniteGroup:
     if not perms:
         raise ValueError("at least one generator is needed")
     for p in perms:
+        # bool is an int subclass, so test the exact type
+        if any(type(x) is not int for x in p):
+            raise ValueError(f"permutation entries must be integers: {p}")
         if sorted(p) != list(range(len(p))):
             raise ValueError(f"not a permutation: {p}")
     degrees = sorted({len(p) for p in perms})

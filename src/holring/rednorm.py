@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .blocks import central_conductor
 from .chartable import Character, CharTable, character_table
@@ -94,8 +93,7 @@ DIHEDRAL_NORM_IDEAL = register(
 # ------------------------------------------------------------------ norms
 
 
-@dataclass(frozen=True)
-class ReducedCharPoly:
+class ReducedCharPoly(NamedTuple):
     """Monic reduced characteristic polynomial in one character block."""
 
     character: Character
@@ -261,8 +259,7 @@ def maximal_center_lattice(group: FiniteGroup, p: int) -> PLattice:
 # --------------------------------------------------- membership verdicts
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(NamedTuple):
     kind: str  # certified_in | sampled_no_counterexample | counterexample
     reason: str
     citations: tuple
@@ -374,8 +371,7 @@ def denominator_membership(
 # ------------------------------------------------------ norm ideal probe
 
 
-@dataclass(frozen=True)
-class NormIdealProbe:
+class NormIdealProbe(NamedTuple):
     p: int
     group_order: int
     lattice: PLattice

@@ -13,8 +13,7 @@ enter as asserted booleans on the scenario and reappear, marked
 them.  No statement is emitted without a complete hypothesis match.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .blocks import HYBRID_CRITERION, hybrid_report
 from .chartable import CharTable, character_table
@@ -164,8 +163,7 @@ CONJECTURES = ("etnc", "local-epsilon", "global-epsilon")
 BASE_FIELDS = ("rationals", "any")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """Input grammar for a conjecture report.
 
     `base_field` is "rationals" for K = Q and "any" otherwise.  The
@@ -201,8 +199,7 @@ class Scenario:
         }
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     text: str
     hypotheses: tuple
     citations: tuple
@@ -215,8 +212,7 @@ class Statement:
         }
 
 
-@dataclass(frozen=True)
-class RuleApplication:
+class RuleApplication(NamedTuple):
     rule: str
     conditions: tuple
     produced: tuple
@@ -229,8 +225,7 @@ class RuleApplication:
         }
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     scenario: Scenario
     statements: tuple
     derivation: tuple

@@ -14,9 +14,8 @@ and the runner turns both into CheckResult rows.
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .blocks import (
     HYBRID_CRITERION,
@@ -92,8 +91,7 @@ def _require(cond, msg: str):
         raise VerifyFailure(msg)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     criterion: int
     passed: bool

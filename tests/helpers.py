@@ -131,6 +131,53 @@ def reference_adjoint_and_norm(H):
     return adj, nr, polys
 
 
+# -- left multiplication as one whole matrix: the reference for regular_det --
+
+
+def regular_matrix(h):
+    """Left multiplication by h on Q[G]^n in the element basis."""
+    g, n = h.group, h.n
+    dim = g.order * n
+    m = [[0] * dim for _ in range(dim)]
+    for b in range(n):
+        for a in range(n):
+            coeffs = h.rows[a][b].coeffs
+            for x in range(g.order):
+                col = b * g.order + x
+                for k, c in enumerate(coeffs):
+                    if c:
+                        m[a * g.order + g.mul(k, x)][col] += c
+    return m
+
+
+def reference_det(m):
+    """Fraction-free determinant of an integer matrix."""
+    m = [row[:] for row in m]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def reference_regular_det(h) -> Fraction:
+    """`regular_det(h)` from the whole |G| x |G| matrix of left
+    multiplication by h's integer numerators, over den^|G|."""
+    g = h.group
+    num = GroupRingMatrix(g, [[GroupRingElem(g, list(h.num))]])
+    return Fraction(reference_det(regular_matrix(num)), h.den**g.order)
+
+
 # -- the subgroup lattice by brute force: the reference for groups ---------
 
 
@@ -150,6 +197,18 @@ def reference_normal_subgroups(g) -> list:
                 found.add(join)
                 changed = True
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def reference_frobenius_kernel(g):
+    """Element ids of the Frobenius kernel, or None: the proper nontrivial
+    normal subgroups N with C_G(n) in N for every n != 1 in N, searched
+    with no shortcut on the centre."""
+    found = [
+        n for n in reference_normal_subgroups(g)[1:-1]
+        if all(g.centralizer(x) <= n for x in n if x)
+    ]
+    assert len(found) <= 1
+    return found[0] if found else None
 
 
 def reference_commutator_subgroup(g) -> frozenset:

@@ -82,6 +82,14 @@ def test_generators_with_size_parameter_are_usage_error(capsys, flag):
     assert f"--generators does not take {flag}" in err
 
 
+@pytest.mark.parametrize("perms", ["[[1.0,0]]", '[[1,0,"x"]]', "[[1,0],[true,false]]"])
+def test_generators_with_non_integer_entries_are_usage_error(capsys, perms):
+    code, out, err = run(capsys, "chartab", "--generators", perms)
+    assert code == 2
+    assert out == ""
+    assert "permutation entries must be integers" in err
+
+
 def test_generators_reject_bad_json(capsys):
     code, out, err = run(capsys, "chartab", "--generators", "not json")
     assert code == 2

@@ -9,17 +9,27 @@ from holring.chartable import character_table
 from holring.cyclotomic import CycloNum
 from holring.groupring import (
     CentralElement,
+    _elementary_abelian_2_subgroup,
     GroupRingElem,
     GroupRingMatrix,
     random_integral_element,
     random_integral_matrix,
     regular_det,
 )
-from holring.groups import alternating, cyclic, dihedral, quaternion, symmetric
+from holring.groups import (
+    affine,
+    alternating,
+    cyclic,
+    dihedral,
+    group_name,
+    metacyclic,
+    quaternion,
+    symmetric,
+)
 from holring.rednorm import adjoint_and_norm, reduced_norm
 from holring.verify import catalog
 
-from helpers import is_galois_equivariant, reference_class_coords
+from helpers import is_galois_equivariant, reference_class_coords, reference_regular_det
 
 S3 = symmetric(3)
 A4 = alternating(4)
@@ -480,3 +490,47 @@ def test_regular_det_of_non_integral_element(seed, label):
     for d in (2, 3):
         assert regular_det(h.scale(Fraction(1, d))) == regular_det(h) / d**g.order
     assert regular_det(GroupRingElem.one(g).scale(Fraction(1, 2))) == Fraction(1, 2**g.order)
+
+
+def _group_sum(g):
+    return GroupRingElem(g, [1] * g.order)
+
+
+@pytest.mark.parametrize("g", catalog(), ids=group_name)
+def test_regular_det_matches_the_full_matrix(g):
+    # the split along A against Bareiss on the whole |G| x |G| matrix:
+    # seeded integral and non-integral elements, and the singular sum of G
+    rng = random.Random(1729 + g.order)
+    integral = random_integral_element(g, rng)
+    fractional = GroupRingElem(
+        g, [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(g.order)]
+    )
+    for h in (integral, fractional):
+        assert regular_det(h) == reference_regular_det(h)
+    assert regular_det(_group_sum(g)) == 0 == reference_regular_det(_group_sum(g))
+
+
+def test_regular_det_matches_the_full_matrix_on_a6():
+    # |A| = 4, so four 90 x 90 blocks stand for one 360 x 360 matrix; a
+    # sparse element keeps the reference Bareiss to a few seconds
+    g = alternating(6)
+    coeffs = [0] * g.order
+    coeffs[0], coeffs[7], coeffs[200] = 3, 1, -1
+    h = GroupRingElem(g, coeffs)
+    assert regular_det(h) == reference_regular_det(h) != 0
+
+
+@pytest.mark.parametrize(
+    "g, size",
+    [(symmetric(4), 4), (symmetric(5), 4), (symmetric(6), 8), (affine(16), 16), (metacyclic(7, 3), 1)],
+    ids=["S4", "S5", "S6", "Aff(16)", "C7:C3"],
+)
+def test_split_subgroup_is_elementary_abelian(g, size):
+    a = _elementary_abelian_2_subgroup(g)
+    assert len(set(a)) == len(a) == size and a[0] == 0
+    assert all(g.mul(x, x) == 0 and g.mul(x, y) == g.mul(y, x) for x in a for y in a)
+    # a[m] is the product of the basis a[2^k] over the bits k of m
+    for m, x in enumerate(a):
+        for k in range(size.bit_length() - 1):
+            if m >> k & 1:
+                assert g.mul(a[m ^ (1 << k)], a[1 << k]) == x

@@ -27,7 +27,12 @@ from holring.groups import (
 )
 from holring.verify import catalog
 
-from helpers import abelian_invariants, reference_commutator_subgroup, reference_normal_subgroups
+from helpers import (
+    abelian_invariants,
+    reference_commutator_subgroup,
+    reference_frobenius_kernel,
+    reference_normal_subgroups,
+)
 
 
 def _inv_tuple(p):
@@ -313,6 +318,8 @@ def test_subgroup_lattice_matches_the_brute_force_references():
         assert [n.element_ids for n in g.normal_subgroups()] == reference_normal_subgroups(g)
         assert g.commutator_subgroup().element_ids == reference_commutator_subgroup(g)
         assert all(n.order == len(n.element_ids) for n in g.normal_subgroups())
+        kernel = g.frobenius_kernel()
+        assert (None if kernel is None else kernel.element_ids) == reference_frobenius_kernel(g)
 
 
 @pytest.mark.parametrize(
@@ -550,6 +557,12 @@ def test_from_generators_and_spec():
 @pytest.mark.parametrize("perms", [[(1, 0), (0, 2, 1)], [(0, 2, 1), (1, 0)]])
 def test_from_generators_rejects_mixed_degrees(perms):
     with pytest.raises(ValueError, match="same 0..d-1, got degrees 2, 3"):
+        from_generators(perms)
+
+
+@pytest.mark.parametrize("perms", [[(1.0, 0)], [(1, 0, "x")], [(1, 0), (True, False)]])
+def test_from_generators_rejects_entries_that_are_not_ints(perms):
+    with pytest.raises(ValueError, match="permutation entries must be integers"):
         from_generators(perms)
 
 

@@ -151,6 +151,14 @@ def test_no_floats(module):
     assert _float_uses(module) == [], f"holring.{module}"
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_no_dataclasses(module):
+    # records are NamedTuples: importing dataclasses and building each
+    # class's methods through exec costs every CLI call about 25 ms
+    bad = [t for t, _ in _imports(module) if t == "dataclasses"]
+    assert bad == [], f"holring.{module}"
+
+
 def test_linalg_imports_no_holring_module():
     # exact linear algebra sits below every other layer
     assert [t for t, _ in _imports("linalg") if t.startswith("holring")] == []

@@ -3,7 +3,6 @@ a character or a central element holds leads back to the group.  So a
 dropped group and everything built from it are freed by reference
 counting alone, with nothing left for the cyclic garbage collector."""
 
-import dataclasses
 import gc
 import inspect
 import random
@@ -72,10 +71,10 @@ def test_a_dropped_group_leaves_no_cycles(build):
 
 
 def test_tables_and_characters_hold_no_group():
-    assert [f.name for f in dataclasses.fields(CharTable) if f.init] == [
+    assert list(inspect.signature(CharTable.__init__).parameters)[1:] == [
         "classes", "characters", "method",
     ]
     assert "group" not in Character.__slots__
-    assert "group" not in [f.name for f in dataclasses.fields(ConjClassData)]
+    assert "group" not in ConjClassData._fields
     assert list(inspect.signature(ConjClassData.power_class).parameters) == ["self", "c", "k"]
-    assert "powers" in [f.name for f in dataclasses.fields(ConjClassData)]
+    assert "powers" in ConjClassData._fields

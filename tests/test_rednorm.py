@@ -44,6 +44,8 @@ from helpers import (
     is_galois_equivariant,
     reference_adjoint_and_norm,
     reference_class_coords,
+    reference_det,
+    regular_matrix,
 )
 
 S3 = symmetric(3)
@@ -130,49 +132,13 @@ def test_char_poly_coefficients_of_integral_matrix_are_integral():
             assert all(c.den == 1 for c in poly.coeffs)
 
 
-def _regular_matrix(h):
-    """Left multiplication by h on Q[G]^n in the element basis."""
-    g, n = h.group, h.n
-    dim = g.order * n
-    m = [[0] * dim for _ in range(dim)]
-    for b in range(n):
-        for a in range(n):
-            coeffs = h.rows[a][b].coeffs
-            for x in range(g.order):
-                col = b * g.order + x
-                for k, c in enumerate(coeffs):
-                    if c:
-                        m[a * g.order + g.mul(k, x)][col] += c
-    return m
-
-
-def _det_bareiss(m):
-    """Fraction-free determinant of an integer matrix."""
-    m = [row[:] for row in m]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def test_regular_representation_determinant_oracle():
     # det of left multiplication equals the product of reduced norms,
     # each raised to the character degree
     rng = random.Random(11)
     for g, n in ((S3, 1), (S3, 2), (C4, 1), (Q8, 1)):
         h = random_integral_matrix(g, n, rng)
-        det = _det_bareiss(_regular_matrix(h))
+        det = reference_det(regular_matrix(h))
         product = CycloNum.rational(1)
         for poly in reduced_char_polys(h):
             value = poly.norm_value()
