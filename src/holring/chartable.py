@@ -460,12 +460,12 @@ def frobenius_table(group: FiniteGroup) -> CharTable:
         raise ValueError("group has no Frobenius kernel")
     cls = group.classes()
 
-    qgroup, to_q = group.quotient(kernel.element_ids)
+    qgroup, to_q = group.quotient(kernel)
     qcls = qgroup.classes()
     rows = [[ch.values[qcls.class_of[to_q[rep]]] for rep in cls.representatives]
             for ch in character_table(qgroup).characters]
 
-    ngroup, embed = group.subgroup_as_group(kernel.element_ids)
+    ngroup, embed = group.subgroup_as_group(kernel)
     inv_embed = {gid: hid for hid, gid in enumerate(embed)}
     ncls = ngroup.classes()
     seen = set()

@@ -142,17 +142,17 @@ def _budget_arg(args, default: int) -> int:
 def _normal_ids(g: FiniteGroup, selector: str) -> frozenset:
     """Resolve --normal: 'commutator', 'kernel', or a subgroup order."""
     if selector == "commutator":
-        return g.commutator_subgroup().element_ids
+        return g.commutator_subgroup()
     if selector == "kernel":
         kernel = g.meta.get("kernel")
         if kernel is None:
             raise UsageError("this group carries no distinguished kernel; use an order or 'commutator'")
-        return frozenset(kernel)
+        return kernel
     try:
         order = int(selector)
     except ValueError:
         raise UsageError(f"--normal must be 'commutator', 'kernel', or a subgroup order, got {selector!r}")
-    matches = [s for s in g.normal_subgroups() if s.order == order]
+    matches = [s for s in g.normal_subgroups() if len(s) == order]
     if not matches:
         raise UsageError(f"no normal subgroup of order {order}")
     if len(matches) > 1:
@@ -160,7 +160,7 @@ def _normal_ids(g: FiniteGroup, selector: str) -> frozenset:
             f"{len(matches)} normal subgroups of order {order}; "
             "select by 'commutator' or 'kernel' instead"
         )
-    return matches[0].element_ids
+    return matches[0]
 
 
 def _citation_lines(labels) -> list:

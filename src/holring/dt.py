@@ -236,17 +236,11 @@ def dt_query(group: FiniteGroup, p: int, depth: int = 16) -> DTAssertion:
     )
 
 
-def _proper_normals(group: FiniteGroup):
-    for sub in group.normal_subgroups():
-        if 1 < sub.order < group.order:
-            yield sub
-
-
 def _quotient(group: FiniteGroup, sub) -> FiniteGroup:
     """G/N, with its table derived from G's table."""
-    quot, to_q = group.quotient(sub.element_ids)
+    quot, to_q = group.quotient(sub)
     lift = dict(zip(to_q, range(len(to_q))))
-    derived_table(character_table(group), quot, lift, sub.element_ids)
+    derived_table(character_table(group), quot, lift, sub)
     return quot
 
 
@@ -268,17 +262,17 @@ def _product_decompositions(group, normal_ids):
     subs = group.normal_subgroups()
     out = []
     for m_sub in subs:
-        if not normal_ids <= m_sub.element_ids:
+        if not normal_ids <= m_sub:
             continue
         for h_sub in subs:
-            if m_sub.order * h_sub.order != group.order:
+            if len(m_sub) * len(h_sub) != group.order:
                 continue
-            if len(m_sub.element_ids & h_sub.element_ids) != 1:
+            if len(m_sub & h_sub) != 1:
                 continue
-            if h_sub.order == 1:
+            if len(h_sub) == 1:
                 continue  # the trivial split retries G itself
             out.append((m_sub, h_sub))
-    out.sort(key=lambda pair: (pair[0].order, sorted(pair[0].element_ids)))
+    out.sort(key=lambda pair: (len(pair[0]), sorted(pair[0])))
     return out
 
 
@@ -304,10 +298,10 @@ def weakly_hybrid(group: FiniteGroup, normal_ids, p: int) -> WeaklyHybridReport:
         )
     table = character_table(group)
     for m_sub, h_sub in _product_decompositions(group, normal_ids):
-        mg, membed = group.subgroup_as_group(m_sub.element_ids)
+        mg, membed = group.subgroup_as_group(m_sub)
         back = {gid: hid for hid, gid in enumerate(membed)}
         inner = frozenset(back[x] for x in normal_ids)
-        derived_table(table, mg, membed, h_sub.element_ids)
+        derived_table(table, mg, membed, h_sub)
         mrep = hybrid_report(mg, inner, p)
         if not mrep.is_hybrid:
             continue
@@ -318,24 +312,24 @@ def weakly_hybrid(group: FiniteGroup, normal_ids, p: int) -> WeaklyHybridReport:
         )
         if not rational:
             continue
-        hg, hembed = group.subgroup_as_group(h_sub.element_ids)
-        derived_table(table, hg, hembed, m_sub.element_ids)
+        hg, hembed = group.subgroup_as_group(h_sub)
+        derived_table(table, hg, hembed, m_sub)
         h_dt = dt_query(hg, p)
         if h_dt.triviality() == "trivial":
             return WeaklyHybridReport(
                 "yes",
                 (WEAK_HYBRID_PRODUCT,) + h_dt.citations,
-                f"G = M x H, |M| = {m_sub.order} is N-hybrid with "
-                f"matrix-ring blocks over Z_{p}, |H| = {h_sub.order} "
+                f"G = M x H, |M| = {len(m_sub)} is N-hybrid with "
+                f"matrix-ring blocks over Z_{p}, |H| = {len(h_sub)} "
                 "has trivial DT",
             )
         if h_dt.triviality() == "nontrivial":
             return WeaklyHybridReport(
                 "no",
                 (WEAK_HYBRID_OBSTRUCTION,) + h_dt.citations,
-                f"G = M x H, |M| = {m_sub.order} is N-hybrid with "
+                f"G = M x H, |M| = {len(m_sub)} is N-hybrid with "
                 f"matrix-ring blocks over Z_{p}, but DT of the "
-                f"order-{h_sub.order} factor is nontrivial",
+                f"order-{len(h_sub)} factor is nontrivial",
             )
     return WeaklyHybridReport(
         "unknown", (), "no applicable product decomposition found"
@@ -343,10 +337,10 @@ def weakly_hybrid(group: FiniteGroup, normal_ids, p: int) -> WeaklyHybridReport:
 
 
 def _via_weak_hybrid_quotient(group, p, depth, name):
-    for sub in _proper_normals(group):
-        if sub.order % p == 0:
+    for sub in group.normal_subgroups()[1:-1]:
+        if len(sub) % p == 0:
             continue
-        wh = weakly_hybrid(group, sub.element_ids, p)
+        wh = weakly_hybrid(group, sub, p)
         if wh.verdict != "yes":
             continue
         inner = dt_query(_quotient(group, sub), p, depth - 1)
@@ -358,7 +352,7 @@ def _via_weak_hybrid_quotient(group, p, depth, name):
             (DT_WH_QUOT_ISO,) + wh.citations + inner.citations,
             (
                 f"{name}: weakly hybrid for a normal subgroup of "
-                f"order {sub.order}, so DT agrees with the quotient",
+                f"order {len(sub)}, so DT agrees with the quotient",
             )
             + inner.derivation,
         )
@@ -366,8 +360,8 @@ def _via_weak_hybrid_quotient(group, p, depth, name):
 
 
 def _via_quotient_surjectivity(group, p, depth, name):
-    for sub in _proper_normals(group):
-        if (group.order // sub.order) % p != 0:
+    for sub in group.normal_subgroups()[1:-1]:
+        if (group.order // len(sub)) % p != 0:
             continue
         inner = dt_query(_quotient(group, sub), p, depth - 1)
         if inner.triviality() == "nontrivial":
@@ -377,7 +371,7 @@ def _via_quotient_surjectivity(group, p, depth, name):
                 (DT_QUOT_SURJECTIVE,) + inner.citations,
                 (
                     f"{name}: DT surjects onto the quotient by a "
-                    f"normal subgroup of order {sub.order}",
+                    f"normal subgroup of order {len(sub)}",
                 )
                 + inner.derivation,
             )

@@ -3,6 +3,7 @@
 Elements are permutation tuples; ids are 0..|G|-1 with the identity always
 id 0 and the remaining elements sorted lexicographically, so serialization
 is deterministic.  Multiplication is composition: (g*h)(x) = g(h(x)).
+A subgroup is the frozenset of its element ids, and its order is its len.
 The class-sum structure constants live in `ConjClassData`, and only there.
 """
 
@@ -28,11 +29,6 @@ def _inverse_perm(a: tuple) -> tuple:
     for i, x in enumerate(a):
         out[x] = i
     return tuple(out)
-
-
-class Subgroup(NamedTuple):
-    element_ids: frozenset
-    order: int
 
 
 class ConjClassData(NamedTuple):
@@ -233,7 +229,8 @@ class FiniteGroup:
             raise ValueError("subgroup must be normal")
 
     def normal_subgroups(self) -> list:
-        """All normal subgroups, sorted by (order, ids).  Every normal N is
+        """All normal subgroups as sets of ids, sorted by (order, ids), so {1}
+        comes first and G last.  Every normal N is
         the join of the normal closures <C> of the classes C in N, and the
         join of two normal subgroups A, B is the product set AB; so the
         atoms <C> are closed under products with atoms."""
@@ -254,11 +251,10 @@ class FiniteGroup:
                     if join not in found:
                         found.add(join)
                         work.append(join)
-            subs = [Subgroup(ids, len(ids)) for ids in found]
-            self._normals = sorted(subs, key=lambda s: (s.order, sorted(s.element_ids)))
+            self._normals = sorted(found, key=lambda s: (len(s), sorted(s)))
         return list(self._normals)
 
-    def commutator_subgroup(self) -> Subgroup:
+    def commutator_subgroup(self) -> frozenset:
         """G' as the subgroup generated by the classes that meet
         {r^-1 y : r a class representative, y in its class}.  For x =
         h r h^-1 and k = h^-1 g h, x^-1 (g x g^-1) = h (r^-1 y) h^-1 with
@@ -270,8 +266,7 @@ class FiniteGroup:
                 for r, members in zip(cls.representatives, cls.classes)
                 for y in members
             }
-            ids = self.subgroup_closure([x for c in hit for x in cls.classes[c]])
-            self._commutator = Subgroup(ids, len(ids))
+            self._commutator = self.subgroup_closure([x for c in hit for x in cls.classes[c]])
         return self._commutator
 
     def centralizer(self, g: int) -> frozenset:
@@ -282,7 +277,7 @@ class FiniteGroup:
     # -- Frobenius structure ----------------------------------------------
 
     def frobenius_kernel(self):
-        """The Frobenius kernel as a Subgroup, or None if the group is not
+        """The Frobenius kernel as a set of ids, or None if the group is not
         Frobenius: the unique proper nontrivial normal N with C_G(n) in N
         for every n != 1 in N (Isaacs, Character Theory of Finite Groups,
         ch. 7).  A complement is isomorphic to G/N, of order |G:N|.  A
@@ -292,7 +287,7 @@ class FiniteGroup:
             central = 1 in self.classes().sizes[1:]
             found = [] if central else [
                 sub for sub in self.normal_subgroups()[1:-1]
-                if all(self.centralizer(n) <= sub.element_ids for n in sub.element_ids if n)
+                if all(self.centralizer(n) <= sub for n in sub if n)
             ]
             assert len(found) <= 1, "Frobenius kernel must be unique"
             self._frobenius = found[0] if found else None
@@ -539,7 +534,10 @@ def inversion(orders) -> FiniteGroup:
     """A x| C_2 with the C_2 acting by inversion, A = prod of cyclic factors.
 
     Acts on the elements of A plus two extra points swapped by the C_2 part,
-    which keeps the action faithful even when A has exponent 2.
+    which keeps the action faithful even when A has exponent 2.  Generated
+    by the inversion and the translations by the unit vectors, one per
+    cyclic factor; the translations, the kernel, are the elements that fix
+    the extra points.
     """
     orders = [int(x) for x in orders]
     for n in orders:
@@ -561,11 +559,12 @@ def inversion(orders) -> FiniteGroup:
     for s in tuples:
         inv_perm[tidx[s]] = tidx[tuple((-a) % n for a, n in zip(s, orders))]
     inv_perm[size], inv_perm[size + 1] = size + 1, size
-    gens = [inv_perm] + [translation(t) for t in tuples]
+    units = [tuple(int(i == j) for i in range(len(orders))) for j in range(len(orders))]
+    gens = [inv_perm] + [translation(t) for t in units]
     g = FiniteGroup(_closure([tuple(p) for p in gens]),
                     family={"family": "inversion", "orders": sorted(orders, reverse=True)})
     assert g.order == 2 * size
-    g.meta["kernel"] = frozenset(g.index[translation(t)] for t in tuples)
+    g.meta["kernel"] = frozenset(i for i, p in enumerate(g.elements) if p[size] == size)
     return g
 
 

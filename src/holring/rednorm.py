@@ -332,10 +332,10 @@ def denominator_membership(
             (CONDUCTOR_IN_DENOM,),
         )
     commutator = g.commutator_subgroup()
-    if commutator.order % p != 0 and _elem_p_integral(x.to_group_ring(), p):
+    if len(commutator) % p != 0 and _elem_p_integral(x.to_group_ring(), p):
         return MembershipVerdict(
             "certified_in",
-            f"p = {p} does not divide |G'| = {commutator.order} and "
+            f"p = {p} does not divide |G'| = {len(commutator)} and "
             "x has p-integral group coefficients",
             (BEST_DENOMINATORS,),
         )

@@ -313,10 +313,8 @@ def _is_s4(g: FiniteGroup) -> bool:
     if g.order != 24:
         return False
     # the symmetric group on 4 letters is the unique group of order
-    # 24 with trivial centre
-    central = [a for a in range(24)
-               if all(g.mul(a, b) == g.mul(b, a) for b in range(24))]
-    return len(central) == 1
+    # 24 with trivial centre: no class but {1} has size 1
+    return 1 not in g.classes().sizes[1:]
 
 
 def _is_d12(g: FiniteGroup) -> bool:
@@ -326,9 +324,9 @@ def _is_d12(g: FiniteGroup) -> bool:
     if g.order != 12 or g.is_abelian():
         return False
     comm = g.commutator_subgroup()
-    if comm.order != 3:
+    if len(comm) != 3:
         return False
-    quot, _ = g.quotient(comm.element_ids)
+    quot, _ = g.quotient(comm)
     return all(quot.mul(a, a) == 0 for a in range(quot.order))
 
 
@@ -388,7 +386,7 @@ def _rule_d12(scn, statements, rules):
     hyp = _abelian_over_q(scn, "commutator subgroup", True)
     if hyp is None:
         return False
-    wh = weakly_hybrid(scn.group, comm.element_ids, 2)
+    wh = weakly_hybrid(scn.group, comm, 2)
     assert wh.verdict == "yes", "expected a weak hybrid split at 2"
     chain = (D12_FAMILY, SSC_RATIONAL, GOOD_PRIMES,
              BREAKDOWN_ABELIANIZED) + wh.citations
@@ -410,9 +408,9 @@ def _rule_d12(scn, statements, rules):
 def _rule_s4(scn, statements, rules):
     if not _is_s4(scn.group):
         return False
-    klein = [s for s in scn.group.normal_subgroups() if s.order == 4]
+    klein = [s for s in scn.group.normal_subgroups() if len(s) == 4]
     assert len(klein) == 1
-    rep = hybrid_report(scn.group, klein[0].element_ids, 3)
+    rep = hybrid_report(scn.group, klein[0], 3)
     assert rep.is_hybrid, "expected a Klein-four hybrid split at 3"
     statements.append(Statement(
         "SSC(L/K) holds.", (), (S4_FAMILY, SSC_RATIONAL),
@@ -518,8 +516,7 @@ def _rule_generic_zero(scn, table, statements, rules):
     layer = _abelian_over_q(scn, "commutator subgroup", True)
     if layer is None:
         return
-    comm = scn.group.commutator_subgroup()
-    wh = weakly_hybrid(scn.group, comm.element_ids, scn.p)
+    wh = weakly_hybrid(scn.group, scn.group.commutator_subgroup(), scn.p)
     if wh.verdict != "yes":
         return
     if layer not in hyps:
@@ -544,7 +541,7 @@ def _rule_frobenius_negative(scn, statements, rules):
     if kernel is None or not scn.totally_real or scn.r % 2 == 0:
         return False
     # G/N is a complement's isomorphic image, abelian exactly when G' <= N
-    quotient_abelian = scn.group.commutator_subgroup().element_ids <= kernel.element_ids
+    quotient_abelian = scn.group.commutator_subgroup() <= kernel
     hyp = _abelian_over_q(scn, "Frobenius kernel", quotient_abelian)
     if hyp is None:
         return False
@@ -553,15 +550,15 @@ def _rule_frobenius_negative(scn, statements, rules):
              TOT_REAL_MAX)
     statements.append(Statement(
         "ETNC_p(L/K, r) holds for every odd r < 0 and every prime p "
-        f"not dividing {2 * kernel.order}.",
+        f"not dividing {2 * len(kernel)}.",
         hyps, chain,
     ))
     produced = [statements[-1].text]
     conditions = [
-        f"Gal(L/K) is a Frobenius group with kernel of order {kernel.order}",
+        f"Gal(L/K) is a Frobenius group with kernel of order {len(kernel)}",
         f"r = {scn.r} is odd and negative",
     ]
-    factors = prime_divisors(kernel.order)
+    factors = prime_divisors(len(kernel))
     if len(factors) == 1:
         statements.append(Statement(
             "ETNC(L/K, r) holds outside its 2-part for every odd r < 0.",
@@ -582,11 +579,10 @@ def _rule_hybrid_negative(scn, statements, rules):
         return
     if scn.r % 2 == 0:
         return
-    comm = scn.group.commutator_subgroup()
     hyp = _abelian_over_q(scn, "commutator subgroup", True)
     if hyp is None:
         return
-    wh = weakly_hybrid(scn.group, comm.element_ids, scn.p)
+    wh = weakly_hybrid(scn.group, scn.group.commutator_subgroup(), scn.p)
     if wh.verdict != "yes":
         return
     statements.append(Statement(
@@ -630,24 +626,23 @@ def _rule_epsilon(scn, statements, rules):
             (statements[-1].text,),
         ))
         return
-    subs = [s for s in scn.group.normal_subgroups()
-            if 1 < s.order < scn.group.order]
-    subs.sort(key=lambda s: (-s.order, sorted(s.element_ids)))
+    subs = scn.group.normal_subgroups()[1:-1]
+    subs.sort(key=lambda s: (-len(s), sorted(s)))
     for sub in subs:
-        wh = weakly_hybrid(scn.group, sub.element_ids, scn.p)
+        wh = weakly_hybrid(scn.group, sub, scn.p)
         if wh.verdict != "yes":
             continue
-        quot, _ = scn.group.quotient(sub.element_ids)
+        quot, _ = scn.group.quotient(sub)
         statements.append(Statement(
             f"{name} holds for L/K if and only if it holds for the "
             f"degree-{quot.order} subextension fixed by a normal "
-            f"subgroup of order {sub.order}.",
+            f"subgroup of order {len(sub)}.",
             (), (hybrid_label,) + wh.citations,
         ))
         rules.append(RuleApplication(
             "epsilon-weak-hybrid",
             (f"the {scn.p}-adic group ring splits weakly at a normal "
-             f"subgroup of order {sub.order}: " + wh.detail,),
+             f"subgroup of order {len(sub)}: " + wh.detail,),
             (statements[-1].text,),
         ))
         return

@@ -287,15 +287,15 @@ def _check_group_structure():
     for q in AFFINE_SIZES:
         g = affine(q)
         _require(g.order == q * (q - 1), f"Aff({q}) has order {g.order}")
-        kernel = frozenset(g.meta["kernel"])
+        kernel = g.meta["kernel"]
         _require(len(kernel) == q, f"Aff({q}) kernel has order {len(kernel)}")
         _require(
-            kernel == g.commutator_subgroup().element_ids,
+            kernel == g.commutator_subgroup(),
             f"Aff({q}): kernel differs from the commutator subgroup",
         )
         ker = g.frobenius_kernel()
         _require(
-            ker.element_ids == kernel and g.order // ker.order == q - 1,
+            ker == kernel and g.order // len(ker) == q - 1,
             f"Aff({q}): kernel/complement orders are not (q, q-1)",
         )
     a3 = affine(3)
@@ -309,15 +309,15 @@ def _check_group_structure():
     _require(f.order == 72, f"frob72 has order {f.order}")
     ker = f.frobenius_kernel()
     _require(
-        (ker.order, f.order // ker.order) == (9, 8),
-        f"frob72 kernel/complement orders are ({ker.order}, {f.order // ker.order})",
+        (len(ker), f.order // len(ker)) == (9, 8),
+        f"frob72 kernel/complement orders are ({len(ker)}, {f.order // len(ker)})",
     )
     s4 = symmetric(4)
-    norders = sorted(s.order for s in s4.normal_subgroups())
+    norders = sorted(map(len, s4.normal_subgroups()))
     _require(norders == [1, 4, 12, 24], f"S4 normal subgroup orders are {norders}")
     _require(s4.frobenius_kernel() is None, "S4 detected as a Frobenius group")
-    _require(dihedral(5).frobenius_kernel().order == 5, "D10 kernel/complement orders differ from (5, 2)")
-    _require(affine(7).frobenius_kernel().order == 7, "Aff(7) kernel/complement orders differ from (7, 6)")
+    _require(len(dihedral(5).frobenius_kernel()) == 5, "D10 kernel/complement orders differ from (5, 2)")
+    _require(len(affine(7).frobenius_kernel()) == 7, "Aff(7) kernel/complement orders differ from (7, 6)")
     return "affine and frob72 shapes, S4 normal lattice, Frobenius detection"
 
 
@@ -432,18 +432,18 @@ def _check_hybrid_verdicts():
         return rep
 
     s3 = symmetric(3)
-    expect(s3, s3.commutator_subgroup().element_ids, 2, True, "(S3, A3)")
+    expect(s3, s3.commutator_subgroup(), 2, True, "(S3, A3)")
     a4 = alternating(4)
-    expect(a4, a4.commutator_subgroup().element_ids, 3, True, "(A4, V4)")
+    expect(a4, a4.commutator_subgroup(), 3, True, "(A4, V4)")
     for q in AFFINE_SIZES:
         g = affine(q)
-        kernel = frozenset(g.meta["kernel"])
+        kernel = g.meta["kernel"]
         for p in prime_divisors(g.order):
             if q % p == 0:
                 continue
             expect(g, kernel, p, True, f"(Aff({q}), kernel)")
     s4 = symmetric(4)
-    v4 = next(s.element_ids for s in s4.normal_subgroups() if s.order == 4)
+    v4 = next(s for s in s4.normal_subgroups() if len(s) == 4)
     rep = expect(s4, v4, 3, True, "(S4, V4)")
     degrees = [rep.blocks[i].degree for i in rep.block_split]
     _require(
@@ -451,19 +451,19 @@ def _check_hybrid_verdicts():
         f"(S4, V4) at 3: split blocks have degrees {degrees}, not two 3s",
     )
     f = frob72()
-    expect(f, frozenset(f.meta["kernel"]), 2, True, "(frob72, kernel)")
+    expect(f, f.meta["kernel"], 2, True, "(frob72, kernel)")
     for n in range(3, 16, 2):
         g = dihedral(n)
-        expect(g, g.commutator_subgroup().element_ids, 2, True, f"(D{2 * n}, C{n})")
+        expect(g, g.commutator_subgroup(), 2, True, f"(D{2 * n}, C{n})")
     big = direct_product(cyclic(3), alternating(4))
-    fours = [s for s in big.normal_subgroups() if s.order == 4]
+    fours = [s for s in big.normal_subgroups() if len(s) == 4]
     _require(len(fours) == 1, "C3 x A4 should have one normal subgroup of order 4")
-    rep = hybrid_report(big, fours[0].element_ids, 3)
+    rep = hybrid_report(big, fours[0], 3)
     _require(not rep.is_hybrid, "(C3 x A4, 1 x V4) must not be hybrid at 3")
     _require(rep.witness is not None, "negative verdict carries no witness")
     ch = character_table(big).characters[rep.witness]
     _require(
-        not fours[0].element_ids <= ch.kernel,
+        not fours[0] <= ch.kernel,
         "witness character is trivial on the normal subgroup",
     )
     _require(
@@ -477,19 +477,19 @@ def _check_hybrid_verdicts():
 @_check("weakly-hybrid-verdicts", 2, WEAK_HYBRID_PRODUCT, HYBRID_IMPLIES_WEAKLY)
 def _check_weakly_hybrid_verdicts():
     s3 = symmetric(3)
-    wh = weakly_hybrid(s3, s3.commutator_subgroup().element_ids, 2)
+    wh = weakly_hybrid(s3, s3.commutator_subgroup(), 2)
     _require(
         wh.verdict == "yes" and HYBRID_IMPLIES_WEAKLY in wh.citations,
         "(S3, A3, 2): hybrid input should be weakly hybrid by implication",
     )
     d12 = dihedral(6)
     comm = d12.commutator_subgroup()
-    _require(comm.order == 3, f"commutator of D12 has order {comm.order}")
+    _require(len(comm) == 3, f"commutator of D12 has order {len(comm)}")
     _require(
-        not hybrid_report(d12, comm.element_ids, 2).is_hybrid,
+        not hybrid_report(d12, comm, 2).is_hybrid,
         "(D12, C3, 2) must not be hybrid outright",
     )
-    wh = weakly_hybrid(d12, comm.element_ids, 2)
+    wh = weakly_hybrid(d12, comm, 2)
     _require(wh.verdict == "yes", f"(D12, C3, 2): weakly-hybrid verdict {wh.verdict}")
     _require(
         WEAK_HYBRID_PRODUCT in wh.citations,
@@ -498,7 +498,7 @@ def _check_weakly_hybrid_verdicts():
     d10 = dihedral(5)
     g = direct_product(s3, d10)
     embed, _ = g.meta["factor_embeddings"]
-    nids = frozenset(embed[i] for i in s3.commutator_subgroup().element_ids)
+    nids = frozenset(embed[i] for i in s3.commutator_subgroup())
     _require(
         not hybrid_report(g, nids, 2).is_hybrid,
         "(S3 x D10, A3 x 1, 2) must not be hybrid outright",
@@ -511,8 +511,8 @@ def _check_weakly_hybrid_verdicts():
         "(S3 x D10, A3 x 1, 2): expected yes via the matrix-factor collapse onto D10",
     )
     c4 = cyclic(4)
-    c2 = next(s for s in c4.normal_subgroups() if s.order == 2)
-    wh = weakly_hybrid(c4, c2.element_ids, 2)
+    c2 = next(s for s in c4.normal_subgroups() if len(s) == 2)
+    wh = weakly_hybrid(c4, c2, 2)
     _require(wh.verdict == "no", f"(C4, C2, 2): verdict {wh.verdict}, expected no")
     return "D12 and S3 x D10 weakly hybrid via products; C4 refused; hybrid implies weakly"
 
@@ -615,7 +615,7 @@ def _check_affine_norm_identities():
     for q in (4, 8):
         g = affine(q)
         t = character_table(g)
-        kernel = frozenset(g.meta["kernel"])
+        kernel = g.meta["kernel"]
         sigma = next(x for x in sorted(kernel) if x)
         _require(g.element_order(sigma) == 2, f"Aff({q}): kernel element is not an involution")
         elem = GroupRingElem.one(g) + GroupRingElem.basis(g, sigma)
@@ -626,7 +626,7 @@ def _check_affine_norm_identities():
     for q in (3, 5, 9):
         g = affine(q)
         t = character_table(g)
-        kernel = frozenset(g.meta["kernel"])
+        kernel = g.meta["kernel"]
         nr = reduced_norm(GroupRingMatrix(g, [[-GroupRingElem.one(g)]]))
         for ch, v in zip(t.characters, nr.values):
             want = -1 if kernel <= ch.kernel else 1
@@ -859,7 +859,7 @@ def _check_norm_ideal_probes():
             probe.closed_form == "maximal" and probe.closed_form_ok,
             f"Aff({q}) at p={p}: norm ideal should reach the maximal-order center",
         )
-        kernel = frozenset(g.meta["kernel"])
+        kernel = g.meta["kernel"]
         twice = CentralElement(
             g, [2 if kernel <= ch.kernel else 0 for ch in t.characters]
         )

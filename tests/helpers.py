@@ -7,6 +7,7 @@ from fractions import Fraction
 from holring.chartable import character_table
 from holring.cyclotomic import CycloNum, prime_divisors
 from holring.groupring import CentralElement, GroupRingElem, GroupRingMatrix
+from holring.groups import FiniteGroup, _closure
 from holring.rednorm import ReducedCharPoly, _newton_coeffs
 
 
@@ -263,3 +264,23 @@ def abelian_invariants(g) -> list:
                 d *= c[i]
         factors.append(d)
     return factors
+
+
+def reference_inversion(orders):
+    """A x| C_2 with the C_2 acting by inversion, built as the closure of the
+    inversion and all |A| translations, with the translations' ids as
+    meta["kernel"]: the construction that `groups.inversion` replaces with
+    one translation per cyclic factor."""
+    size = math.prod(orders)
+    tuples = list(itertools.product(*[range(n) for n in orders]))
+    tidx = {t: i for i, t in enumerate(tuples)}
+
+    def translation(t):
+        perm = [tidx[tuple((a + b) % n for a, b, n in zip(s, t, orders))] for s in tuples]
+        return tuple(perm + [size, size + 1])
+
+    inv_perm = tuple([tidx[tuple(-a % n for a, n in zip(s, orders))] for s in tuples]
+                     + [size + 1, size])
+    g = FiniteGroup(_closure([inv_perm] + [translation(t) for t in tuples]))
+    g.meta["kernel"] = frozenset(g.index[translation(t)] for t in tuples)
+    return g

@@ -383,13 +383,13 @@ def test_central_conductor_lattice_oracle_s3(p):
 def test_hybrid_spec_examples():
     s3 = G.symmetric(3)
     a3 = s3.commutator_subgroup()
-    rep = hybrid_report(s3, a3.element_ids, 2)
+    rep = hybrid_report(s3, a3, 2)
     assert rep.is_hybrid and rep.witness is None
     assert rep.quotient_order_desc == "Z_2[G/N] (+) M_2x2(Z_2)"
 
     s4 = G.symmetric(4)
-    v4 = [n for n in s4.normal_subgroups() if n.order == 4][0]
-    rep = hybrid_report(s4, v4.element_ids, 3)
+    v4 = [n for n in s4.normal_subgroups() if len(n) == 4][0]
+    rep = hybrid_report(s4, v4, 3)
     assert rep.is_hybrid
     assert len(rep.block_split) == 2
     assert all(rep.blocks[i].degree == 3 for i in rep.block_split)
@@ -401,8 +401,8 @@ def test_hybrid_spec_examples():
     big = G.direct_product(G.cyclic(3), G.alternating(4))
     _, pb = big.meta["factor_embeddings"]
     a4 = G.alternating(4)
-    v4a = [n for n in a4.normal_subgroups() if n.order == 4][0]
-    nids = frozenset(pb[i] for i in v4a.element_ids)
+    v4a = [n for n in a4.normal_subgroups() if len(n) == 4][0]
+    nids = frozenset(pb[i] for i in v4a)
     rep = hybrid_report(big, nids, 3)
     assert not rep.is_hybrid
     assert character_table(big).characters[rep.witness].degree == 3
@@ -426,9 +426,9 @@ def test_hybrid_requires_normal_subgroup():
 def test_hybrid_implies_p_coprime_to_n(name, make, p):
     g = make()
     for sub in g.normal_subgroups():
-        rep = hybrid_report(g, sub.element_ids, p)
-        if rep.is_hybrid and sub.order > 1:
-            assert sub.order % p != 0
+        rep = hybrid_report(g, sub, p)
+        if rep.is_hybrid and len(sub) > 1:
+            assert len(sub) % p != 0
 
 
 def test_add_a_group_products():
@@ -436,20 +436,20 @@ def test_add_a_group_products():
     prod = G.direct_product(s3, G.cyclic(3))
     pa, _ = prod.meta["factor_embeddings"]
     a3 = s3.commutator_subgroup()
-    nids = frozenset(pa[i] for i in a3.element_ids)
+    nids = frozenset(pa[i] for i in a3)
     assert hybrid_report(prod, nids, 2).is_hybrid
 
     a4 = G.alternating(4)
     prod = G.direct_product(a4, G.cyclic(2))
     pa, _ = prod.meta["factor_embeddings"]
-    v4 = [n for n in a4.normal_subgroups() if n.order == 4][0]
-    nids = frozenset(pa[i] for i in v4.element_ids)
+    v4 = [n for n in a4.normal_subgroups() if len(n) == 4][0]
+    nids = frozenset(pa[i] for i in v4)
     assert hybrid_report(prod, nids, 3).is_hybrid
 
     # p dividing the extra factor breaks hybridity
     prod = G.direct_product(s3, G.cyclic(2))
     pa, _ = prod.meta["factor_embeddings"]
-    nids = frozenset(pa[i] for i in a3.element_ids)
+    nids = frozenset(pa[i] for i in a3)
     assert not hybrid_report(prod, nids, 2).is_hybrid
 
 
@@ -472,16 +472,16 @@ def test_frobenius_kernel_hybrid_at_every_allowed_prime(name, make):
     n = g.order
     primes = [p for p in (2, 3, 5, 7) if n % p == 0]
     for p in primes:
-        if kernel.order % p == 0:
+        if len(kernel) % p == 0:
             continue
-        assert hybrid_report(g, kernel.element_ids, p).is_hybrid, (name, p)
+        assert hybrid_report(g, kernel, p).is_hybrid, (name, p)
 
 
 def test_weakly_hybrid_d12_yes_via_product():
     d12 = G.dihedral(6)
-    n3 = [n for n in d12.normal_subgroups() if n.order == 3][0]
-    assert not hybrid_report(d12, n3.element_ids, 2).is_hybrid
-    rep = weakly_hybrid(d12, n3.element_ids, 2)
+    n3 = [n for n in d12.normal_subgroups() if len(n) == 3][0]
+    assert not hybrid_report(d12, n3, 2).is_hybrid
+    rep = weakly_hybrid(d12, n3, 2)
     assert rep.verdict == "yes"
     assert "weak-hybrid-product" in rep.citations
     for label in rep.citations:
@@ -491,15 +491,15 @@ def test_weakly_hybrid_d12_yes_via_product():
 def test_weakly_hybrid_yes_when_hybrid():
     s3 = G.symmetric(3)
     a3 = s3.commutator_subgroup()
-    rep = weakly_hybrid(s3, a3.element_ids, 2)
+    rep = weakly_hybrid(s3, a3, 2)
     assert rep.verdict == "yes"
     assert "hybrid-implies-weakly" in rep.citations
 
 
 def test_weakly_hybrid_no_when_p_divides_n():
     c4 = G.cyclic(4)
-    n2 = [n for n in c4.normal_subgroups() if n.order == 2][0]
-    rep = weakly_hybrid(c4, n2.element_ids, 2)
+    n2 = [n for n in c4.normal_subgroups() if len(n) == 2][0]
+    rep = weakly_hybrid(c4, n2, 2)
     assert rep.verdict == "no"
     assert rep.citations == ("weak-hybrid-coprime",)
 
@@ -508,7 +508,7 @@ def test_weakly_hybrid_no_via_dt_obstruction():
     prod = G.direct_product(G.symmetric(3), G.cyclic(4))
     pa, _ = prod.meta["factor_embeddings"]
     a3 = G.symmetric(3).commutator_subgroup()
-    nids = frozenset(pa[i] for i in a3.element_ids)
+    nids = frozenset(pa[i] for i in a3)
     assert not hybrid_report(prod, nids, 2).is_hybrid
     rep = weakly_hybrid(prod, nids, 2)
     assert rep.verdict == "no"
@@ -566,8 +566,8 @@ def test_blocks_are_computed_once_per_table_and_prime(monkeypatch):
         for p in (2, 3):
             central_conductor(t, p)
             for n in g.normal_subgroups():
-                hybrid_report(g, n.element_ids, p)
-                weakly_hybrid(g, n.element_ids, p)
+                hybrid_report(g, n, p)
+                weakly_hybrid(g, n, p)
             central_conductor(t, p)
     seen = [(id(t), p) for t, p in runs]
     assert len(seen) == len(set(seen))

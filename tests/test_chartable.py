@@ -204,8 +204,8 @@ def test_kernels_s4():
     t = character_table(g)
     subs = g.normal_subgroups()
     assert t.characters[0].kernel == frozenset(range(24))
-    assert t.characters[1].kernel == subs[2].element_ids  # sign: kernel A4
-    assert t.characters[2].kernel == subs[1].element_ids  # 2-dim: kernel V4
+    assert t.characters[1].kernel == subs[2]  # sign: kernel A4
+    assert t.characters[2].kernel == subs[1]  # 2-dim: kernel V4
     assert t.characters[3].kernel == frozenset([0])
     assert t.characters[4].kernel == frozenset([0])
 
@@ -340,13 +340,13 @@ def test_quotient_tables_are_inflations_of_the_parent():
     for g in _fresh_catalog():
         t = character_table(g)
         for n in g.normal_subgroups():
-            if n.order in (1, g.order):
+            if len(n) in (1, g.order):
                 continue
-            q, to_q = g.quotient(n.element_ids)
+            q, to_q = g.quotient(n)
             lift = dict(zip(to_q, range(g.order)))
-            derived = derived_table(t, q, lift, n.element_ids)
+            derived = derived_table(t, q, lift, n)
             assert character_table(q) is derived
-            assert _keys(derived) == _keys(dixon_table(q)), (group_name(g), n.order)
+            assert _keys(derived) == _keys(dixon_table(q)), (group_name(g), len(n))
 
 
 def test_direct_factor_tables_are_restrictions_of_the_parent():
@@ -355,9 +355,9 @@ def test_direct_factor_tables_are_restrictions_of_the_parent():
         t = character_table(g)
         for m, h in _product_decompositions(g, frozenset([0])):
             for sub, other in ((m, h), (h, m)):
-                f, embed = g.subgroup_as_group(sub.element_ids)
-                derived = derived_table(t, f, embed, other.element_ids)
-                assert _keys(derived) == _keys(dixon_table(f)), (group_name(g), sub.order)
+                f, embed = g.subgroup_as_group(sub)
+                derived = derived_table(t, f, embed, other)
+                assert _keys(derived) == _keys(dixon_table(f)), (group_name(g), len(sub))
                 pairs += 1
     assert pairs >= 20
 
@@ -403,7 +403,7 @@ def test_tables_keep_their_keys():
     for g in (symmetric(4), frob72()):
         t = character_table(g)
         for n in g.normal_subgroups()[1:-1]:
-            q, to_q = g.quotient(n.element_ids)
+            q, to_q = g.quotient(n)
             lift = dict(zip(to_q, range(g.order)))
-            h.update(repr(_keys(derived_table(t, q, lift, n.element_ids))).encode())
+            h.update(repr(_keys(derived_table(t, q, lift, n))).encode())
     assert h.hexdigest() == "a6f2e14eba1c39e37b03187273e743bc1711cfb27b2a061c05a93c2dca53df45"

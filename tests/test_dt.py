@@ -117,16 +117,16 @@ def test_product_with_matrix_factor_stops_at_the_c6_quotient():
     g = G.direct_product(G.cyclic(3), G.symmetric(3))
     by_rep = {}
     for s in g.normal_subgroups():
-        if s.order != 3:
+        if len(s) != 3:
             continue
-        rep = hybrid_report(g, s.element_ids, 2)
+        rep = hybrid_report(g, s, 2)
         by_rep[rep.is_hybrid] = s
     assert set(by_rep) == {True, False}
-    wh = weakly_hybrid(g, by_rep[True].element_ids, 2)
+    wh = weakly_hybrid(g, by_rep[True], 2)
     assert wh.verdict == "yes"
     # the other core's lone decomposition leaves a residue-degree-2
     # block, outside the rational-block hypothesis, so no verdict
-    other = weakly_hybrid(g, by_rep[False].element_ids, 2)
+    other = weakly_hybrid(g, by_rep[False], 2)
     assert other.verdict == "unknown" and other.citations == ()
     assert dt_query(g, 2).kind == "unknown"
     assert dt_query(G.cyclic(6), 2).kind == "unknown"
@@ -213,13 +213,13 @@ def test_quotient_surjectivity_monotone_across_catalog():
         for p in _primes_for(g):
             own = dt_query(g, p).triviality()
             for sub in g.normal_subgroups():
-                if not 1 < sub.order < g.order:
+                if not 1 < len(sub) < g.order:
                     continue
-                quot, _ = g.quotient(sub.element_ids)
+                quot, _ = g.quotient(sub)
                 if quot.order % p != 0:
                     continue
                 if dt_query(quot, p).triviality() == "nontrivial":
-                    assert own != "trivial", (name, p, sub.order)
+                    assert own != "trivial", (name, p, len(sub))
 
 
 def test_hybrid_bridge_agrees_with_quotient():
@@ -231,9 +231,9 @@ def test_hybrid_bridge_agrees_with_quotient():
         (G.dihedral(5), 5, 2),
     ]
     for g, nord, p in cases:
-        sub = [s for s in g.normal_subgroups() if s.order == nord][0]
-        assert hybrid_report(g, sub.element_ids, p).is_hybrid
-        quot, _ = g.quotient(sub.element_ids)
+        sub = [s for s in g.normal_subgroups() if len(s) == nord][0]
+        assert hybrid_report(g, sub, p).is_hybrid
+        quot, _ = g.quotient(sub)
         a, b = dt_query(g, p), dt_query(quot, p)
         known = {"trivial", "nontrivial"}
         if a.triviality() in known and b.triviality() in known:

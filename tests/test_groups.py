@@ -31,6 +31,7 @@ from helpers import (
     abelian_invariants,
     reference_commutator_subgroup,
     reference_frobenius_kernel,
+    reference_inversion,
     reference_normal_subgroups,
 )
 
@@ -249,8 +250,8 @@ def test_p_singular_classes():
 def test_normal_subgroups_s4():
     g = symmetric(4)
     subs = g.normal_subgroups()
-    assert [s.order for s in subs] == [1, 4, 12, 24]
-    v4 = subs[1].element_ids
+    assert list(map(len, subs)) == [1, 4, 12, 24]
+    v4 = subs[1]
     assert all(g.mul(a, b) == g.mul(b, a) for a in v4 for b in v4)
     assert all(g.element_order(x) <= 2 for x in v4)
 
@@ -258,27 +259,27 @@ def test_normal_subgroups_s4():
 def test_normal_subgroups_are_copied_on_return():
     g = symmetric(4)
     g.normal_subgroups().pop()
-    assert [s.order for s in g.normal_subgroups()] == [1, 4, 12, 24]
+    assert list(map(len, g.normal_subgroups())) == [1, 4, 12, 24]
 
 
 def test_normal_subgroups_various():
-    assert [s.order for s in alternating(5).normal_subgroups()] == [1, 60]
-    assert [s.order for s in cyclic(12).normal_subgroups()] == [1, 2, 3, 4, 6, 12]
-    assert [s.order for s in quaternion().normal_subgroups()] == [1, 2, 4, 4, 4, 8]
-    assert [s.order for s in dihedral(6).normal_subgroups()] == [1, 2, 3, 6, 6, 6, 12]
+    assert list(map(len, alternating(5).normal_subgroups())) == [1, 60]
+    assert list(map(len, cyclic(12).normal_subgroups())) == [1, 2, 3, 4, 6, 12]
+    assert list(map(len, quaternion().normal_subgroups())) == [1, 2, 4, 4, 4, 8]
+    assert list(map(len, dihedral(6).normal_subgroups())) == [1, 2, 3, 6, 6, 6, 12]
     g = dihedral(6)
     cls = g.classes()
     for s in g.normal_subgroups():
         # a union of classes: closed under conjugation
-        assert all(set(cls.classes[cls.class_of[x]]) <= s.element_ids for x in s.element_ids)
+        assert all(set(cls.classes[cls.class_of[x]]) <= s for x in s)
 
 
 def test_commutator_subgroups():
-    assert symmetric(4).commutator_subgroup().order == 12
-    assert quaternion().commutator_subgroup().order == 2
-    assert cyclic(10).commutator_subgroup().order == 1
-    assert frob72().commutator_subgroup().order == 18
-    assert dihedral(5).commutator_subgroup().order == 5
+    assert len(symmetric(4).commutator_subgroup()) == 12
+    assert len(quaternion().commutator_subgroup()) == 2
+    assert len(cyclic(10).commutator_subgroup()) == 1
+    assert len(frob72().commutator_subgroup()) == 18
+    assert len(dihedral(5).commutator_subgroup()) == 5
 
 
 def _lattice_groups():
@@ -292,7 +293,7 @@ def _lattice_groups():
         direct_product(dihedral(4), cyclic(2)),
     ]
     for g in (symmetric(4), frob72()):
-        out += [g.quotient(n.element_ids)[0] for n in g.normal_subgroups()]
+        out += [g.quotient(n)[0] for n in g.normal_subgroups()]
     assert len(out) == 58
     return out
 
@@ -304,9 +305,9 @@ def test_subgroup_lattice_and_element_orders_keep_their_values():
     for g in _lattice_groups():
         k = g.frobenius_kernel()
         h.update(repr((
-            g.elements, [sorted(n.element_ids) for n in g.normal_subgroups()],
-            sorted(g.commutator_subgroup().element_ids),
-            None if k is None else sorted(k.element_ids),
+            g.elements, [sorted(n) for n in g.normal_subgroups()],
+            sorted(g.commutator_subgroup()),
+            None if k is None else sorted(k),
             [g.element_order(x) for x in range(g.order)], g.exponent(), g.is_abelian(),
             g.classes(),
         )).encode())
@@ -315,11 +316,9 @@ def test_subgroup_lattice_and_element_orders_keep_their_values():
 
 def test_subgroup_lattice_matches_the_brute_force_references():
     for g in _lattice_groups():
-        assert [n.element_ids for n in g.normal_subgroups()] == reference_normal_subgroups(g)
-        assert g.commutator_subgroup().element_ids == reference_commutator_subgroup(g)
-        assert all(n.order == len(n.element_ids) for n in g.normal_subgroups())
-        kernel = g.frobenius_kernel()
-        assert (None if kernel is None else kernel.element_ids) == reference_frobenius_kernel(g)
+        assert g.normal_subgroups() == reference_normal_subgroups(g)
+        assert g.commutator_subgroup() == reference_commutator_subgroup(g)
+        assert g.frobenius_kernel() == reference_frobenius_kernel(g)
 
 
 @pytest.mark.parametrize(
@@ -337,15 +336,15 @@ def test_subgroup_lattice_matches_the_brute_force_references():
 def test_frobenius_detection(g, korder, corder):
     kernel = g.frobenius_kernel()
     assert kernel is not None
-    assert kernel.order == korder
+    assert len(kernel) == korder
     # a complement maps isomorphically onto G/N, so its order is the index
-    assert g.order // kernel.order == corder
-    assert math.gcd(kernel.order, corder) == 1
+    assert g.order // len(kernel) == corder
+    assert math.gcd(len(kernel), corder) == 1
     assert kernel in g.normal_subgroups()
     # centralizer criterion holds on the kernel
-    for n in kernel.element_ids:
+    for n in kernel:
         if n != 0:
-            assert g.centralizer(n) <= kernel.element_ids
+            assert g.centralizer(n) <= kernel
 
 
 def test_not_frobenius():
@@ -358,9 +357,9 @@ def test_not_frobenius():
 def test_frob72_kernel_meta_matches_detection():
     g = frob72()
     kernel = g.frobenius_kernel()
-    assert kernel.element_ids == g.meta["kernel"]
+    assert kernel == g.meta["kernel"]
     # G/N, isomorphic to a complement, is Q8: unique element of order 2
-    q, _ = g.quotient(kernel.element_ids)
+    q, _ = g.quotient(kernel)
     orders = sorted(q.element_order(x) for x in range(q.order))
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
 
@@ -368,7 +367,7 @@ def test_frob72_kernel_meta_matches_detection():
 def test_quotient_s4():
     g = symmetric(4)
     subs = g.normal_subgroups()
-    v4 = subs[1].element_ids
+    v4 = subs[1]
     q, to_q = g.quotient(v4)
     assert q.order == 6
     assert not q.is_abelian()
@@ -377,7 +376,7 @@ def test_quotient_s4():
         for b in range(g.order):
             assert to_q[g.mul(a, b)] == q.mul(to_q[a], to_q[b])
     assert {x for x in range(g.order) if to_q[x] == 0} == set(v4)
-    q2, _ = g.quotient(subs[2].element_ids)
+    q2, _ = g.quotient(subs[2])
     assert q2.order == 2
 
 
@@ -391,7 +390,7 @@ def test_quotient_frob72_is_quaternion_like():
 
 def test_subgroup_as_group_embedding():
     g = symmetric(4)
-    a4 = g.normal_subgroups()[2].element_ids
+    a4 = g.normal_subgroups()[2]
     h, embed = g.subgroup_as_group(a4)
     assert h.order == 12
     assert embed[0] == 0
@@ -402,7 +401,7 @@ def test_subgroup_as_group_embedding():
 
 def test_derived_groups_are_built_once_and_do_not_alias():
     g = symmetric(4)
-    v4, a4 = (n.element_ids for n in g.normal_subgroups()[1:3])
+    v4, a4 = g.normal_subgroups()[1:3]
     q, to_q = g.quotient(v4)
     again, to_q_again = g.quotient(set(v4))
     assert again is q and to_q_again is to_q
@@ -422,7 +421,7 @@ def test_abelian_invariants():
     assert abelian_invariants(direct_product(cyclic(4), cyclic(6))) == [12, 2]
     assert abelian_invariants(direct_product(cyclic(2), cyclic(2))) == [2, 2]
     g = inversion([3, 3])
-    h, _ = g.subgroup_as_group(g.frobenius_kernel().element_ids)
+    h, _ = g.subgroup_as_group(g.frobenius_kernel())
     assert abelian_invariants(h) == [3, 3]
     with pytest.raises(ValueError, match="non-abelian"):
         abelian_invariants(symmetric(3))
@@ -460,6 +459,32 @@ def test_affine_and_metacyclic_groups_keep_their_element_ids():
         g = metacyclic(l, p)
         h.update(repr((l, p, g.elements, sorted(g.meta["kernel"]))).encode())
     assert h.hexdigest() == "63ba17e8b0c0121b9ba7f2eb3193c782e0602c6ecafa44c356e61b44e6b5b58a"
+
+
+INVERSION_ORDERS = [[7], [3, 3], [15], [2, 2, 2], [4, 6], [1], [1, 3], [100]]
+
+
+@pytest.mark.parametrize("orders", INVERSION_ORDERS)
+def test_inversion_groups_match_the_all_translations_construction(orders):
+    g, want = inversion(orders), reference_inversion(orders)
+    assert g.elements == want.elements
+    assert g.meta["kernel"] == want.meta["kernel"]
+
+
+def test_inversion_groups_are_generated_by_one_translation_per_factor(monkeypatch):
+    sizes = []
+
+    def closure(gens):
+        sizes.append(len(gens))
+        return real(gens)
+
+    real = groups._closure
+    monkeypatch.setattr(groups, "_closure", closure)
+    for orders in INVERSION_ORDERS + [[999]]:
+        sizes.clear()
+        g = inversion(orders)
+        assert sizes and max(sizes) <= len(orders) + 1, orders
+    assert g.order == 1998 and len(g.meta["kernel"]) == 999
 
 
 def _schoolbook_product(field, a, b):

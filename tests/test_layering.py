@@ -159,6 +159,19 @@ def test_no_dataclasses(module):
     assert bad == [], f"holring.{module}"
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_a_subgroup_is_a_set_of_ids(module):
+    # normal subgroups, G' and the Frobenius kernel are frozensets of
+    # element ids, as every subgroup argument is: no wrapper to unwrap
+    bad = [
+        node.lineno
+        for node in ast.walk(_tree(module))
+        if (isinstance(node, ast.ClassDef) and node.name == "Subgroup")
+        or (isinstance(node, ast.Attribute) and node.attr == "element_ids")
+    ]
+    assert bad == [], f"holring.{module} lines {bad}"
+
+
 def test_linalg_imports_no_holring_module():
     # exact linear algebra sits below every other layer
     assert [t for t, _ in _imports("linalg") if t.startswith("holring")] == []

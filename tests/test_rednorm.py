@@ -66,7 +66,7 @@ def one_by_one(group, elem):
 
 
 def transposition(group):
-    comm = group.commutator_subgroup().element_ids
+    comm = group.commutator_subgroup()
     return next(
         x
         for x in range(group.order)
