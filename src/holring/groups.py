@@ -230,10 +230,10 @@ class FiniteGroup:
 
     def normal_subgroups(self) -> list:
         """All normal subgroups as sets of ids, sorted by (order, ids), so {1}
-        comes first and G last.  Every normal N is
-        the join of the normal closures <C> of the classes C in N, and the
-        join of two normal subgroups A, B is the product set AB; so the
-        atoms <C> are closed under products with atoms."""
+        comes first and G last.  Every normal N is the join of the normal
+        closures <C> of the classes C in N, and the join of two normal
+        subgroups A, B is the product set AB; so the atoms <C> are closed
+        under products with atoms."""
         if self._normals is None:
             atoms = {self.subgroup_closure(c) for c in self.classes().classes}
             found, work = set(atoms), list(atoms)
