@@ -25,6 +25,9 @@ import sys
 import time
 from pathlib import Path
 
+from holring.cli import main as cli_main
+from holring.cyclotomic import prime_divisors
+
 CORPUS = Path(__file__).resolve().parent / "data" / "cli_corpus.json"
 SLOW_S = 0.2
 
@@ -156,22 +159,11 @@ USAGE_ERRORS = [
 ]
 
 
-def _primes(n: int) -> list:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return out + [n] if n > 1 else out
-
-
 def corpus_argv() -> list:
     """Every argv of the corpus, in a fixed order."""
     out = []
     for flags, order in GROUPS:
-        primes = _primes(order)
+        primes = prime_divisors(order)
         out.append(["chartab", *flags])
         out.append(["chartab", *flags, "--format", "json"])
         for i, p in enumerate(primes):
@@ -219,12 +211,10 @@ def corpus_argv() -> list:
 def run_argv(argv: list) -> tuple:
     """(exit code, stdout, stderr) of `holring.cli.main(argv)` in-process;
     argparse's own usage errors exit through SystemExit."""
-    from holring.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(list(argv))
+            code = cli_main(list(argv))
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
