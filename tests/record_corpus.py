@@ -2,7 +2,7 @@
 
 The corpus maps each argv, joined with shlex, to the sha256 of its exit
 code, stdout and stderr when `holring.cli.main` runs it in-process.  It
-covers every subcommand in text and JSON, every family, two
+covers every subcommand in text and JSON, every family, three
 --generators groups, `dt`, `hybrid` and `report` at 2, 3, 5, 7 and at
 every prime dividing each order, `hybrid --normal` by commutator, by
 kernel and by every divisor of the order, `report` flag combinations and
@@ -44,11 +44,13 @@ GROUPS = [
     (["--family", "alternating", "--n", "4"], 12),
     (["--family", "alternating", "--n", "5"], 60),
     (["--family", "quaternion"], 8),
+    (["--family", "affine", "--q", "3"], 6),
     (["--family", "affine", "--q", "4"], 12),
     (["--family", "affine", "--q", "5"], 20),
     (["--family", "affine", "--q", "7"], 42),
     (["--family", "affine", "--q", "8"], 56),
     (["--family", "affine", "--q", "9"], 72),
+    (["--family", "inversion", "--n", "3"], 6),
     (["--family", "inversion", "--n", "4"], 8),
     (["--family", "inversion", "--n", "6"], 12),
     (["--family", "inversion", "--n", "15"], 30),
@@ -57,6 +59,7 @@ GROUPS = [
     (["--family", "frob72"], 72),
     (["--generators", "[[1,0,2,3],[0,1,3,2]]"], 4),
     (["--generators", "[[1,2,3,0],[0,3,2,1]]"], 8),
+    (["--generators", "[[1,0,2,3],[1,2,3,0]]"], 24),
 ]
 
 # `report` flags after the group: REPORT_AT_P with --p at 2, 3, 5, 7 and
