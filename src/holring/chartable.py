@@ -125,10 +125,9 @@ class CharTable:
     `_orbits`, `_blocks` and `_basis` keep what is derived from the table
     on first use.  Tables compare by identity."""
 
-    def __init__(self, classes: ConjClassData, characters: tuple, method: str):
+    def __init__(self, classes: ConjClassData, characters: tuple):
         self.classes = classes
         self.characters = characters
-        self.method = method
         self._orbits = {}
         self._blocks = {}
         self._basis = {}
@@ -208,7 +207,7 @@ def _char_sort_key(ch: Character, coords):
     return (ch.degree, [coords(v) for v in ch.values])
 
 
-def _finish(group: FiniteGroup, rows: list, method: str) -> CharTable:
+def _finish(group: FiniteGroup, rows: list) -> CharTable:
     """The table of `group` from one row of values per character, with one
     `minimal` per distinct value over the whole build."""
     minimal = _memo(CycloNum.minimal)
@@ -216,10 +215,12 @@ def _finish(group: FiniteGroup, rows: list, method: str) -> CharTable:
     k = len(group.classes().classes)
     assert len(chars) == k, f"expected {k} characters, built {len(chars)}"
     assert sum(ch.degree**2 for ch in chars) == group.order
+    # chi(1) divides |G| (Isaacs, Character Theory of Finite Groups, 3.11)
+    assert all(group.order % ch.degree == 0 for ch in chars), "a degree must divide |G|"
     assert len(set(chars)) == k, "characters must be pairwise distinct"
     coords = _sort_coords(group.exponent())
     chars = sorted(chars, key=lambda ch: _char_sort_key(ch, coords))
-    return CharTable(group.classes(), tuple(chars), method)
+    return CharTable(group.classes(), tuple(chars))
 
 
 # -- the generic engine ---------------------------------------------------
@@ -238,7 +239,7 @@ def dixon_table(group: FiniteGroup) -> CharTable:
     cls = group.classes()
     k = len(cls.classes)
     if k == 1:
-        return _finish(group, [[CycloNum.rational(1)]], "generic")
+        return _finish(group, [[CycloNum.rational(1)]])
     exponent = group.exponent()
     q = _find_modulus(exponent, group.order)
 
@@ -335,7 +336,7 @@ def dixon_table(group: FiniteGroup) -> CharTable:
                     num[l * step % oc] += x
                 values[c] = _cyclo(oc, num)
         rows.append(values)
-    return _finish(group, rows, "generic")
+    return _finish(group, rows)
 
 
 # -- closed forms ---------------------------------------------------------
@@ -355,7 +356,7 @@ def cyclic_table(group: FiniteGroup) -> CharTable:
     logs = _rotation_logs(group)
     logs = [logs[c] for c in range(n)]
     roots = [CycloNum.root_of_unity(n, k) for k in range(n)]
-    return _finish(group, [[roots[j * t % n] for t in logs] for j in range(n)], "closed")
+    return _finish(group, [[roots[j * t % n] for t in logs] for j in range(n)])
 
 
 def dihedral_table(group: FiniteGroup) -> CharTable:
@@ -388,7 +389,7 @@ def dihedral_table(group: FiniteGroup) -> CharTable:
     zero = CycloNum.rational(0)
     for h in range(1, top + 1):
         rows.append([cosines[h * t % n] if kind == "rot" else zero for kind, t in kinds])
-    return _finish(group, rows, "closed")
+    return _finish(group, rows)
 
 
 def affine_table(group: FiniteGroup) -> CharTable:
@@ -410,7 +411,7 @@ def affine_table(group: FiniteGroup) -> CharTable:
         else:
             big.append(CycloNum.rational(0))
     rows.append(big)
-    return _finish(group, rows, "closed")
+    return _finish(group, rows)
 
 
 def product_table(group: FiniteGroup) -> CharTable:
@@ -424,7 +425,7 @@ def product_table(group: FiniteGroup) -> CharTable:
         pairs.append((lcls.class_of[i], rcls.class_of[j]))
     rows = [[x.values[i] * y.values[j] for i, j in pairs]
             for x in tl.characters for y in tr.characters]
-    return _finish(group, rows, "closed")
+    return _finish(group, rows)
 
 
 def induce_character(group: FiniteGroup, sub_group: FiniteGroup,
@@ -485,7 +486,7 @@ def frobenius_table(group: FiniteGroup) -> CharTable:
         ind = induce_character(group, ngroup, embed, psi)
         assert ind.inner(ind).as_rational() == 1, "induced character not irreducible"
         rows.append(ind.values)
-    return _finish(group, rows, "frobenius")
+    return _finish(group, rows)
 
 
 _CLOSED_FORMS = {
@@ -513,7 +514,7 @@ def derived_table(parent: CharTable, group: FiniteGroup, lift, kernel) -> CharTa
         parent_class = parent.classes.class_of
         at = [parent_class[lift[rep]] for rep in group.classes().representatives]
         rows = [[ch.values[c] for c in at] for ch in parent.characters if kernel <= ch.kernel]
-        group._cache[key] = _finish(group, rows, "derived")
+        group._cache[key] = _finish(group, rows)
     return group._cache[key]
 
 

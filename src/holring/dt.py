@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .blocks import HYBRID_CRITERION, hybrid_report, padic_blocks
+from .blocks import HYBRID_CRITERION, hybrid_report
 from .chartable import character_table, derived_table
 from .citations import register
 from .cyclotomic import is_prime, padic_valuation
@@ -385,15 +385,15 @@ def maximality_consequence(
 
     A trivial DT forces the group ring to be maximal unless p = 2 and
     v_2(|G|) = 1; a DT that is a p-group forces maximality for odd p.
-    The maximality call is cross-checked against the block data (the
-    ring is maximal exactly when every central idempotent is
-    integral), and an assertion contradicting it is flagged.
+    An assertion contradicting that is flagged.  The ring is maximal
+    exactly when p does not divide |G|, and exactly when every block
+    idempotent is integral, so the two fields agree and no table is
+    built: an idempotent is integral iff v_p(chi(1)) = v_p(|G|), which
+    the trivial character fails when p divides |G| and every chi meets
+    otherwise, as chi(1) divides |G| (asserted by `chartable._finish`).
     """
     v = padic_valuation(group.order, p)
     maximal = v == 0
-    blocks = padic_blocks(character_table(group), p)
-    all_integral = all(b.idempotent_integral for b in blocks)
-    assert all_integral == maximal, "block data contradicts valuation"
     is_p_group_dt = None
     if assertion.kind == "trivial":
         is_p_group_dt = True
@@ -433,7 +433,7 @@ def maximality_consequence(
         "group_order": group.order,
         "valuation": v,
         "ring_is_maximal": maximal,
-        "all_idempotents_integral": all_integral,
+        "all_idempotents_integral": maximal,
         "dt_is_p_group": is_p_group_dt,
         "consistent": consistent,
         "notes": notes,

@@ -331,8 +331,9 @@ def denominator_membership(
             "x lies in the central conductor of the maximal order",
             (CONDUCTOR_IN_DENOM,),
         )
+    xelem = x.to_group_ring()
     commutator = g.commutator_subgroup()
-    if len(commutator) % p != 0 and _elem_p_integral(x.to_group_ring(), p):
+    if len(commutator) % p != 0 and _elem_p_integral(xelem, p):
         return MembershipVerdict(
             "certified_in",
             f"p = {p} does not divide |G'| = {len(commutator)} and "
@@ -340,7 +341,6 @@ def denominator_membership(
             (BEST_DENOMINATORS,),
         )
     rng = random.Random(seed)
-    xelem = x.to_group_ring()
     trials = _structured_matrices(g)
     trials += [
         random_integral_matrix(g, 1 + k % 3, rng, bound=2)

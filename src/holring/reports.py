@@ -6,6 +6,10 @@ deduction engine can certify.  Every statement carries the hypothesis
 set it depends on and a citation chain into the registry, so a report
 can be replayed fact by fact.
 
+Each rule is a function of the scenario that returns its derivations,
+(rule name, conditions, statements) triples; `conjecture_report` joins
+them in a fixed order and keeps each statement text once.
+
 Arithmetic side conditions (class numbers, splitting behaviour, total
 reality, imaginary quadratic subfields) are never computed here; they
 enter as asserted booleans on the scenario and reappear, marked
@@ -360,245 +364,202 @@ def _rational_characters(table: CharTable):
 
 
 # -- rules at r = 0 --------------------------------------------------------
+#
+# Each rule returns its derivations, a list of (rule name, conditions,
+# statements), and an empty list when it does not fire.
 
 
-def _rule_s3(scn, statements, rules):
+def _rule_s3(scn):
     if not _is_s3(scn.group):
-        return False
+        return []
     chain = (S3_FAMILY, SSC_RATIONAL, GOOD_PRIMES, DT_INVERSION)
-    statements.append(Statement("SSC(L/K) holds.", (), chain))
-    statements.append(Statement(
-        "ETNC_p(L/K, 0) holds for every prime p other than 3.",
-        (), chain,
-    ))
-    rules.append(RuleApplication(
-        "order-six",
-        ("Gal(L/K) is the non-abelian group of order 6",),
-        tuple(s.text for s in statements[-2:]),
-    ))
-    return True
+    return [("order-six", ("Gal(L/K) is the non-abelian group of order 6",), (
+        Statement("SSC(L/K) holds.", (), chain),
+        Statement("ETNC_p(L/K, 0) holds for every prime p other than 3.", (), chain),
+    ))]
 
 
-def _rule_d12(scn, statements, rules):
+def _rule_d12(scn):
     if not _is_d12(scn.group):
-        return False
-    comm = scn.group.commutator_subgroup()
+        return []
     hyp = _abelian_over_q(scn, "commutator subgroup", True)
     if hyp is None:
-        return False
-    wh = weakly_hybrid(scn.group, comm, 2)
+        return []
+    wh = weakly_hybrid(scn.group, scn.group.commutator_subgroup(), 2)
     assert wh.verdict == "yes", "expected a weak hybrid split at 2"
     chain = (D12_FAMILY, SSC_RATIONAL, GOOD_PRIMES,
              BREAKDOWN_ABELIANIZED) + wh.citations
-    statements.append(Statement("SSC(L/K) holds.", (hyp,), chain))
-    statements.append(Statement(
-        "ETNC_p(L/K, 0) holds for every prime p other than 3.",
-        (hyp,), chain,
-    ))
-    rules.append(RuleApplication(
-        "order-twelve-dihedral",
-        ("Gal(L/K) is dihedral of order 12",
-         "the 2-adic group ring splits weakly at the commutator "
-         "subgroup: " + wh.detail),
-        tuple(s.text for s in statements[-2:]),
-    ))
-    return True
+    return [("order-twelve-dihedral", (
+        "Gal(L/K) is dihedral of order 12",
+        "the 2-adic group ring splits weakly at the commutator "
+        "subgroup: " + wh.detail,
+    ), (
+        Statement("SSC(L/K) holds.", (hyp,), chain),
+        Statement("ETNC_p(L/K, 0) holds for every prime p other than 3.",
+                  (hyp,), chain),
+    ))]
 
 
-def _rule_s4(scn, statements, rules):
+def _rule_s4(scn):
     if not _is_s4(scn.group):
-        return False
+        return []
     klein = [s for s in scn.group.normal_subgroups() if len(s) == 4]
     assert len(klein) == 1
     rep = hybrid_report(scn.group, klein[0], 3)
     assert rep.is_hybrid, "expected a Klein-four hybrid split at 3"
-    statements.append(Statement(
-        "SSC(L/K) holds.", (), (S4_FAMILY, SSC_RATIONAL),
-    ))
-    statements.append(Statement(
-        "ETNC_3(L/K, 0) holds if and only if ETNC_3 holds for the "
-        "degree-6 subextension fixed by the Klein four-subgroup.",
-        (), (S4_FAMILY, HYBRID_CRITERION, BREAKDOWN),
-    ))
-    rules.append(RuleApplication(
-        "order-24-symmetric",
-        ("Gal(L/K) is the symmetric group on 4 letters",
-         "the 3-adic group ring is hybrid for the Klein four-subgroup"),
-        tuple(s.text for s in statements[-2:]),
-    ))
-    return True
+    return [("order-24-symmetric", (
+        "Gal(L/K) is the symmetric group on 4 letters",
+        "the 3-adic group ring is hybrid for the Klein four-subgroup",
+    ), (
+        Statement("SSC(L/K) holds.", (), (S4_FAMILY, SSC_RATIONAL)),
+        Statement(
+            "ETNC_3(L/K, 0) holds if and only if ETNC_3 holds for the "
+            "degree-6 subextension fixed by the Klein four-subgroup.",
+            (), (S4_FAMILY, HYBRID_CRITERION, BREAKDOWN),
+        ),
+    ))]
 
 
-def _rule_affine(scn, statements, rules):
+def _rule_affine(scn):
     q = _affine_q(scn.group)
     if q is None:
-        return False
+        return []
     hyp = _abelian_over_q(scn, "Frobenius kernel", True)
     if hyp is None:
-        return False
-    statements.append(Statement(
-        "SSC(L/K) holds.",
-        (hyp,), (AFFINE_FAMILY, SSC_RATIONAL, SSC_ABELIAN_KERNEL),
-    ))
-    statements.append(Statement(
-        f"ETNC_p(L/K, 0) holds for every prime p not dividing {q}.",
-        (hyp,), (AFFINE_FAMILY, FROB_KERNEL_HYBRID, BREAKDOWN_ABELIANIZED),
-    ))
-    rules.append(RuleApplication(
-        "affine-family",
-        (f"Gal(L/K) is the affine group of the field with {q} elements",),
-        tuple(s.text for s in statements[-2:]),
-    ))
-    return True
+        return []
+    return [("affine-family", (
+        f"Gal(L/K) is the affine group of the field with {q} elements",
+    ), (
+        Statement("SSC(L/K) holds.",
+                  (hyp,), (AFFINE_FAMILY, SSC_RATIONAL, SSC_ABELIAN_KERNEL)),
+        Statement(f"ETNC_p(L/K, 0) holds for every prime p not dividing {q}.",
+                  (hyp,), (AFFINE_FAMILY, FROB_KERNEL_HYBRID, BREAKDOWN_ABELIANIZED)),
+    ))]
 
 
-def _rule_dihedral(scn, statements, rules):
+def _rule_dihedral(scn):
     n = _dihedral_odd_n(scn.group)
     if n is None or scn.p is None:
-        return False
+        return []
     if scn.base_field != "rationals":
-        return False
+        return []
     if not (scn.quadratic_subfield_imaginary and scn.p_coprime_to_class_number):
-        return False
-    hyps = [HYP_IMAGINARY, _hyp_class_number(scn.p)]
-    conditions = [f"Gal(L/Q) is dihedral of order {2 * n} with n = {n} odd"]
+        return []
+    hyps = (HYP_IMAGINARY, _hyp_class_number(scn.p))
+    conditions = (f"Gal(L/Q) is dihedral of order {2 * n} with n = {n} odd",)
     if n % scn.p == 0:
         if scn.p == 2 or not scn.p_splits_in_quadratic_subfield:
-            return False
-        hyps.append(_hyp_splits(scn.p))
-        conditions.append(f"p = {scn.p} divides n and is odd")
-    statements.append(Statement(
-        f"ETNC_{scn.p}(L/Q, 0) holds.",
-        tuple(hyps),
+            return []
+        hyps += (_hyp_splits(scn.p),)
+        conditions += (f"p = {scn.p} divides n and is odd",)
+    return [("dihedral-imaginary-quadratic", conditions, (Statement(
+        f"ETNC_{scn.p}(L/Q, 0) holds.", hyps,
         (DIHEDRAL_FAMILY, SSC_RATIONAL, SSC_IMAG_QUAD, ABELIAN_IMAG_QUAD,
          RES_DIHEDRAL, RESTRICTION_LIFT, DT_INVERSION),
-    ))
-    rules.append(RuleApplication(
-        "dihedral-imaginary-quadratic",
-        tuple(conditions),
-        (statements[-1].text,),
-    ))
-    return True
+    ),))]
 
 
-def _rule_generic_zero(scn, table, statements, rules):
+def _rule_generic_zero(scn, table):
     """SSC from character rationality, then the good primes."""
     all_rat, nonlinear_rat = _rational_characters(table)
     hyps = ()
     chain = (SSC_RATIONAL,)
-    conditions = ["every irreducible character is rational-valued"]
+    conditions = ("every irreducible character is rational-valued",)
     if not all_rat:
         if not nonlinear_rat:
-            return
+            return []
         hyp = _abelian_over_q(scn, "commutator subgroup", True)
         if hyp is None:
-            return
+            return []
         hyps = (hyp,)
         chain = (SSC_RATIONAL, SSC_ABELIAN_KERNEL)
-        conditions = [
+        conditions = (
             "every non-linear irreducible character is rational-valued",
             "linear characters factor through an extension abelian over Q",
-        ]
+        )
     order = scn.group.order
-    statements.append(Statement("SSC(L/K) holds.", hyps, chain))
-    statements.append(Statement(
-        f"ETNC_p(L/K, 0) holds for every prime p not dividing {order}.",
-        hyps, chain + (GOOD_PRIMES,),
-    ))
-    rules.append(RuleApplication(
-        "rational-characters", tuple(conditions),
-        tuple(s.text for s in statements[-2:]),
-    ))
+    out = [("rational-characters", conditions, (
+        Statement("SSC(L/K) holds.", hyps, chain),
+        Statement(f"ETNC_p(L/K, 0) holds for every prime p not dividing {order}.",
+                  hyps, chain + (GOOD_PRIMES,)),
+    ))]
     if scn.p is None or order % scn.p:
-        return
+        return out
     # the reduction to the maximal-order part also needs the layer
     # fixed by the commutator subgroup to be known
     layer = _abelian_over_q(scn, "commutator subgroup", True)
     if layer is None:
-        return
+        return out
     wh = weakly_hybrid(scn.group, scn.group.commutator_subgroup(), scn.p)
     if wh.verdict != "yes":
-        return
+        return out
     if layer not in hyps:
         hyps = hyps + (layer,)
-    statements.append(Statement(
+    out.append(("weak-hybrid-at-p", (
+        f"the {scn.p}-adic group ring splits weakly at the commutator "
+        "subgroup: " + wh.detail,
+    ), (Statement(
         f"ETNC_{scn.p}(L/K, 0) holds.",
         hyps, chain + (BREAKDOWN_ABELIANIZED,) + wh.citations,
-    ))
-    rules.append(RuleApplication(
-        "weak-hybrid-at-p",
-        (f"the {scn.p}-adic group ring splits weakly at the commutator "
-         "subgroup: " + wh.detail,),
-        (statements[-1].text,),
-    ))
+    ),)))
+    return out
 
 
 # -- rules at r < 0 --------------------------------------------------------
 
 
-def _rule_frobenius_negative(scn, statements, rules):
+def _rule_frobenius_negative(scn):
     kernel = scn.group.frobenius_kernel()
     if kernel is None or not scn.totally_real or scn.r % 2 == 0:
-        return False
+        return []
     # G/N is a complement's isomorphic image, abelian exactly when G' <= N
     quotient_abelian = scn.group.commutator_subgroup() <= kernel
     hyp = _abelian_over_q(scn, "Frobenius kernel", quotient_abelian)
     if hyp is None:
-        return False
+        return []
     hyps = (HYP_TOTALLY_REAL, hyp)
     chain = (FROBENIUS_NEGATIVE, FROB_KERNEL_HYBRID, HYBRID_NEGATIVE,
              TOT_REAL_MAX)
-    statements.append(Statement(
+    statements = (Statement(
         "ETNC_p(L/K, r) holds for every odd r < 0 and every prime p "
         f"not dividing {2 * len(kernel)}.",
         hyps, chain,
-    ))
-    produced = [statements[-1].text]
-    conditions = [
+    ),)
+    conditions = (
         f"Gal(L/K) is a Frobenius group with kernel of order {len(kernel)}",
         f"r = {scn.r} is odd and negative",
-    ]
+    )
     factors = prime_divisors(len(kernel))
     if len(factors) == 1:
-        statements.append(Statement(
+        statements += (Statement(
             "ETNC(L/K, r) holds outside its 2-part for every odd r < 0.",
             hyps, chain + (MU_VANISHES,),
-        ))
-        produced.append(statements[-1].text)
-        conditions.append(
-            f"the kernel is a {factors[0]}-group"
-        )
-    rules.append(RuleApplication(
-        "frobenius-negative", tuple(conditions), tuple(produced),
-    ))
-    return True
+        ),)
+        conditions += (f"the kernel is a {factors[0]}-group",)
+    return [("frobenius-negative", conditions, statements)]
 
 
-def _rule_hybrid_negative(scn, statements, rules):
+def _rule_hybrid_negative(scn):
     if scn.p is None or scn.p == 2 or not scn.totally_real:
-        return
+        return []
     if scn.r % 2 == 0:
-        return
+        return []
     hyp = _abelian_over_q(scn, "commutator subgroup", True)
     if hyp is None:
-        return
+        return []
     wh = weakly_hybrid(scn.group, scn.group.commutator_subgroup(), scn.p)
     if wh.verdict != "yes":
-        return
-    statements.append(Statement(
+        return []
+    return [("weak-hybrid-totally-real-negative", (
+        f"p = {scn.p} is odd",
+        f"r = {scn.r} is odd and negative",
+        f"the {scn.p}-adic group ring splits weakly at the commutator "
+        "subgroup: " + wh.detail,
+    ), (Statement(
         f"ETNC_{scn.p}(L/K, r) holds for every odd r < 0.",
         (HYP_TOTALLY_REAL, hyp),
-        (HYBRID_NEGATIVE, TOT_REAL_MAX, BREAKDOWN_ABELIANIZED)
-        + wh.citations,
-    ))
-    rules.append(RuleApplication(
-        "weak-hybrid-totally-real-negative",
-        (f"p = {scn.p} is odd",
-         f"r = {scn.r} is odd and negative",
-         f"the {scn.p}-adic group ring splits weakly at the commutator "
-         "subgroup: " + wh.detail),
-        (statements[-1].text,),
-    ))
+        (HYBRID_NEGATIVE, TOT_REAL_MAX, BREAKDOWN_ABELIANIZED) + wh.citations,
+    ),))]
 
 
 # -- epsilon constant conjectures ------------------------------------------
@@ -612,20 +573,15 @@ def _epsilon_names(scn):
             GLOBAL_EPS_DT, GLOBAL_EPS_HYBRID)
 
 
-def _rule_epsilon(scn, statements, rules):
+def _rule_epsilon(scn):
     name, dt_label, hybrid_label = _epsilon_names(scn)
     verdict = dt_query(scn.group, scn.p)
     if verdict.triviality() == "trivial":
-        statements.append(Statement(
-            f"{name} holds for L/K.",
-            (), (dt_label,) + verdict.citations,
-        ))
-        rules.append(RuleApplication(
-            "epsilon-trivial-denominator",
-            (f"DT of the {scn.p}-adic group ring is trivial",),
-            (statements[-1].text,),
-        ))
-        return
+        return [("epsilon-trivial-denominator", (
+            f"DT of the {scn.p}-adic group ring is trivial",
+        ), (Statement(
+            f"{name} holds for L/K.", (), (dt_label,) + verdict.citations,
+        ),))]
     subs = scn.group.normal_subgroups()[1:-1]
     subs.sort(key=lambda s: (-len(s), sorted(s)))
     for sub in subs:
@@ -633,19 +589,16 @@ def _rule_epsilon(scn, statements, rules):
         if wh.verdict != "yes":
             continue
         quot, _ = scn.group.quotient(sub)
-        statements.append(Statement(
+        return [("epsilon-weak-hybrid", (
+            f"the {scn.p}-adic group ring splits weakly at a normal "
+            f"subgroup of order {len(sub)}: " + wh.detail,
+        ), (Statement(
             f"{name} holds for L/K if and only if it holds for the "
             f"degree-{quot.order} subextension fixed by a normal "
             f"subgroup of order {len(sub)}.",
             (), (hybrid_label,) + wh.citations,
-        ))
-        rules.append(RuleApplication(
-            "epsilon-weak-hybrid",
-            (f"the {scn.p}-adic group ring splits weakly at a normal "
-             f"subgroup of order {len(sub)}: " + wh.detail,),
-            (statements[-1].text,),
-        ))
-        return
+        ),))]
+    return []
 
 
 def conjecture_report(scn: Scenario) -> ConjectureReport:
@@ -653,29 +606,26 @@ def conjecture_report(scn: Scenario) -> ConjectureReport:
 
     One pass over a fixed rule list; family rules that encode a full
     published conclusion suppress the generic fallbacks so a report
-    never pads a sharp statement with weaker ones.  Raises ValueError
-    on scenarios outside the supported grammar.
+    never pads a sharp statement with weaker ones: the generic rule at
+    r = 0 runs only when no family rule derives anything, and the weak
+    hybrid rule at r < 0 only when the Frobenius rule derives nothing.
+    A statement two rules derive is kept once, at its first derivation.
+    Raises ValueError on scenarios outside the supported grammar.
     """
     _validate(scn)
-    statements: list = []
-    rules: list = []
     if scn.conjecture != "etnc":
-        _rule_epsilon(scn, statements, rules)
+        derivations = _rule_epsilon(scn)
     elif scn.r == 0:
-        matched = False
-        for rule in (_rule_s3, _rule_d12, _rule_s4, _rule_affine,
-                     _rule_dihedral):
-            matched = rule(scn, statements, rules) or matched
-        if not matched:
-            _rule_generic_zero(scn, character_table(scn.group), statements, rules)
+        derivations = [d for rule in (_rule_s3, _rule_d12, _rule_s4, _rule_affine,
+                                      _rule_dihedral) for d in rule(scn)]
+        derivations = derivations or _rule_generic_zero(scn, character_table(scn.group))
     else:
-        if not _rule_frobenius_negative(scn, statements, rules):
-            _rule_hybrid_negative(scn, statements, rules)
-    seen = set()
-    unique = []
-    for s in statements:
-        if s.text in seen:
-            continue
-        seen.add(s.text)
-        unique.append(s)
-    return ConjectureReport(scn, tuple(unique), tuple(rules))
+        derivations = _rule_frobenius_negative(scn) or _rule_hybrid_negative(scn)
+    unique = {}
+    for _, _, statements in derivations:
+        for s in statements:
+            unique.setdefault(s.text, s)
+    return ConjectureReport(scn, tuple(unique.values()), tuple(
+        RuleApplication(rule, conditions, tuple(s.text for s in statements))
+        for rule, conditions, statements in derivations
+    ))

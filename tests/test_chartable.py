@@ -283,7 +283,17 @@ def test_finish_rejects_a_duplicate_character():
     rows = [ch.values for ch in character_table(g).characters]
     rows[3] = [v.embedded(8) for v in rows[1]]
     with pytest.raises(AssertionError, match="pairwise distinct"):
-        _finish(g, rows, "test")
+        _finish(g, rows)
+
+
+def test_finish_rejects_a_degree_that_does_not_divide_the_order():
+    # 1, 1, 2, 2, 5, 6, 7 squared sum to |S5| = 120 over its 7 classes,
+    # but 7 does not divide 120
+    g = symmetric(5)
+    k = len(g.classes().classes)
+    rows = [[d] + [i] * (k - 1) for i, d in enumerate([1, 1, 2, 2, 5, 6, 7])]
+    with pytest.raises(AssertionError, match="divide"):
+        _finish(g, rows)
 
 
 @pytest.mark.parametrize("method", ["auto", "generic"])

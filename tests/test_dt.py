@@ -1,8 +1,9 @@
-from holring import groups as G
+from holring import chartable, groups as G
 from holring.chartable import character_table
 from holring.citations import REGISTRY
 from holring.blocks import hybrid_report, padic_blocks
 from holring.dt import (
+    DT_INVERSION,
     DTAssertion,
     dt_query,
     maximality_consequence,
@@ -290,11 +291,36 @@ def test_engine_output_always_consistent_across_catalog():
 
 
 def test_maximality_matches_block_data_directly():
-    for name, make in CATALOG[:8]:
+    # maximality_consequence reports all_idempotents_integral as
+    # ring_is_maximal; the block data must agree in both directions
+    for name, make in CATALOG:
         g = make()
-        for p in _primes_for(g):
+        for p in (2, 3, 5, 7):
             blocks = padic_blocks(character_table(g), p)
-            assert not all(b.idempotent_integral for b in blocks), (name, p)
+            integral = all(b.idempotent_integral for b in blocks)
+            assert integral == (g.order % p != 0), (name, p)
+            out = maximality_consequence(g, p, dt_query(g, p))
+            assert out["all_idempotents_integral"] == integral, (name, p)
+
+
+def test_dt_and_maximality_build_no_table_where_no_rule_reads_one(monkeypatch):
+    def refuse(group):
+        raise AssertionError("dixon_table called")
+
+    monkeypatch.setattr(chartable, "dixon_table", refuse)
+    g = G.inversion([15])
+    res = dt_query(g, 2)
+    assert res.kind == "trivial" and DT_INVERSION in res.citations
+    out = maximality_consequence(g, 2, res)
+    assert out["consistent"] and not out["all_idempotents_integral"]
+    c2_5 = G.from_generators([
+        [j ^ 1 if j // 2 == i else j for j in range(10)] for i in range(5)
+    ])
+    assert c2_5.order == 32 and c2_5.family is None
+    res = dt_query(c2_5, 3)
+    assert res.kind == "trivial"
+    out = maximality_consequence(c2_5, 3, res)
+    assert out["consistent"] and out["all_idempotents_integral"]
 
 
 def test_odd_part_inverted_finds_the_odd_order_elements():

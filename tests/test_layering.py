@@ -172,6 +172,25 @@ def test_a_subgroup_is_a_set_of_ids(module):
     assert bad == [], f"holring.{module} lines {bad}"
 
 
+def test_report_rules_return_their_derivations():
+    # each rule returns (rule name, conditions, statements) triples; none
+    # appends to a shared list and reads its own output back by slicing
+    params, slices = [], []
+    for node in ast.walk(_tree("reports")):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            params += [(node.lineno, n) for n in names if n in ("statements", "rules")]
+        elif isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "statements":
+            index = node.slice
+            bounds = [index.lower, index.upper] if isinstance(index, ast.Slice) else [index]
+            if any(isinstance(b, ast.UnaryOp) and isinstance(b.op, ast.USub) for b in bounds):
+                slices.append(node.lineno)
+    assert params == [], f"holring.reports parameters {params}"
+    assert slices == [], f"holring.reports reads statements from the end at lines {slices}"
+
+
 def test_linalg_imports_no_holring_module():
     # exact linear algebra sits below every other layer
     assert [t for t, _ in _imports("linalg") if t.startswith("holring")] == []

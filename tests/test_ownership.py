@@ -72,7 +72,7 @@ def test_a_dropped_group_leaves_no_cycles(build):
 
 def test_tables_and_characters_hold_no_group():
     assert list(inspect.signature(CharTable.__init__).parameters)[1:] == [
-        "classes", "characters", "method",
+        "classes", "characters",
     ]
     assert "group" not in Character.__slots__
     assert "group" not in ConjClassData._fields
