@@ -38,10 +38,13 @@ import math
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .cyclotomic import CycloNum, _cyclo, coerce, is_prime, multiplicative_order
-from .groups import ConjClassData, FiniteGroup
 from .linalg import fq_charpoly, fq_kernel, fq_matvec, fq_roots, fq_rref, lincomb
+
+if TYPE_CHECKING:
+    from .groups import ConjClassData, FiniteGroup
 
 
 def _memo(fn):

@@ -15,6 +15,12 @@ reader closes stdout before the output is written, 2 on usage errors,
 bad family parameters included (--n below 1, a metacyclic --n that is
 not a prime, a metacyclic --q below 2 or not dividing --n - 1) and
 --generators that permute different 0..d-1 or come with --n or --q.
+
+Importing this module loads chartable, cyclotomic, linalg and citations
+only, and each handler imports what it runs: groups for every command
+with a group, blocks for all but chartab, dt for hybrid, dt and report,
+reports for report, groupring, lattice and rednorm for the sampled
+commands, and every module for verify-paper.
 """
 
 import argparse
@@ -24,37 +30,13 @@ import os
 import random
 import sys
 
-from .blocks import (
-    HYBRID_CRITERION,
-    central_conductor,
-    hybrid_report,
-    padic_blocks,
-)
 from .chartable import character_table
 from .citations import statement
 from .cyclotomic import is_prime
-from .dt import dt_query, maximality_consequence, weakly_hybrid
-from .groupring import (
-    CentralElement,
-    GroupRingElem,
-    GroupRingMatrix,
-    random_integral_element,
-    random_integral_matrix,
-    regular_det,
-)
-from .groups import FiniteGroup, from_spec, group_name
-from .rednorm import (
-    ADJOINT_IDENTITY,
-    SEED,
-    adjoint_norm_and_polys,
-    denominator_membership,
-    norm_ideal_probe,
-    reduced_norm,
-)
-from .reports import Scenario, conjecture_report
-from .verify import run_checks
 
 SCHEMA = "holring/1"
+# rednorm.SEED, kept here so that parsing imports no sampling layer
+SEED = 1729
 
 # which of --n / --q each family consumes
 FAMILY_PARAMS = {
@@ -75,7 +57,8 @@ class UsageError(Exception):
     pass
 
 
-def _build_group(args) -> FiniteGroup:
+def _build_group(args):
+    from .groups import from_spec
     gens = getattr(args, "generators", None)
     family = getattr(args, "family", None)
     if gens:
@@ -139,7 +122,7 @@ def _budget_arg(args, default: int) -> int:
     return args.budget
 
 
-def _normal_ids(g: FiniteGroup, selector: str) -> frozenset:
+def _normal_ids(g, selector: str) -> frozenset:
     """Resolve --normal: 'commutator', 'kernel', or a subgroup order."""
     if selector == "commutator":
         return g.commutator_subgroup()
@@ -184,6 +167,7 @@ def _bool(x) -> str:
 
 
 def _cmd_chartab(args):
+    from .groups import group_name
     g = _build_group(args)
     t = character_table(g)
     payload = {"command": "chartab", "name": group_name(g), "table": t.to_jsonable(g)}
@@ -202,6 +186,8 @@ def _cmd_chartab(args):
 
 
 def _cmd_blocks(args):
+    from .blocks import padic_blocks
+    from .groups import group_name
     g = _build_group(args)
     p = _prime_arg(args)
     blocks = padic_blocks(character_table(g), p)
@@ -224,6 +210,9 @@ def _cmd_blocks(args):
 
 
 def _cmd_hybrid(args):
+    from .blocks import HYBRID_CRITERION, hybrid_report
+    from .dt import weakly_hybrid
+    from .groups import group_name
     g = _build_group(args)
     p = _prime_arg(args)
     nids = _normal_ids(g, args.normal)
@@ -256,6 +245,8 @@ def _cmd_hybrid(args):
 
 
 def _cmd_conductor(args):
+    from .blocks import central_conductor
+    from .groups import group_name
     g = _build_group(args)
     p = _prime_arg(args)
     pairs = central_conductor(character_table(g), p)
@@ -284,6 +275,9 @@ def _cmd_conductor(args):
 
 
 def _cmd_nr(args):
+    from .groupring import GroupRingMatrix, random_integral_element, regular_det
+    from .groups import group_name
+    from .rednorm import reduced_norm
     g = _build_group(args)
     t = character_table(g)
     rng = random.Random(args.seed)
@@ -314,6 +308,9 @@ def _cmd_nr(args):
 
 
 def _cmd_adjoint(args):
+    from .groupring import GroupRingMatrix, random_integral_matrix
+    from .groups import group_name
+    from .rednorm import ADJOINT_IDENTITY, adjoint_norm_and_polys
     g = _build_group(args)
     rng = random.Random(args.seed)
     n = 2
@@ -346,6 +343,9 @@ def _cmd_adjoint(args):
 
 
 def _cmd_denom_cert(args):
+    from .groupring import CentralElement, GroupRingElem
+    from .groups import group_name
+    from .rednorm import denominator_membership
     g = _build_group(args)
     p = _prime_arg(args)
     budget = _budget_arg(args, 36)
@@ -382,6 +382,8 @@ def _cmd_denom_cert(args):
 
 
 def _cmd_norm_ideal(args):
+    from .groups import group_name
+    from .rednorm import norm_ideal_probe
     g = _build_group(args)
     p = _prime_arg(args)
     budget = _budget_arg(args, 24)
@@ -413,6 +415,8 @@ def _cmd_norm_ideal(args):
 
 
 def _cmd_dt(args):
+    from .dt import dt_query, maximality_consequence
+    from .groups import group_name
     g = _build_group(args)
     p = _prime_arg(args)
     assertion = dt_query(g, p)
@@ -446,6 +450,8 @@ def _cmd_dt(args):
 
 
 def _cmd_report(args):
+    from .groups import group_name
+    from .reports import Scenario, conjecture_report
     g = _build_group(args)
     p = None
     if args.p is not None:
@@ -488,6 +494,7 @@ def _cmd_report(args):
 
 
 def _cmd_verify_paper(args):
+    from .verify import run_checks
     try:
         results = run_checks(names=args.only or None)
     except ValueError as exc:

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: output lines, JSON schema, exit codes."""
 
+import argparse
+import functools
 import hashlib
 import json
 import os
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from holring import rednorm
-from holring.cli import SCHEMA, main
+from holring.cli import SCHEMA, build_parser, main
+from record_corpus import load as load_corpus
 
 
 def run(capsys, *argv):
@@ -522,3 +525,87 @@ def test_cli_output_matches_the_committed_digest(capsys, key):
     code, out, err = run(capsys, *key.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[key]
+
+
+# -- what a call loads -----------------------------------------------------
+
+SRC = Path(rednorm.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
+# LOADS[argv]: the holring modules a fresh interpreter holds after the
+# call; each argv's (exit code, stdout, stderr) is in the CLI corpus
+CLI = {"holring", "holring.chartable", "holring.citations", "holring.cli",
+       "holring.cyclotomic", "holring.linalg"}
+TABLES = CLI | {"holring.groups", "holring.blocks"}
+SAMPLED = TABLES | {"holring.groupring", "holring.lattice", "holring.rednorm"}
+ALL = SAMPLED | {"holring.dt", "holring.reports", "holring.verify"}
+LOADS = {
+    "chartab --family symmetric --n 4": CLI | {"holring.groups"},
+    "blocks --family alternating --n 4 --p 3": TABLES,
+    "hybrid --family affine --q 4 --p 3 --normal commutator": TABLES | {"holring.dt"},
+    "conductor --family symmetric --n 4 --p 3": TABLES,
+    "nr --family symmetric --n 3": SAMPLED,
+    "adjoint --family quaternion": SAMPLED,
+    "denom-cert --family symmetric --n 3 --p 2 --normal commutator": SAMPLED,
+    "norm-ideal --family symmetric --n 3 --p 3 --budget 4": SAMPLED,
+    "dt --family dihedral --n 5 --p 5": TABLES | {"holring.dt"},
+    "report --family symmetric --n 4 --base rationals": TABLES | {"holring.dt", "holring.reports"},
+    "verify-paper --only hybrid-verdicts": ALL,
+}
+
+
+def _fresh(code: str, *argv) -> list:
+    """stdout lines of `python -c code argv` in a new interpreter."""
+    path = os.pathsep.join(filter(None, [str(SRC), str(TESTS), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+LOADED = "print(*sorted(m for m in sys.modules if m.startswith('holring')))"
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_call(key: str) -> tuple:
+    """(loaded holring modules, corpus digest) of one CLI call in a new interpreter."""
+    digest, modules = _fresh("import sys; from record_corpus import digest; "
+                             f"print(digest(sys.argv[1:])); {LOADED}", *key.split())
+    return set(modules.split()), digest
+
+
+def test_importing_the_cli_loads_only_the_table_layer():
+    (cli,) = _fresh(f"import sys, holring.cli; {LOADED}")
+    assert set(cli.split()) == CLI
+    # chartable names the group types only in annotations
+    (chartable,) = _fresh(f"import sys, holring.chartable; {LOADED}")
+    assert "holring.groups" not in chartable.split()
+
+
+@pytest.mark.parametrize("key", sorted(LOADS))
+def test_a_call_loads_only_what_its_subcommand_runs(key):
+    assert _fresh_call(key)[0] == LOADS[key]
+
+
+@pytest.mark.parametrize("key", sorted(LOADS))
+def test_a_fresh_call_matches_the_corpus(key):
+    # a handler that prints a citation label its own imports did not
+    # register ends in KeyError; the in-process corpus has every module
+    # loaded by then and cannot see it
+    assert _fresh_call(key)[1] == load_corpus()[key]
+
+
+def test_every_seed_default_is_the_sampling_seed():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    defaults = {
+        name: action.default
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        if action.dest == "seed"
+    }
+    assert sorted(defaults) == ["adjoint", "denom-cert", "norm-ideal", "nr"]
+    assert set(defaults.values()) == {rednorm.SEED}
