@@ -102,6 +102,19 @@ SMALL = [
     ["--generators", "[[1,0,2,3],[0,1,3,2]]"],
 ]
 
+# groups whose permutation character is 1 + chi: the large blocks of nr
+# and adjoint read their polynomials off the augmentation module
+MODULE_GROUPS = [
+    ["--family", "symmetric", "--n", "4"],
+    ["--generators", "[[1,0,2,3],[1,2,3,0]]"],
+    ["--family", "affine", "--q", "5"],
+    ["--family", "affine", "--q", "7"],
+    ["--family", "affine", "--q", "8"],
+    ["--family", "affine", "--q", "9"],
+    ["--family", "metacyclic", "--n", "7", "--q", "6"],
+    ["--family", "frob72"],
+]
+
 VERIFY_ONLY = [
     "group-structure",
     "affine-nonlinear-character",
@@ -195,6 +208,11 @@ def corpus_argv() -> list:
             out.append(["denom-cert", *flags, "--p", "2", "--normal", "commutator", *fmt])
             out.append(["norm-ideal", *flags, "--p", "2", "--budget", "0", *fmt])
             out.append(["norm-ideal", *flags, "--p", "3", "--budget", "4", *fmt])
+    for flags in MODULE_GROUPS:
+        for fmt in ([], ["--format", "json"]):
+            out.append(["nr", *flags, *fmt])
+            out.append(["nr", *flags, "--seed", "7", *fmt])
+            out.append(["adjoint", *flags, *fmt])
     # norm-ideal --budget 0 takes about 0.3 s on these two, so only denom-cert
     for flags, p in [
         (["--family", "symmetric", "--n", "4"], 2),
