@@ -3,14 +3,18 @@
 The one home of the matrix routines the library runs: linear
 combinations of rows, the fraction-free (Bareiss) determinant over Z,
 and over a prime field F_q the reduced row echelon form, the kernel, the
-characteristic polynomial and the roots of a polynomial.  Matrices are
-lists of rows; F_q entries are ints, reduced mod q on output.  Dixon's
-character tables, the regular-determinant oracle and the p-saturation
-of the maximal-order center all run on these.  The module imports no
-other holring module.
+characteristic polynomial and the roots of a polynomial, and over Z the
+char polynomial (by CRT) and the adjugate.  Matrices are lists of rows;
+F_q entries are ints, reduced mod q on output.  Dixon's character tables, the regular-determinant oracle,
+the p-saturation of the maximal-order center and the blocks of `rednorm`
+with a representation all run on these.  The module imports no other
+holring module.
 """
 
 from __future__ import annotations
+
+import itertools
+import operator
 
 
 def lincomb(coeffs, rows) -> list:
@@ -141,3 +145,83 @@ def fq_roots(f, q):
         if not acc:
             roots.append(x)
     return roots
+
+
+_PRIMES = [2**61 - 1]  # the primes below 2^61 found so far, descending
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the prime bases up to 37, deterministic for odd
+    n > 37 below 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        xs = [pow(b, (n - 1) >> (s - i), n) for i in range(s)]  # b^(d 2^i), d odd
+        if xs[0] != 1 and n - 1 not in xs:
+            return False
+    return True
+
+
+def crt_primes():
+    """The primes below 2^61, descending, without end; each found once."""
+    for i in itertools.count():
+        n = _PRIMES[-1]
+        while i == len(_PRIMES):
+            n -= 2
+            if _is_prime(n):
+                _PRIMES.append(n)
+        yield _PRIMES[i]
+
+
+def crt_lift(residues, bound: int) -> list:
+    """The ints v with |v| <= bound whose images mod q are the list
+    residues(q), joined over the primes of `crt_primes` until their product
+    exceeds 2 * bound, and read in balanced form."""
+    modulus, values = 1, None
+    for q in crt_primes():
+        r = residues(q)
+        inv = pow(modulus, -1, q)
+        values = [v + modulus * ((x - v) * inv % q) for v, x in zip(values or [0] * len(r), r)]
+        modulus *= q
+        if modulus > 2 * bound:
+            return [v - modulus if 2 * v > modulus else v for v in values]
+
+
+def charpoly_int(m: list) -> list:
+    """det(xI - m) for a square int matrix, ascending int coefficients.
+
+    Coefficient k is +-the sum of the C(N, k) principal minors of size
+    N - k, each at most B^(N - k) (Hadamard), B the largest column l1
+    norm; `crt_lift` joins `fq_charpoly` up to their sum (B + 1)^N."""
+    b = max(sum(map(abs, col)) for col in zip(*m))
+    return crt_lift(lambda q: fq_charpoly([[x % q for x in row] for row in m], q), (b + 1) ** len(m))
+
+
+def adjugate_int(m: list) -> list:
+    """adj(m), with adj(m) m = m adj(m) = det(m) I, for a square int matrix.
+
+    Fraction-free Gauss-Jordan on [m | I] (Bareiss, Math. Comp. 22, 1968),
+    every division exact, leaves det(P m) m^-1 on the right for the row
+    swaps P; columns left of the pivot are done and not updated.  When no
+    pivot is left, m is singular and adj(m) = (-1)^(N+1) sum_j c_j m^(j-1)
+    for charpoly_int(m) = sum_j c_j x^j (Cayley-Hamilton), by Horner."""
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        sel = next((r for r in range(k, n) if a[r][k]), None)
+        if sel is None:
+            c = charpoly_int(m)
+            acc = [[int(i == j) for j in range(n)] for i in range(n)]
+            for j in range(n - 1, 0, -1):
+                acc = [[sum(map(operator.mul, row, col)) + c[j] * (i == t) for t, col in enumerate(zip(*m))]
+                       for i, row in enumerate(acc)]
+            return [[(-1) ** (n + 1) * x for x in row] for row in acc]
+        if sel != k:
+            a[k], a[sel], sign = a[sel], a[k], -sign
+        pivot, p = a[k], a[k][k]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                row[k:] = [(p * x - f * y) // prev for x, y in zip(row[k:], pivot[k:])]
+        prev = p
+    return [[sign * x for x in row[n:]] for row in a]

@@ -1,14 +1,15 @@
 """Reduced norms, characteristic polynomials and generalized adjoints.
 
-Everything runs on character data: the reduced characteristic polynomial
-of a matrix over Q[G] in one irreducible block comes from power traces
-and Newton's identities, never from an explicit representation.  Newton
-runs once per rational orbit of Irr(G), and the Galois action gives the
-orbit's other blocks; the adjoint's central layers enter Q[G] through
-the table's integer change of basis, `groupring.orbit_basis`.  On top
-of that sit the denominator-ideal certificates: conductor membership,
-the commutator-order criterion, and seeded sampling of x * adj(H) when
-no certificate applies.  Norm-ideal probes collect reduced norms of
+The reduced char polynomial of a matrix H over Q[G] in one irreducible
+block, and the block's part of adj(H), come from one integer matrix
+rho(H) when the block takes a representation (`_modules`), and otherwise
+from power traces and Newton's identities, run once per rational orbit
+of Irr(G) with the Galois action giving the orbit's other blocks; the
+adjoint's central layers enter Q[G] through the table's integer change
+of basis, `groupring.orbit_basis`.  On top of that sit the
+denominator-ideal certificates: conductor membership, the
+commutator-order criterion, and seeded sampling of x * adj(H) when no
+certificate applies.  Norm-ideal probes collect reduced norms of
 structured and random matrices into an exact lattice over the rationals
 with denominators prime to p, so there is no p-adic rounding anywhere,
 and compare it with the center of the maximal order, whose lattice is
@@ -17,7 +18,9 @@ saturated at p so that it is right under wild ramification too.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -42,7 +45,7 @@ from .groupring import (
 )
 from .groups import FiniteGroup
 from .lattice import PLattice
-from .linalg import fq_kernel, lincomb
+from .linalg import adjugate_int, charpoly_int, fq_kernel, lincomb
 
 # seed of every sampled analysis that is not given one
 SEED = 1729
@@ -115,7 +118,7 @@ class ReducedCharPoly(NamedTuple):
 def _powers_and_traces(H: GroupRingMatrix, kmax: int):
     """(H^1..H^(kmax-1), (class sums, den) of tr(H^k) for k = 1..kmax);
     H^kmax is formed for its trace alone and not kept."""
-    powers = [H]
+    powers = [H] if kmax else []
     while len(powers) < kmax:
         powers.append(powers[-1] * H)
     traces = [power.trace() for power in powers]
@@ -138,19 +141,52 @@ def _newton_coeffs(traces: list, d: int) -> tuple:
     return coeffs
 
 
+def _modules(group: FiniteGroup) -> tuple:
+    """(ceiling, {character index: rho}), built once per group, with rho[g]
+    the nonzero (row, column, value) entries of rho(g).  At hand are the
+    +-1-valued linear characters lambda and, when pi - 1 is irreducible (pi(c)
+    the points fixed by class c), the augmentation module on e_x - e_0, each
+    twisted by every lambda.  Only the blocks above the largest degree with
+    none (the ceiling, 0 if none) take theirs."""
+    if "modules" not in group._cache:
+        table = character_table(group)
+        cls, chars = table.classes, table.characters
+        index = {tuple(v.as_rational() for v in ch.values): i for i, ch in enumerate(chars)}
+        signs = [tuple(map(int, row)) for row, i in index.items()
+                 if chars[i].degree == 1 and set(row) <= {1, -1}]
+        chi = tuple(sum(x == y for x, y in enumerate(group.elements[r])) - 1
+                    for r in cls.representatives)
+        bases = [((1,) * len(chi), [[(0, 0, 1)]] * group.order)]
+        if chi in index:
+            bases.append((chi, [[(y - 1, x - 1, 1) for x, y in enumerate(perm) if x and y]
+                                + [(perm[0] - 1, x - 1, -1) for x in range(1, group.degree) if perm[0]]
+                                for perm in group.elements]))
+        reps = {}
+        for (base, rho), lam in itertools.product(bases, signs):
+            reps.setdefault(index[tuple(map(operator.mul, base, lam))], (rho, lam))
+        ceiling = max((ch.degree for i, ch in enumerate(chars) if i not in reps), default=0)
+        group._cache["modules"] = ceiling, {
+            i: [[(r, c, v * lam[k]) for r, c, v in e] for e, k in zip(rho, cls.class_of)]
+            for i, (rho, lam) in reps.items() if chars[i].degree > ceiling}
+    return group._cache["modules"]
+
+
 def _polys_and_powers(H: GroupRingMatrix):
-    """Reduced char polys of every block, and the powers H^1..H^(d-1)
-    whose traces gave them, d the largest block degree.  Newton runs once
-    per rational orbit, at its representative chi_0, and sigma_k(chi_0)
-    takes the images under sigma_k.  ValueError if a coefficient is not
-    fixed by chi_0's stabilizer: then some adjoint layer is not rational.
-    """
+    """(reduced char polys, the powers H^1..H^(D-1) of the blocks with no
+    representation, D = n ceiling, and {index: rho(den H)} for the others,
+    den the lcm of H's denominators, so that det(xI - rho(H)) has
+    coefficient k that of rho(den H) over den^(n chi(1) - k)).  Newton
+    runs at each orbit's representative chi_0, and sigma_k(chi_0) takes the
+    images under sigma_k; ValueError if a coefficient is not fixed by
+    chi_0's stabilizer: then some adjoint layer is not rational."""
     table = character_table(H.group)
     basis = orbit_basis(table)
-    dmax = max(ch.degree for ch in table.characters) * H.n
-    powers, traces = _powers_and_traces(H, dmax)
+    ceiling, modules = _modules(H.group)
+    powers, traces = _powers_and_traces(H, ceiling * H.n)
     polys = [None] * len(table.characters)
     for o, (rep, members) in enumerate(basis.orbits):
+        if rep in modules:
+            continue
         d = table.characters[rep].degree * H.n
         coeffs = _newton_coeffs([basis.rep_value(o, *t) for t in traces[:d]], d)
         m = math.lcm(*(c.m for c in coeffs))
@@ -159,7 +195,20 @@ def _polys_and_powers(H: GroupRingMatrix):
             if idx == rep and image != coeffs:
                 raise ValueError("a reduced char poly coefficient is not fixed by its stabilizer")
             polys[idx] = ReducedCharPoly(table.characters[idx], H.n, image)
-    return polys, powers
+    den = math.lcm(*(e.den for row in H.rows for e in row))
+    images = {}
+    for idx, rho in modules.items():
+        d = table.characters[idx].degree
+        m = images[idx] = [[0] * (H.n * d) for _ in range(H.n * d)]
+        for i, j in itertools.product(range(H.n), repeat=2):
+            e = H.rows[i][j]
+            for g in filter(e.num.__getitem__, range(len(e.num))):
+                for r, c, v in rho[g]:
+                    m[i * d + r][j * d + c] += den // e.den * e.num[g] * v
+        coeffs = charpoly_int(m)
+        polys[idx] = ReducedCharPoly(table.characters[idx], H.n, tuple(
+            CycloNum.rational(Fraction(c, den ** (len(m) - k))) for k, c in enumerate(coeffs)))
+    return polys, powers, images
 
 
 def reduced_char_polys(H: GroupRingMatrix) -> list:
@@ -180,25 +229,41 @@ def adjoint_and_norm(H: GroupRingMatrix):
 def adjoint_norm_and_polys(H: GroupRingMatrix):
     """(adj(H), nr(H), reduced char polys) from one set of matrix powers.
 
-    adj(H) = sum_j C_j H^(j-1): the central layer C_j is (-1)^(d+1) alpha_j
-    at a block of degree d >= j, 0 elsewhere, and enters Q[G] from its
-    values at the orbit representatives by one int product with the
-    table's `orbit_basis`.  Each power, formed once for the traces, is
-    scaled by its layer entry by entry; each entry is reduced once.
-    """
-    polys, powers = _polys_and_powers(H)
-    group = H.group
+    In the blocks with no representation adj(H) = sum_j C_j H^(j-1): the
+    central layer C_j is (-1)^(d+1) alpha_j at a block of degree d >= j,
+    0 elsewhere, and enters Q[G] from its values at the orbit
+    representatives by one int product with the table's `orbit_basis`.
+    Each power, formed once for the traces, is scaled by its layer entry
+    by entry; each entry is reduced once.  A block with a representation
+    adds sum_g (chi(1)/|G|) tr(rho(g^-1) A_ij) g at (i, j), acting as A_ij
+    there and as 0 elsewhere (Schur orthogonality; Isaacs, ch. 2), for A =
+    adj(rho(H)) = adjugate_int(rho(den H)) / den^(n chi(1) - 1)."""
+    polys, powers, images = _polys_and_powers(H)
+    group, n = H.group, H.n
+    ceiling, modules = _modules(group)
     nr = CentralElement(group, [p.norm_value() for p in polys])
     basis = orbit_basis(nr.table)
-    reps = [polys[rep] for rep, _ in basis.orbits]
+    reps = [None if rep in modules else polys[rep] for rep, _ in basis.orbits]
     class_of = group.classes().class_of
-    layers = []
-    for j in range(1, len(powers) + 2):
-        num, den = basis.class_coords(
-            [p.coeffs[j] * (-1) ** (p.degree + 1) if j <= p.degree else 0 for p in reps]
-        )
-        layers.append(GroupRingElem._reduced(group, [num[c] for c in class_of], den))
-    adj = GroupRingMatrix.combination(layers, [GroupRingMatrix.identity(group, H.n)] + powers)
+    adj = None
+    if ceiling:
+        coords = [basis.class_coords([p.coeffs[j] * (-1) ** (p.degree + 1) if p is not None and j <= p.degree
+                                      else 0 for p in reps]) for j in range(1, len(powers) + 2)]
+        layers = [GroupRingElem._reduced(group, [num[c] for c in class_of], den) for num, den in coords]
+        adj = GroupRingMatrix.combination(layers, [GroupRingMatrix.identity(group, n)] + powers)
+    if images:
+        den = math.lcm(*(e.den for row in H.rows for e in row))
+        top = max(map(len, images.values()))
+        nums = [[[0] * group.order for _ in range(n)] for _ in range(n)]
+        for idx, m in images.items():
+            a, d, rho = adjugate_int(m), len(m) // n, modules[idx]
+            scale = d * den ** (top - len(m))
+            for i, j in itertools.product(range(n), repeat=2):
+                nums[i][j] = [x + scale * sum(v * a[i * d + c][j * d + r] for r, c, v in rho[group.inv(g)])
+                              for g, x in enumerate(nums[i][j])]
+        common = group.order * den ** (top - 1)
+        part = GroupRingMatrix(group, [[GroupRingElem._reduced(group, x, common) for x in r] for r in nums])
+        adj = part if adj is None else adj + part
     return adj, nr, polys
 
 

@@ -236,3 +236,25 @@ def test_no_private_name_crosses_a_module(module):
         if t.startswith("holring") and name and name.startswith("_") and (t, name) not in SHARED_PRIVATE
     ]
     assert bad == [], f"holring.{module} imports private names {bad}"
+
+
+def test_every_tracer_target_resolves():
+    # perfbench's tracer wraps the (module, attribute path) pairs of its
+    # TARGETS by name; the suite does not run the benchmark, so a rename in
+    # src that leaves one unresolved would break `--trace 1` unseen
+    import importlib
+    import importlib.util
+
+    path = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, attr_path, *_ in tracer.TARGETS:
+        obj = importlib.import_module(f"holring.{module}")
+        for part in attr_path.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}.{attr_path}")
+    assert len(tracer.TARGETS) > 20
+    assert missing == []

@@ -2,7 +2,19 @@ import itertools
 import random
 from fractions import Fraction
 
-from holring.linalg import det_bareiss, fq_charpoly, fq_kernel, fq_roots, fq_rref, lincomb
+from holring import linalg
+from holring.linalg import (
+    adjugate_int,
+    charpoly_int,
+    crt_lift,
+    crt_primes,
+    det_bareiss,
+    fq_charpoly,
+    fq_kernel,
+    fq_roots,
+    fq_rref,
+    lincomb,
+)
 
 
 def _det_mod(mat, q):
@@ -169,3 +181,91 @@ def test_lincomb_over_ints_and_fractions():
     out = lincomb([half, 3], [[Fraction(2, 3), 1], [Fraction(1, 9), 0]])
     assert out == [Fraction(2, 3), half]
     assert all(isinstance(x, Fraction) for x in out)
+
+
+# ------------------------------------------------------ over Z, by CRT
+
+
+def _int_cases():
+    """Seeded int matrices: random, singular, rank N - 1, nilpotent and
+    scalar, of sizes 1..6."""
+    rng = random.Random(61)
+    cases = [[[0]], [[-7]], [[0, 0], [0, 0]]]
+    for n in range(1, 7):
+        cases.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        sing = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        sing[-1] = [2 * x - y for x, y in zip(sing[0], sing[-1 if n == 1 else 1])]
+        cases.append(sing)
+        if n > 1:  # rank n - 1: an n x (n - 1) times an (n - 1) x n product
+            u = [[rng.randint(-3, 3) for _ in range(n - 1)] for _ in range(n)]
+            v = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
+            cases.append(_matmul(u, v))
+        cases.append([[rng.randint(-5, 5) if t > s else 0 for t in range(n)] for s in range(n)])
+        cases.append([[-4 if s == t else 0 for t in range(n)] for s in range(n)])
+    return cases
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_crt_primes_descend_below_2_61():
+    first = list(itertools.islice(crt_primes(), 4))
+    assert first[0] == 2**61 - 1
+    assert first == sorted(first, reverse=True) and first[-1] > 2**60
+    for q in first:
+        assert all(pow(b, q - 1, q) == 1 for b in (2, 3, 5, 7))
+
+
+def test_crt_lift_recovers_signed_values_at_the_bound():
+    bound = 3**100
+    values = [bound, -bound, 0, 1, -1, bound // 7]
+    assert crt_lift(lambda q: [v % q for v in values], bound) == values
+
+
+def test_charpoly_int_is_det_x_minus_m_at_every_point():
+    for mat in _int_cases():
+        n = len(mat)
+        coeffs = charpoly_int(mat)
+        assert len(coeffs) == n + 1 and coeffs[n] == 1
+        assert all(isinstance(c, int) for c in coeffs)
+        for x in range(-3, 4):
+            xm = [[(x if s == t else 0) - mat[s][t] for t in range(n)] for s in range(n)]
+            assert sum(c * x**k for k, c in enumerate(coeffs)) == _det_fraction(xm), mat
+
+
+def test_charpoly_int_joins_several_primes(monkeypatch):
+    # entries near 10^6 in a 6 x 6 matrix: det alone is near 2^130
+    rng = random.Random(62)
+    mat = [[rng.randint(-10**6, 10**6) for _ in range(6)] for _ in range(6)]
+    primes = []
+
+    def counted(m, q):
+        primes.append(q)
+        return fq_charpoly(m, q)
+
+    monkeypatch.setattr(linalg, "fq_charpoly", counted)
+    coeffs = charpoly_int(mat)
+    assert len(set(primes)) >= 2
+    assert coeffs[0] == _det_fraction(mat)  # (-1)^6 det
+    assert -coeffs[5] == sum(mat[s][s] for s in range(6))
+
+
+def test_adjugate_times_m_is_det_times_identity():
+    for mat in _int_cases():
+        n = len(mat)
+        adj = adjugate_int(mat)
+        det = _det_fraction(mat)
+        scalar = [[det if s == t else 0 for t in range(n)] for s in range(n)]
+        assert _matmul(adj, mat) == scalar and _matmul(mat, adj) == scalar, mat
+        assert all(isinstance(x, int) for row in adj for x in row)
+
+
+def test_adjugate_of_singular_matrices():
+    # rank n - 2 or less: adj = 0; rank n - 1: adj has rank one and is
+    # not 0; a 1 x 1 matrix has adj [1] even at 0
+    assert adjugate_int([[0]]) == [[1]]
+    assert adjugate_int([[0, 0], [0, 0]]) == [[0, 0], [0, 0]]
+    nil = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    assert adjugate_int(nil) == [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
+    assert adjugate_int([[1, 2, 3], [2, 4, 6], [3, 6, 9]]) == [[0] * 3] * 3

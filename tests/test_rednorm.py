@@ -20,7 +20,11 @@ from holring.groups import (
     alternating,
     cyclic,
     dihedral,
+    frob72,
+    from_generators,
     group_name,
+    inversion,
+    metacyclic,
     quaternion,
     symmetric,
 )
@@ -208,15 +212,24 @@ def _triples(values) -> list:
     return [(v.m, v.num, v.den) for v in values]
 
 
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("g", SMALL_CATALOG, ids=group_name)
-@settings(derandomize=True, max_examples=6, deadline=None)
-@given(data=st.data())
-def test_orbit_route_matches_the_per_character_reference(g, n, data):
-    # Newton once per rational orbit and one int change of basis per layer
-    # give what Newton in every block and CycloNum class sums give, down to
-    # the conductor each norm value is written at
-    h = draw_matrix(data, g, n)
+# larger groups whose big blocks take the augmentation module
+MODULE_GROUPS = {
+    "Aff(7)": affine(7),
+    "Aff(8)": affine(8),
+    "Aff(9)": affine(9),
+    "M(7,6)": metacyclic(7, 6),
+    "frob72": frob72(),
+    "S4-by-generators": from_generators([[1, 0, 2, 3], [1, 2, 3, 0]]),
+}
+ROUTE_CASES = (
+    [pytest.param(g, n, id=f"{group_name(g)}-{n}") for g in SMALL_CATALOG for n in (1, 2)]
+    + [pytest.param(g, 3, id=f"{group_name(g)}-3") for g in SMALL_CATALOG
+       if group_name(g) in ("S3", "A4", "S4", "Aff(3)", "Aff(4)", "Aff(5)")]
+    + [pytest.param(g, n, id=f"{name}-{n}") for name, g in MODULE_GROUPS.items() for n in (1, 2)]
+)
+
+
+def _assert_matches_the_reference(h):
     adj, nr = adjoint_and_norm(h)
     ref_adj, ref_nr, ref_polys = reference_adjoint_and_norm(h)
     assert adj == ref_adj
@@ -226,6 +239,69 @@ def test_orbit_route_matches_the_per_character_reference(g, n, data):
     assert [_triples(p.coeffs) for p in polys] == [_triples(p.coeffs) for p in ref_polys]
     assert nr.to_class_coords() == reference_class_coords(nr)
     assert is_galois_equivariant(nr)
+
+
+@pytest.mark.parametrize("g, n", ROUTE_CASES)
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(data=st.data())
+def test_orbit_route_matches_the_per_character_reference(g, n, data):
+    # Newton once per rational orbit, one int change of basis per layer and
+    # the char polys and adjugates of the blocks that take a module give
+    # what Newton in every block and CycloNum class sums give, down to the
+    # conductor each norm value is written at
+    _assert_matches_the_reference(draw_matrix(data, g, n))
+
+
+def _special_matrices(g) -> list:
+    """Singular, nilpotent and non-integral H over g."""
+    one, zero = GroupRingElem.one(g), GroupRingElem.zero(g)
+    total = GroupRingElem(g, [1] * g.order)
+    b = GroupRingElem.basis(g, max(range(g.order), key=g.element_order))
+    rng = random.Random(g.order)
+    y, z = random_integral_element(g, rng), random_integral_element(g, rng)
+    return [
+        [[total]],  # 0 in every block but the trivial one
+        [[one - b]],
+        [[total.scale(Fraction(1, g.order))]],  # the trivial idempotent
+        [[zero, y], [zero, zero]],  # nilpotent
+        [[y, y * b], [z, z * b]],  # H (b, -1)^T = 0
+        [[y.scale(Fraction(1, 6)), z], [one, y.scale(Fraction(2, 3))]],
+    ]
+
+
+@pytest.mark.parametrize("g", [S3, A4, S4, affine(5), MODULE_GROUPS["Aff(8)"],
+                               MODULE_GROUPS["M(7,6)"]], ids=group_name)
+def test_module_route_matches_the_reference_on_special_matrices(g):
+    for rows in _special_matrices(g):
+        _assert_matches_the_reference(GroupRingMatrix(g, rows))
+
+
+def test_which_groups_take_a_module():
+    # (ceiling, degrees of the blocks that take a representation); S5 and A5
+    # have pi - 1 irreducible, but of degree 4, below their degrees 6 and 5
+    from holring.rednorm import _modules
+
+    def taken(g):
+        ceiling, modules = _modules(g)
+        chars = character_table(g).characters
+        return ceiling, sorted(chars[i].degree for i in modules)
+
+    assert taken(S3) == (0, [1, 1, 2])
+    assert taken(A4) == (1, [3])
+    assert taken(S4) == taken(MODULE_GROUPS["S4-by-generators"]) == (2, [3, 3])
+    for q in (3, 4, 5, 7, 8, 9):
+        assert taken(affine(q)) == ((0, [1, 1, 2]) if q == 3 else (1, [q - 1]))
+    assert taken(MODULE_GROUPS["frob72"]) == (2, [8])
+    for g in (D10, Q8, symmetric(5), alternating(5), inversion([15]), inversion([4])):
+        assert taken(g)[1] == [], group_name(g)
+
+
+def test_no_power_of_h_when_every_block_takes_a_module():
+    from holring.rednorm import _polys_and_powers
+
+    h = random_integral_matrix(S3, 3, random.Random(8))
+    assert _polys_and_powers(h)[1] == []
+    assert ast_identity_holds(h)
 
 
 # --------------------------------------------------------- adjoints
@@ -600,7 +676,9 @@ def test_probe_converts_each_norm_to_class_coordinates_once(monkeypatch):
 
 @pytest.mark.parametrize("g", [A4, D10], ids=group_name)
 def test_adjoint_runs_newton_once_per_rational_orbit(monkeypatch, g):
-    # A4 and D10 each have 4 characters in 3 rational orbits
+    # A4 and D10 each have 4 characters in 3 rational orbits; A4's block of
+    # degree 3 takes the augmentation module, so Newton runs on the other
+    # two orbits, each at n = 2 times degree 1
     from holring import rednorm
 
     newton, converted = [], []
@@ -619,7 +697,7 @@ def test_adjoint_runs_newton_once_per_rational_orbit(monkeypatch, g):
     h = random_integral_matrix(g, 2, random.Random(5))
     adjoint_and_norm(h)
     assert len(character_table(g).characters) == 4
-    assert len(newton) == 3
+    assert sorted(newton) == {"A4": [2, 2], "D10": [2, 2, 4]}[group_name(g)]
     assert converted == []
 
 
