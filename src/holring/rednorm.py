@@ -156,17 +156,16 @@ def _modules(group: FiniteGroup) -> tuple:
                  if chars[i].degree == 1 and set(row) <= {1, -1}]
         chi = tuple(sum(x == y for x, y in enumerate(group.elements[r])) - 1
                     for r in cls.representatives)
-        bases = [((1,) * len(chi), [[(0, 0, 1)]] * group.order)]
-        if chi in index:
-            bases.append((chi, [[(y - 1, x - 1, 1) for x, y in enumerate(perm) if x and y]
-                                + [(perm[0] - 1, x - 1, -1) for x in range(1, group.degree) if perm[0]]
-                                for perm in group.elements]))
+        bases = [((1,) * len(chi), lambda perm: [(0, 0, 1)])]
+        if chi in index:  # g (e_x - e_0) = (e_g(x) - e_0) - (e_g(0) - e_0), at index x - 1
+            bases.append((chi, lambda perm: [(y - 1, x - 1, 1) for x, y in enumerate(perm) if x and y]
+                          + [(perm[0] - 1, x - 1, -1) for x in range(1, group.degree) if perm[0]]))
         reps = {}
         for (base, rho), lam in itertools.product(bases, signs):
             reps.setdefault(index[tuple(map(operator.mul, base, lam))], (rho, lam))
         ceiling = max((ch.degree for i, ch in enumerate(chars) if i not in reps), default=0)
         group._cache["modules"] = ceiling, {
-            i: [[(r, c, v * lam[k]) for r, c, v in e] for e, k in zip(rho, cls.class_of)]
+            i: [[(r, c, v * lam[k]) for r, c, v in rho(perm)] for perm, k in zip(group.elements, cls.class_of)]
             for i, (rho, lam) in reps.items() if chars[i].degree > ceiling}
     return group._cache["modules"]
 
