@@ -245,7 +245,7 @@ def test_every_tracer_target_resolves():
     import importlib
     import importlib.util
 
-    path = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
