@@ -118,7 +118,7 @@ class ReducedCharPoly(NamedTuple):
 def _powers_and_traces(H: GroupRingMatrix, kmax: int):
     """(H^1..H^(kmax-1), (class sums, den) of tr(H^k) for k = 1..kmax);
     H^kmax is formed for its trace alone and not kept."""
-    powers = [H] if kmax else []
+    powers = [H]
     while len(powers) < kmax:
         powers.append(powers[-1] * H)
     traces = [power.trace() for power in powers]
@@ -143,38 +143,39 @@ def _newton_coeffs(traces: list, d: int) -> tuple:
 
 def _modules(group: FiniteGroup) -> tuple:
     """(ceiling, {character index: rho}), built once per group, with rho[g]
-    the nonzero (row, column, value) entries of rho(g).  At hand are the
-    +-1-valued linear characters lambda and, when pi - 1 is irreducible (pi(c)
-    the points fixed by class c), the augmentation module on e_x - e_0, each
-    twisted by every lambda.  Only the blocks above the largest degree with
-    none (the ceiling, 0 if none) take theirs."""
+    the nonzero (row, column, value) entries of rho(g).  At hand, when
+    pi - 1 is irreducible of degree above 1 (pi(c) the points fixed by
+    class c), are the augmentation module on e_x - e_0 and its twists by
+    the +-1-valued linear characters.  Only the blocks above the largest
+    degree with none (the ceiling, at least 1) take theirs."""
     if "modules" not in group._cache:
         table = character_table(group)
         cls, chars = table.classes, table.characters
         index = {tuple(v.as_rational() for v in ch.values): i for i, ch in enumerate(chars)}
-        signs = [tuple(map(int, row)) for row, i in index.items()
-                 if chars[i].degree == 1 and set(row) <= {1, -1}]
         chi = tuple(sum(x == y for x, y in enumerate(group.elements[r])) - 1
                     for r in cls.representatives)
-        bases = [((1,) * len(chi), lambda perm: [(0, 0, 1)])]
-        if chi in index:  # g (e_x - e_0) = (e_g(x) - e_0) - (e_g(0) - e_0), at index x - 1
-            bases.append((chi, lambda perm: [(y - 1, x - 1, 1) for x, y in enumerate(perm) if x and y]
-                          + [(perm[0] - 1, x - 1, -1) for x in range(1, group.degree) if perm[0]]))
         reps = {}
-        for (base, rho), lam in itertools.product(bases, signs):
-            reps.setdefault(index[tuple(map(operator.mul, base, lam))], (rho, lam))
-        ceiling = max((ch.degree for i, ch in enumerate(chars) if i not in reps), default=0)
+        if chi[0] > 1 and chi in index:
+            for row, i in index.items():
+                if chars[i].degree == 1 and set(row) <= {1, -1}:
+                    reps.setdefault(index[tuple(map(operator.mul, chi, row))], tuple(map(int, row)))
+        ceiling = max(ch.degree for i, ch in enumerate(chars) if i not in reps)
+
+        def rho(perm):  # g (e_x - e_0) = (e_g(x) - e_0) - (e_g(0) - e_0), at index x - 1
+            return ([(y - 1, x - 1, 1) for x, y in enumerate(perm) if x and y]
+                    + [(perm[0] - 1, x - 1, -1) for x in range(1, group.degree) if perm[0]])
+
         group._cache["modules"] = ceiling, {
             i: [[(r, c, v * lam[k]) for r, c, v in rho(perm)] for perm, k in zip(group.elements, cls.class_of)]
-            for i, (rho, lam) in reps.items() if chars[i].degree > ceiling}
+            for i, lam in reps.items() if chars[i].degree > ceiling}
     return group._cache["modules"]
 
 
 def _polys_and_powers(H: GroupRingMatrix):
     """(reduced char polys, the powers H^1..H^(D-1) of the blocks with no
-    representation, D = n ceiling, and {index: rho(den H)} for the others,
-    den the lcm of H's denominators, so that det(xI - rho(H)) has
-    coefficient k that of rho(den H) over den^(n chi(1) - k)).  Newton
+    representation, D = n ceiling, {index: (rho(den H), rho)} for the
+    others, den), den the lcm of H's denominators, so that det(xI - rho(H))
+    has coefficient k that of rho(den H) over den^(n chi(1) - k).  Newton
     runs at each orbit's representative chi_0, and sigma_k(chi_0) takes the
     images under sigma_k; ValueError if a coefficient is not fixed by
     chi_0's stabilizer: then some adjoint layer is not rational."""
@@ -198,16 +199,17 @@ def _polys_and_powers(H: GroupRingMatrix):
     images = {}
     for idx, rho in modules.items():
         d = table.characters[idx].degree
-        m = images[idx] = [[0] * (H.n * d) for _ in range(H.n * d)]
+        m = [[0] * (H.n * d) for _ in range(H.n * d)]
         for i, j in itertools.product(range(H.n), repeat=2):
             e = H.rows[i][j]
             for g in filter(e.num.__getitem__, range(len(e.num))):
                 for r, c, v in rho[g]:
                     m[i * d + r][j * d + c] += den // e.den * e.num[g] * v
+        images[idx] = m, rho
         coeffs = charpoly_int(m)
         polys[idx] = ReducedCharPoly(table.characters[idx], H.n, tuple(
             CycloNum.rational(Fraction(c, den ** (len(m) - k))) for k, c in enumerate(coeffs)))
-    return polys, powers, images
+    return polys, powers, images, den
 
 
 def reduced_char_polys(H: GroupRingMatrix) -> list:
@@ -237,32 +239,27 @@ def adjoint_norm_and_polys(H: GroupRingMatrix):
     adds sum_g (chi(1)/|G|) tr(rho(g^-1) A_ij) g at (i, j), acting as A_ij
     there and as 0 elsewhere (Schur orthogonality; Isaacs, ch. 2), for A =
     adj(rho(H)) = adjugate_int(rho(den H)) / den^(n chi(1) - 1)."""
-    polys, powers, images = _polys_and_powers(H)
+    polys, powers, images, den = _polys_and_powers(H)
     group, n = H.group, H.n
-    ceiling, modules = _modules(group)
     nr = CentralElement(group, [p.norm_value() for p in polys])
     basis = orbit_basis(nr.table)
-    reps = [None if rep in modules else polys[rep] for rep, _ in basis.orbits]
+    reps = [None if rep in images else polys[rep] for rep, _ in basis.orbits]
     class_of = group.classes().class_of
-    adj = None
-    if ceiling:
-        coords = [basis.class_coords([p.coeffs[j] * (-1) ** (p.degree + 1) if p is not None and j <= p.degree
-                                      else 0 for p in reps]) for j in range(1, len(powers) + 2)]
-        layers = [GroupRingElem._reduced(group, [num[c] for c in class_of], den) for num, den in coords]
-        adj = GroupRingMatrix.combination(layers, [GroupRingMatrix.identity(group, n)] + powers)
+    coords = [basis.class_coords([p.coeffs[j] * (-1) ** (p.degree + 1) if p is not None and j <= p.degree
+                                  else 0 for p in reps]) for j in range(1, len(powers) + 2)]
+    layers = [GroupRingElem._reduced(group, [num[c] for c in class_of], d) for num, d in coords]
+    adj = GroupRingMatrix.combination(layers, [GroupRingMatrix.identity(group, n)] + powers)
     if images:
-        den = math.lcm(*(e.den for row in H.rows for e in row))
-        top = max(map(len, images.values()))
+        top = max(len(m) for m, _ in images.values())
         nums = [[[0] * group.order for _ in range(n)] for _ in range(n)]
-        for idx, m in images.items():
-            a, d, rho = adjugate_int(m), len(m) // n, modules[idx]
+        for m, rho in images.values():
+            a, d = adjugate_int(m), len(m) // n
             scale = d * den ** (top - len(m))
             for i, j in itertools.product(range(n), repeat=2):
                 nums[i][j] = [x + scale * sum(v * a[i * d + c][j * d + r] for r, c, v in rho[group.inv(g)])
                               for g, x in enumerate(nums[i][j])]
         common = group.order * den ** (top - 1)
-        part = GroupRingMatrix(group, [[GroupRingElem._reduced(group, x, common) for x in r] for r in nums])
-        adj = part if adj is None else adj + part
+        adj = adj + GroupRingMatrix(group, [[GroupRingElem._reduced(group, x, common) for x in r] for r in nums])
     return adj, nr, polys
 
 

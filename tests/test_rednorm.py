@@ -286,22 +286,14 @@ def test_which_groups_take_a_module():
         chars = character_table(g).characters
         return ceiling, sorted(chars[i].degree for i in modules)
 
-    assert taken(S3) == (0, [1, 1, 2])
+    assert taken(S3) == (1, [2])
     assert taken(A4) == (1, [3])
     assert taken(S4) == taken(MODULE_GROUPS["S4-by-generators"]) == (2, [3, 3])
     for q in (3, 4, 5, 7, 8, 9):
-        assert taken(affine(q)) == ((0, [1, 1, 2]) if q == 3 else (1, [q - 1]))
+        assert taken(affine(q)) == (1, [q - 1])
     assert taken(MODULE_GROUPS["frob72"]) == (2, [8])
-    for g in (D10, Q8, symmetric(5), alternating(5), inversion([15]), inversion([4])):
+    for g in (cyclic(2), D10, Q8, symmetric(5), alternating(5), inversion([15]), inversion([4])):
         assert taken(g)[1] == [], group_name(g)
-
-
-def test_no_power_of_h_when_every_block_takes_a_module():
-    from holring.rednorm import _polys_and_powers
-
-    h = random_integral_matrix(S3, 3, random.Random(8))
-    assert _polys_and_powers(h)[1] == []
-    assert ast_identity_holds(h)
 
 
 # --------------------------------------------------------- adjoints
