@@ -213,7 +213,7 @@ def corpus_argv() -> list:
             out.append(["nr", *flags, *fmt])
             out.append(["nr", *flags, "--seed", "7", *fmt])
             out.append(["adjoint", *flags, *fmt])
-    # norm-ideal --budget 0 takes about 0.3 s on these two, so only denom-cert
+    # the structured witnesses alone, on groups with a block of degree 3
     for flags, p in [
         (["--family", "symmetric", "--n", "4"], 2),
         (["--family", "symmetric", "--n", "4"], 3),
@@ -222,6 +222,7 @@ def corpus_argv() -> list:
     ]:
         for fmt in ([], ["--format", "json"]):
             out.append(["denom-cert", *flags, "--p", str(p), "--budget", "0", *fmt])
+            out.append(["norm-ideal", *flags, "--p", str(p), "--budget", "0", *fmt])
     for name in VERIFY_ONLY:
         out.append(["verify-paper", "--only", name])
         out.append(["verify-paper", "--only", name, "--format", "json"])
