@@ -20,8 +20,9 @@ from typing import NamedTuple, Optional
 
 from .chartable import CharTable, character_table
 from .citations import register
-from .cyclotomic import is_prime, multiplicative_order, padic_valuation
+from .cyclotomic import multiplicative_order, padic_valuation
 from .groups import FiniteGroup
+from .linalg import is_prime
 
 HYBRID_CRITERION = register(
     "hybrid-criterion",

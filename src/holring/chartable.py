@@ -40,8 +40,8 @@ from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .cyclotomic import CycloNum, _cyclo, coerce, is_prime, multiplicative_order
-from .linalg import fq_charpoly, fq_kernel, fq_matvec, fq_roots, fq_rref, lincomb
+from .cyclotomic import CycloNum, _cyclo, coerce, multiplicative_order
+from .linalg import fq_charpoly, fq_kernel, fq_matvec, fq_roots, fq_rref, is_prime, lincomb
 
 if TYPE_CHECKING:
     from .groups import ConjClassData, FiniteGroup

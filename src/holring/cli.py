@@ -32,7 +32,7 @@ import sys
 
 from .chartable import character_table
 from .citations import statement
-from .cyclotomic import is_prime
+from .linalg import is_prime
 
 SCHEMA = "holring/1"
 # rednorm.SEED, kept here so that parsing imports no sampling layer

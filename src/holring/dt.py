@@ -24,8 +24,9 @@ from typing import NamedTuple, Optional
 from .blocks import HYBRID_CRITERION, hybrid_report
 from .chartable import character_table, derived_table
 from .citations import register
-from .cyclotomic import is_prime, padic_valuation
+from .cyclotomic import padic_valuation
 from .groups import FiniteGroup
+from .linalg import is_prime
 
 DT_MAXIMAL = register(
     "dt-maximal-trivial",

@@ -15,7 +15,8 @@ from array import array
 from operator import itemgetter
 from typing import NamedTuple
 
-from .cyclotomic import is_prime, multiplicative_order, padic_valuation, prime_divisors
+from .cyclotomic import multiplicative_order, padic_valuation, prime_divisors
+from .linalg import is_prime
 
 MAX_ORDER = 2000
 

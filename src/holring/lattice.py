@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import INF, is_prime, padic_valuation
+from .cyclotomic import INF, padic_valuation
+from .linalg import is_prime
 
 
 def canonical_residue(x: Fraction, p: int, a: int) -> Fraction:

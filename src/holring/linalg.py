@@ -5,10 +5,12 @@ combinations of rows, the fraction-free (Bareiss) determinant over Z,
 and over a prime field F_q the reduced row echelon form, the kernel, the
 characteristic polynomial and the roots of a polynomial, and over Z the
 char polynomial (by CRT) and the adjugate.  Matrices are lists of rows;
-F_q entries are ints, reduced mod q on output.  Dixon's character tables, the regular-determinant oracle,
-the p-saturation of the maximal-order center and the blocks of `rednorm`
-with a representation all run on these.  The module imports no other
-holring module.
+F_q routines take any ints and reduce mod q on output.  Dixon's
+character tables, the regular-determinant oracle, the p-saturation of
+the maximal-order center and the blocks of `rednorm` with a
+representation all run on these.  The bottom layer also holds the exact
+primality test `is_prime` that the CRT primes and every prime argument
+use; it imports no other holring module.
 """
 
 from __future__ import annotations
@@ -98,9 +100,9 @@ def fq_charpoly(mat, q):
 
     Reduces mat to Hessenberg form by similarity, then runs the Hessenberg
     recurrence (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.2.9).  It divides only by nonzero pivots, so any q works,
-    including q below the dimension."""
-    h = [list(row) for row in mat]
+    Alg. 2.2.9).  The entries are reduced mod q first, so a pivot is
+    nonzero in F_q; any q works, including q below the dimension."""
+    h = [[x % q for x in row] for row in mat]
     n = len(h)
     for m in range(1, n - 1):
         sel = next((i for i in range(m, n) if h[i][m - 1]), None)
@@ -147,18 +149,41 @@ def fq_roots(f, q):
     return roots
 
 
-_PRIMES = [2**61 - 1]  # the primes below 2^61 found so far, descending
+# Miller-Rabin on the 13 prime bases 2..41 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the prime bases up to 37, deterministic for odd
-    n > 37 below 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017)."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
-    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        xs = [pow(b, (n - 1) >> (s - i), n) for i in range(s)]  # b^(d 2^i), d odd
-        if xs[0] != 1 and n - 1 not in xs:
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test; ValueError for n at or above
+    _MR_BOUND, where the bases no longer prove the answer."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large for an exact primality test "
+                         f"(the bound is {_MR_BOUND})")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
+
+
+_PRIMES = [2**61 - 1]  # the primes below 2^61 found so far, descending
 
 
 def crt_primes():
@@ -167,7 +192,7 @@ def crt_primes():
         n = _PRIMES[-1]
         while i == len(_PRIMES):
             n -= 2
-            if _is_prime(n):
+            if is_prime(n):
                 _PRIMES.append(n)
         yield _PRIMES[i]
 
@@ -193,7 +218,7 @@ def charpoly_int(m: list) -> list:
     N - k, each at most B^(N - k) (Hadamard), B the largest column l1
     norm; `crt_lift` joins `fq_charpoly` up to their sum (B + 1)^N."""
     b = max(sum(map(abs, col)) for col in zip(*m))
-    return crt_lift(lambda q: fq_charpoly([[x % q for x in row] for row in m], q), (b + 1) ** len(m))
+    return crt_lift(lambda q: fq_charpoly(m, q), (b + 1) ** len(m))
 
 
 def adjugate_int(m: list) -> list:

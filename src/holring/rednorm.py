@@ -9,11 +9,12 @@ adjoint's central layers enter Q[G] through the table's integer change
 of basis, `groupring.orbit_basis`.  On top of that sit the
 denominator-ideal certificates: conductor membership, the
 commutator-order criterion, and seeded sampling of x * adj(H) when no
-certificate applies.  Norm-ideal probes collect reduced norms of
-structured and random matrices into an exact lattice over the rationals
-with denominators prime to p, so there is no p-adic rounding anywhere,
-and compare it with the center of the maximal order, whose lattice is
-saturated at p so that it is right under wild ramification too.
+certificate applies.  Norm-ideal probes collect reduced norms into an
+exact lattice over the rationals with denominators prime to p, so there
+is no p-adic rounding anywhere, and compare it with the center of the
+maximal order, whose lattice is saturated at p so that it is right under
+wild ramification too.  Both sample one trial list, `_trials`: one
+structured witness per conjugacy class, then seeded random matrices.
 """
 
 from __future__ import annotations
@@ -370,6 +371,42 @@ def _elem_p_integral(elem: GroupRingElem, p: int) -> bool:
     return elem.den % p != 0
 
 
+def _trials(g: FiniteGroup, budget: int, seed: int):
+    """(N, [(index, H)]): one structured 1x1 witness per conjugacy class,
+    at its index among the N element-level ones (+-x and 1 + x for each x,
+    the sum S_K of each cyclic K = <x> != 1 by least generator x, and for
+    |G| <= 32 each y S_K), then `budget` seeded random integral matrices of
+    sizes 1..3 at N, N + 1, ....  Conjugates share nr(H) and conjugate
+    x adj(H); so do y S_K over the classes of y and K, as nr(yS) = nr(y)
+    nr(S) and adj(yS) = adj(S) nr(y) y^-1 (Reiner, Maximal Orders, sec. 9).
+    Cyclic subgroups that meet the same classes are conjugate: a generator
+    of one is conjugate to an element of the other of the same order."""
+    cls, n = g.classes(), g.order
+    subgroups, first, seen = [], {}, set()
+    for x in range(1, n):
+        if x not in seen:
+            walk = [g.power(x, k) for k in range(g.element_order(x))]
+            seen.update(y for k, y in enumerate(walk) if math.gcd(k, len(walk)) == 1)
+            first.setdefault(frozenset(cls.class_of[y] for y in walk), len(subgroups))
+            subgroups.append(walk)
+    c, reps, firsts = len(subgroups), sorted(cls.representatives), sorted(first.values())
+
+    def one_by_one(ids):
+        return GroupRingMatrix(g, [[GroupRingElem(g, [int(y in ids) for y in range(n)])]])
+
+    one, out = GroupRingElem.one(g), []
+    for r in reps:
+        b = GroupRingElem.basis(g, r)
+        out += [(3 * r + t, GroupRingMatrix(g, [[h]])) for t, h in enumerate((b, -b, one + b))]
+    out += [(3 * n + s, one_by_one(set(subgroups[s]))) for s in firsts]
+    if n <= 32:
+        out += [(3 * n + c + r * c + s, one_by_one({g.mul(r, y) for y in subgroups[s]}))
+                for r in reps for s in firsts]
+    count, rng = 3 * n + c + (n * c if n <= 32 else 0), random.Random(seed)
+    out += [(count + i, random_integral_matrix(g, 1 + i % 3, rng, bound=2)) for i in range(budget)]
+    return count, out
+
+
 def denominator_membership(
     x: CentralElement, p: int, budget: int = 36, seed: int = SEED
 ) -> MembershipVerdict:
@@ -377,11 +414,11 @@ def denominator_membership(
 
     Two certificates are tried first: membership in the central
     conductor, and the commutator-order criterion together with
-    x in z(Z_p[G]).  Otherwise x * adj(H) is tested for structured
-    witnesses and then `budget` seeded random integral H of sizes
-    1..3; a failure is returned as a concrete counterexample, success
-    only corroborates.  Integrality of cyclotomic coordinates means
-    integrality at every prime above p.
+    x in z(Z_p[G]).  Otherwise x * adj(H) is tested on `_trials`, one
+    structured witness per conjugacy class and then `budget` seeded random
+    matrices; a failure is returned as a concrete counterexample, counted
+    at its element-level index, success only corroborates.  Integrality of
+    cyclotomic coordinates means integrality at every prime above p.
     """
     g = x.group
     if any(v.den % p == 0 for v in x.values):
@@ -401,31 +438,23 @@ def denominator_membership(
             "x has p-integral group coefficients",
             (BEST_DENOMINATORS,),
         )
-    rng = random.Random(seed)
-    trials = _structured_matrices(g)
-    trials += [
-        random_integral_matrix(g, 1 + k % 3, rng, bound=2)
-        for k in range(budget)
-    ]
-    for k, h in enumerate(trials):
+    count, trials = _trials(g, budget, seed)
+    for k, h in trials:
         adj, _ = adjoint_and_norm(h)
-        for row in adj.rows:
-            for entry in row:
-                if not _elem_p_integral(xelem * entry, p):
-                    return MembershipVerdict(
-                        "counterexample",
-                        f"x adj(H) leaves M_{h.n}(Z_{p}[G]) for a "
-                        "sampled H",
-                        (ADJOINT_IDENTITY,),
-                        samples=k + 1,
-                        counterexample=h,
-                    )
+        if not all(_elem_p_integral(xelem * entry, p) for row in adj.rows for entry in row):
+            return MembershipVerdict(
+                "counterexample",
+                f"x adj(H) leaves M_{h.n}(Z_{p}[G]) for a sampled H",
+                (ADJOINT_IDENTITY,),
+                samples=k + 1,
+                counterexample=h,
+            )
     return MembershipVerdict(
         "sampled_no_counterexample",
-        f"x adj(H) stayed integral for {len(trials)} sampled matrices; "
+        f"x adj(H) stayed integral for {count + budget} sampled matrices; "
         "sampling corroborates membership but cannot certify it",
         (ADJOINT_IDENTITY,),
-        samples=len(trials),
+        samples=count + budget,
     )
 
 
@@ -473,36 +502,6 @@ class NormIdealProbe(NamedTuple):
         }
 
 
-def _structured_matrices(g: FiniteGroup) -> list:
-    """1x1 witnesses: +-g, 1+g, cyclic sums, element times cyclic sum."""
-    out = []
-    one = GroupRingElem.one(g)
-    for x in range(g.order):
-        b = GroupRingElem.basis(g, x)
-        out.append(b)
-        out.append(-b)
-        out.append(one + b)
-    sums = {}
-    for x in range(g.order):
-        ordx = g.element_order(x)
-        if ordx == 1:
-            continue
-        acc = GroupRingElem.zero(g)
-        y = 0
-        for _ in range(ordx):
-            acc = acc + GroupRingElem.basis(g, y)
-            y = g.mul(y, x)
-        if acc not in sums:
-            sums[acc] = x
-            out.append(acc)
-    if g.order <= 32:
-        for x in range(g.order):
-            b = GroupRingElem.basis(g, x)
-            for acc in sums:
-                out.append(b * acc)
-    return [GroupRingMatrix(g, [[e]]) for e in out]
-
-
 def _closed_form(g: FiniteGroup, p: int):
     if g.order % p != 0:
         return "center", (MAXIMAL_NORM_IDEAL,)
@@ -528,24 +527,20 @@ def norm_ideal_probe(
 ) -> NormIdealProbe:
     """Lattice generated by sampled reduced norms over z(Z_(p)[G]).
 
-    Structured witnesses always come first, then `budget` seeded random
-    integral matrices of sizes 1..3.  The result compares the generated
-    lattice against z(Z_(p)[G]) and the center of the maximal order,
-    and against the closed form when the group is in the catalog.  Each
-    distinct norm is converted to class coordinates once; its generators
-    nr z_c are the rows of its matrix on the class sums, from the
-    class-sum structure constants.
+    The norms are those of `_trials`: one structured witness per conjugacy
+    class, as conjugates share a norm, then `budget` seeded random integral
+    matrices of sizes 1..3.  The result compares the generated lattice
+    against z(Z_(p)[G]) and the center of the maximal order, and against
+    the closed form when the group is in the catalog.  Each distinct norm
+    is converted to class coordinates once; its generators nr z_c are the
+    rows of its matrix on the class sums, from the class-sum structure
+    constants.
     """
     table = character_table(group)
     k = len(table.characters)
-    witnesses = _structured_matrices(group)
-    rng = random.Random(seed)
-    matrices = witnesses + [
-        random_integral_matrix(group, 1 + i % 3, rng, bound=2)
-        for i in range(budget)
-    ]
+    structured, trials = _trials(group, budget, seed)
     # keyed by value, as an equal norm adds the same generators
-    norms = {nr.values: nr for nr in map(reduced_norm, matrices)}
+    norms = {nr.values: nr for nr in (reduced_norm(h) for _, h in trials)}
     consts = [group.classes().class_matrix(group, i) for i in range(k)]
     gens = []
     for nr in norms.values():
@@ -572,7 +567,7 @@ def norm_ideal_probe(
         lattice=lattice,
         center=center,
         maximal_center=maximal,
-        structured=len(witnesses),
+        structured=structured,
         sampled=budget,
         all_values_integral=all(v.den % p for values in norms for v in values),
         contains_center=lattice.contains(center),

@@ -22,9 +22,10 @@ from typing import NamedTuple, Optional
 from .blocks import HYBRID_CRITERION, hybrid_report
 from .chartable import CharTable, character_table
 from .citations import register
-from .cyclotomic import is_prime, prime_divisors
+from .cyclotomic import prime_divisors
 from .dt import DT_INVERSION, dt_query, weakly_hybrid
 from .groups import FiniteGroup
+from .linalg import is_prime
 
 SSC_RATIONAL = register(
     "ssc-rational-character",

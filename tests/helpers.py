@@ -284,3 +284,33 @@ def reference_inversion(orders):
     g = FiniteGroup(_closure([inv_perm] + [translation(t) for t in tuples]))
     g.meta["kernel"] = frozenset(g.index[translation(t)] for t in tuples)
     return g
+
+
+def _structured_matrices(g: FiniteGroup) -> list:
+    """1x1 witnesses: +-g, 1+g, cyclic sums, element times cyclic sum."""
+    out = []
+    one = GroupRingElem.one(g)
+    for x in range(g.order):
+        b = GroupRingElem.basis(g, x)
+        out.append(b)
+        out.append(-b)
+        out.append(one + b)
+    sums = {}
+    for x in range(g.order):
+        ordx = g.element_order(x)
+        if ordx == 1:
+            continue
+        acc = GroupRingElem.zero(g)
+        y = 0
+        for _ in range(ordx):
+            acc = acc + GroupRingElem.basis(g, y)
+            y = g.mul(y, x)
+        if acc not in sums:
+            sums[acc] = x
+            out.append(acc)
+    if g.order <= 32:
+        for x in range(g.order):
+            b = GroupRingElem.basis(g, x)
+            for acc in sums:
+                out.append(b * acc)
+    return [GroupRingMatrix(g, [[e]]) for e in out]

@@ -11,12 +11,12 @@ from holring.cyclotomic import (
     cyclotomic_polynomial,
     divisors,
     euler_phi,
-    is_prime,
     multiplicative_order,
     padic_valuation,
     prime_divisors,
     semilocal_valuation,
 )
+from holring.linalg import is_prime
 
 from helpers import cyclo_from_text
 

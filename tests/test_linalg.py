@@ -69,6 +69,13 @@ def test_charpoly_is_det_x_minus_m_at_every_point():
     assert fq_roots(fq_charpoly(cases[1], q), q) == [0]
 
 
+def test_charpoly_reduces_its_input_before_choosing_pivots():
+    # the 7 below h[1][0] is 0 in F_7, so it is no pivot: the row swap
+    # brings up the 1 beneath it
+    mat = [[0, 0, 1], [7, 0, 0], [1, 1, 0]]
+    assert fq_charpoly(mat, 7) == fq_charpoly([[x % 7 for x in row] for row in mat], 7) == [0, 6, 0, 1]
+
+
 # small matrices over F_5, so row spaces and kernels can be listed in full
 Q = 5
 

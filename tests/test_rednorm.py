@@ -31,7 +31,7 @@ from holring.groups import (
 from holring.lattice import PLattice
 from holring.rednorm import (
     SEED,
-    _structured_matrices,
+    _trials,
     adjoint_and_norm,
     center_lattice,
     denominator_membership,
@@ -44,6 +44,7 @@ from holring.rednorm import (
 from holring.verify import catalog
 
 from helpers import (
+    _structured_matrices,
     class_sum_generators,
     is_galois_equivariant,
     reference_adjoint_and_norm,
@@ -581,6 +582,110 @@ def test_membership_verdict_serializes():
     assert out["verdict"] == "counterexample"
     assert out["samples"] == v.samples
     assert out["counterexample"]
+
+
+# ---------------------------------------------- one witness per class
+
+def seeded_central(g, p, rng, integral=False):
+    """A central element whose value is a power of p, the same on each
+    rational orbit of Irr(G); drawn again until it lies in Z_(p)[G] if
+    integral is set, so that the witness 1 does not reject it."""
+    while True:
+        values = [0] * len(g.classes().classes)
+        for _, members in character_table(g).rational_orbits():
+            power = p ** rng.randrange(3)
+            for idx in members.values():
+                values[idx] = power
+        x = CentralElement(g, values)
+        if not integral or x.to_group_ring().den % p:
+            return x
+
+
+def element_level_sampling(x, p, budget, adjoints):
+    """(kind, samples, counterexample) of x adj(H) over every element-level
+    structured witness and then the seeded draws; adjoints caches adj(H) by
+    index across the calls on one group."""
+    g, rng = x.group, random.Random(SEED)
+    trials = _structured_matrices(g) + [
+        random_integral_matrix(g, 1 + k % 3, rng, bound=2) for k in range(budget)
+    ]
+    xelem = x.to_group_ring()
+    for k, h in enumerate(trials):
+        if k not in adjoints:
+            adjoints[k] = adjoint_and_norm(h)[0]
+        if any((xelem * e).den % p == 0 for row in adjoints[k].rows for e in row):
+            return "counterexample", k + 1, h
+    return "sampled_no_counterexample", len(trials), None
+
+
+def test_denominator_sampling_matches_the_element_level_loop():
+    rng, kinds = random.Random(38), set()
+    for g in SMALL_CATALOG + [inversion([4])]:
+        adjoints = {}
+        for p in prime_divisors(g.order):
+            for integral in (False, True):
+                x = seeded_central(g, p, rng, integral)
+                v = denominator_membership(x, p, budget=3)
+                kinds.add(v.kind)
+                if not v.certified:
+                    got = (v.kind, v.samples, v.counterexample)
+                    assert got == element_level_sampling(x, p, 3, adjoints), (group_name(g), p)
+    assert kinds == {"certified_in", "counterexample", "sampled_no_counterexample"}
+
+
+def witness_keys(g, witnesses):
+    """The class key of each element-level structured witness: (kind, class
+    of x) for +-x and 1 + x, the classes that K meets for S_K, and (class of
+    y, key of S_K) for y S_K."""
+    n, class_of = g.order, g.classes().class_of
+    c = len(witnesses) - 3 * n
+    if n <= 32:
+        c //= n + 1
+    sums = [("S", frozenset(class_of[y] for y, a in enumerate(h.rows[0][0].num) if a))
+            for h in witnesses[3 * n:3 * n + c]]
+    keys = [("x", t, class_of[x]) for x in range(n) for t in range(3)] + sums
+    return keys + [("yS", class_of[y], s) for y in range(n) for s in sums] * (n <= 32)
+
+
+@pytest.mark.parametrize("g", [S3, Q8, A4, D10, S4, affine(5), dihedral(6), inversion([4])], ids=group_name)
+def test_witnesses_of_one_key_share_norm_and_adjoint_integrality(g):
+    # the ±x and 1 + x phase decides every sampled verdict above, so the
+    # S_K and y S_K keys are checked here directly
+    witnesses = _structured_matrices(g)
+    keys = witness_keys(g, witnesses)
+    rng = random.Random(len(keys))
+    xs = [(p, seeded_central(g, p, rng).to_group_ring())
+          for p in prime_divisors(g.order) for _ in range(3)]
+    seen = {}
+    for key, h in zip(keys, witnesses):
+        adj, nr = adjoint_and_norm(h)
+        profile = nr.values, tuple(all((x * e).den % p for e in adj.rows[0]) for p, x in xs)
+        assert seen.setdefault(key, profile) == profile, key
+    first = sorted({key: i for i, key in reversed(list(enumerate(keys)))}.values())
+    count, trials = _trials(g, 0, SEED)
+    assert count == len(witnesses)
+    assert trials == [(i, witnesses[i]) for i in first]
+
+
+@pytest.mark.parametrize("g", [dihedral(16), cyclic(33), affine(7)], ids=group_name)
+def test_trials_count_the_element_level_witnesses(g):
+    # either side of the |G| <= 32 bound on the y S_K witnesses
+    assert _trials(g, 2, SEED)[0] == len(_structured_matrices(g))
+
+
+def test_probe_takes_one_reduced_norm_per_witness_class(monkeypatch):
+    from holring import rednorm
+
+    calls = []
+    body = rednorm.reduced_norm
+
+    def counting(h):
+        calls.append(h)
+        return body(h)
+
+    monkeypatch.setattr(rednorm, "reduced_norm", counting)
+    probe = norm_ideal_probe(S4, 2, budget=0)
+    assert (len(calls), probe.structured) == (39, 472)
 
 
 # -------------------------------------------------- norm ideal probe
