@@ -6,7 +6,9 @@ covers every subcommand in text and JSON, every family, three
 --generators groups, `dt`, `hybrid` and `report` at 2, 3, 5, 7 and at
 every prime dividing each order, `hybrid --normal` by commutator, by
 kernel and by every divisor of the order, `report` flag combinations and
-both epsilon conjectures, --budget 0 probes, and usage errors.  Each argv
+both epsilon conjectures, --budget 0 probes, and usage errors.  C2^7
+given by --generators (29,212 normal subgroups) runs `dt` and both
+epsilon reports at p = 2, and two --normal usage errors.  Each argv
 runs in 0.2 s or less; --write names any that does not.
 
     PYTHONPATH=src python tests/record_corpus.py          # list argv that differ
@@ -91,6 +93,22 @@ REPORT_DIHEDRAL = [
     for splits in ([], ["--p-splits"])
 ]
 
+# C2^7 as seven disjoint transpositions on 14 points: an abelian 2-group,
+# so every subgroup is normal, and at p = 2 only {1} is a normal p'-subgroup
+C2_7 = ["--generators", json.dumps(
+    [[j ^ 1 if j // 2 == i else j for j in range(14)] for i in range(7)],
+    separators=(",", ":"),
+)]
+C2_7_ARGV = [
+    [command, *C2_7, "--p", "2", *extra, *fmt]
+    for command, extra in [
+        ("dt", []),
+        ("report", ["--conjecture", "local-epsilon"]),
+        ("report", ["--conjecture", "global-epsilon"]),
+    ]
+    for fmt in ([], ["--format", "json"])
+]
+
 SMALL = [
     ["--family", "cyclic", "--n", "4"],
     ["--family", "symmetric", "--n", "3"],
@@ -172,6 +190,10 @@ USAGE_ERRORS = [
     ["no-such-command"],
     ["chartab", "--family", "nonsense"],
     ["hybrid", "--family", "symmetric", "--n", "3", "--p", "2"],
+    ["hybrid", *C2_7, "--p", "3", "--normal", "2"],
+    ["denom-cert", *C2_7, "--p", "2", "--normal", "2"],
+    *(["hybrid", "--family", "symmetric", "--n", "4", "--p", "3", "--normal", order]
+      for order in ("0", "-4", "5")),
 ]
 
 
@@ -199,6 +221,7 @@ def corpus_argv() -> list:
         for extra in REPORT_NO_P:
             out.append(["report", *flags, *extra])
     out.extend(["report", *flags] for flags in REPORT_DIHEDRAL)
+    out.extend(C2_7_ARGV)
     for flags in SMALL:
         for fmt in ([], ["--format", "json"]):
             out.append(["nr", *flags, *fmt])
