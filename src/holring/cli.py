@@ -135,7 +135,7 @@ def _normal_ids(g, selector: str) -> frozenset:
         order = int(selector)
     except ValueError:
         raise UsageError(f"--normal must be 'commutator', 'kernel', or a subgroup order, got {selector!r}")
-    matches = [s for s in g.normal_subgroups() if len(s) == order]
+    matches = [s for s in g.normal_subgroups(order) if len(s) == order] if order > 0 else []
     if not matches:
         raise UsageError(f"no normal subgroup of order {order}")
     if len(matches) > 1:

@@ -10,11 +10,13 @@ legitimate verdict and is never silently strengthened.  The weak-hybrid
 test lives here too, as it asks the engine for DT of a direct factor.
 
 Every query and test takes the group, as the rules need its normal
-subgroups, quotients and direct factors.  A quotient G/N that a rule
-recurses into is built once per G and N and kept by G, and its character
-table is derived from G's by inflation, not recomputed, and kept by the
-quotient; the direct factors that the weak-hybrid test hands to the
-engine get theirs by restriction the same way (`chartable.derived_table`).
+subgroups, quotients and direct factors.  The two quotient walks read only
+the normal p'-subgroups, built without the rest of the lattice.  A
+quotient G/N that a rule recurses into is built once per G and N and kept
+by G, and its character table is derived from G's by inflation, not
+recomputed, and kept by the quotient; the direct factors that the
+weak-hybrid test hands to the engine get theirs by restriction the same
+way (`chartable.derived_table`).
 """
 
 from __future__ import annotations
@@ -259,22 +261,13 @@ class WeaklyHybridReport(NamedTuple):
 
 
 def _product_decompositions(group, normal_ids):
-    # internal direct products G = M x H with N <= M, both factors normal
+    # internal direct products G = M x H with N <= M, both factors normal,
+    # in the lattice's (|M|, ids) order; the trivial split retries G itself
     subs = group.normal_subgroups()
-    out = []
-    for m_sub in subs:
-        if not normal_ids <= m_sub:
-            continue
-        for h_sub in subs:
-            if len(m_sub) * len(h_sub) != group.order:
-                continue
-            if len(m_sub & h_sub) != 1:
-                continue
-            if len(h_sub) == 1:
-                continue  # the trivial split retries G itself
-            out.append((m_sub, h_sub))
-    out.sort(key=lambda pair: (len(pair[0]), sorted(pair[0])))
-    return out
+    return (
+        (m_sub, h_sub) for m_sub in subs if normal_ids <= m_sub for h_sub in subs
+        if len(h_sub) > 1 and len(m_sub) * len(h_sub) == group.order and len(m_sub & h_sub) == 1
+    )
 
 
 def weakly_hybrid(group: FiniteGroup, normal_ids, p: int) -> WeaklyHybridReport:
@@ -337,10 +330,14 @@ def weakly_hybrid(group: FiniteGroup, normal_ids, p: int) -> WeaklyHybridReport:
     )
 
 
+def normal_p_prime_subgroups(group: FiniteGroup, p: int) -> list:
+    """The normal N != 1 with p not dividing |N|, in (|N|, ids) order: the
+    only N for which Z_p[G] can be weakly N-hybrid (weak-hybrid-coprime)."""
+    return group.normal_subgroups(group.order // p ** padic_valuation(group.order, p))[1:]
+
+
 def _via_weak_hybrid_quotient(group, p, depth, name):
-    for sub in group.normal_subgroups()[1:-1]:
-        if len(sub) % p == 0:
-            continue
+    for sub in normal_p_prime_subgroups(group, p):
         wh = weakly_hybrid(group, sub, p)
         if wh.verdict != "yes":
             continue
@@ -361,9 +358,9 @@ def _via_weak_hybrid_quotient(group, p, depth, name):
 
 
 def _via_quotient_surjectivity(group, p, depth, name):
-    for sub in group.normal_subgroups()[1:-1]:
-        if (group.order // len(sub)) % p != 0:
-            continue
+    # reached only at p = 2 with v_2(|G|) = 1, where p divides [G:N]
+    # exactly when p does not divide |N|
+    for sub in normal_p_prime_subgroups(group, p):
         inner = dt_query(_quotient(group, sub), p, depth - 1)
         if inner.triviality() == "nontrivial":
             return DTAssertion(

@@ -82,7 +82,7 @@ class FiniteGroup:
         self._table = None
         self._inv = None
         self._classes = None
-        self._normals = None
+        self._atoms = None
         self._commutator = None
         self._frobenius = "unset"
         self._cache = {}
@@ -229,31 +229,35 @@ class FiniteGroup:
         )):
             raise ValueError("subgroup must be normal")
 
-    def normal_subgroups(self) -> list:
-        """All normal subgroups as sets of ids, sorted by (order, ids), so {1}
-        comes first and G last.  Every normal N is the join of the normal
-        closures <C> of the classes C in N, and the join of two normal
-        subgroups A, B is the product set AB; so the atoms <C> are closed
-        under products with atoms."""
-        if self._normals is None:
-            atoms = {self.subgroup_closure(c) for c in self.classes().classes}
-            found, work = set(atoms), list(atoms)
-            while work:
-                a = work.pop()
-                for b in atoms:
-                    if a <= b or b <= a:
-                        continue
-                    # AB is a union of cosets xB, so skip each x already in it
-                    join = set(b)
-                    for x in a:
-                        if x not in join:
-                            join.update(self.mul(x, y) for y in b)
-                    join = frozenset(join)
-                    if join not in found:
-                        found.add(join)
-                        work.append(join)
-            self._normals = sorted(found, key=lambda s: (len(s), sorted(s)))
-        return list(self._normals)
+    def normal_subgroups(self, d: int | None = None) -> list:
+        """The normal subgroups whose order divides d (default |G|: all of
+        them) as sets of ids, sorted by (order, ids), so {1} comes first.
+        Every normal N is the join of the normal closures <C> of the classes
+        C in N, and the join of normal A, B is the product set AB, of order
+        |A||B|/|A n B|; so the atoms <C>, computed once per group, are closed
+        under products with atoms.  If |N| divides d, so does the order of
+        every atom in N and of every partial join, as each is a subgroup of
+        N; so the atoms and joins whose order does not divide d are dropped."""
+        if self._atoms is None:
+            self._atoms = {self.subgroup_closure(c) for c in self.classes().classes}
+        d = self.order if d is None else d
+        atoms = [a for a in self._atoms if d % len(a) == 0]
+        found, work = set(atoms), list(atoms)
+        while work:
+            a = work.pop()
+            for b in atoms:
+                if a <= b or b <= a or d % (len(a) * len(b) // len(a & b)):
+                    continue
+                # AB is a union of cosets xB, so skip each x already in it
+                join = set(b)
+                for x in a:
+                    if x not in join:
+                        join.update(self.mul(x, y) for y in b)
+                join = frozenset(join)
+                if join not in found:
+                    found.add(join)
+                    work.append(join)
+        return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     def commutator_subgroup(self) -> frozenset:
         """G' as the subgroup generated by the classes that meet

@@ -63,11 +63,10 @@ class PLattice:
         basis = []
         pivots = []
         for col in range(dim):
-            cand = [r for r in pool if r[col]]
+            cand = [i for i, r in enumerate(pool) if r[col]]
             if not cand:
                 continue
-            piv = min(cand, key=lambda r: padic_valuation(r[col], p))
-            pool.remove(piv)
+            piv = pool.pop(min(cand, key=lambda i: padic_valuation(pool[i][col], p)))
             a = padic_valuation(piv[col], p)
             unit = piv[col] / Fraction(p) ** a
             piv = [x / unit for x in piv]

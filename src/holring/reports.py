@@ -23,7 +23,7 @@ from .blocks import HYBRID_CRITERION, hybrid_report
 from .chartable import CharTable, character_table
 from .citations import register
 from .cyclotomic import prime_divisors
-from .dt import DT_INVERSION, dt_query, weakly_hybrid
+from .dt import DT_INVERSION, dt_query, normal_p_prime_subgroups, weakly_hybrid
 from .groups import FiniteGroup
 from .linalg import is_prime
 
@@ -404,7 +404,7 @@ def _rule_d12(scn):
 def _rule_s4(scn):
     if not _is_s4(scn.group):
         return []
-    klein = [s for s in scn.group.normal_subgroups() if len(s) == 4]
+    klein = [s for s in scn.group.normal_subgroups(4) if len(s) == 4]
     assert len(klein) == 1
     rep = hybrid_report(scn.group, klein[0], 3)
     assert rep.is_hybrid, "expected a Klein-four hybrid split at 3"
@@ -583,9 +583,7 @@ def _rule_epsilon(scn):
         ), (Statement(
             f"{name} holds for L/K.", (), (dt_label,) + verdict.citations,
         ),))]
-    subs = scn.group.normal_subgroups()[1:-1]
-    subs.sort(key=lambda s: (-len(s), sorted(s)))
-    for sub in subs:
+    for sub in sorted(normal_p_prime_subgroups(scn.group, scn.p), key=lambda s: (-len(s), sorted(s))):
         wh = weakly_hybrid(scn.group, sub, scn.p)
         if wh.verdict != "yes":
             continue

@@ -11,6 +11,7 @@ from holring.dt import (
     _match_fact,
     _odd_part_inverted,
 )
+from holring.reports import Scenario, conjecture_report
 
 CATALOG = [
     ("c2", lambda: G.cyclic(2)),
@@ -334,3 +335,24 @@ def test_odd_part_inverted_finds_the_odd_order_elements():
     # elements outside it are not all involutions
     for g in (G.cyclic(10), G.cyclic(18), G.affine(7)):
         assert _odd_part_inverted(g) is None, g.family
+
+
+def test_c2_7_at_two_reads_only_the_normal_odd_order_subgroups(monkeypatch):
+    """On C2^7 (29,212 normal subgroups) at p = 2 the quotient walks and
+    the epsilon rule ask only for the normal subgroups of odd order."""
+    g = G.from_generators([
+        [j ^ 1 if j // 2 == i else j for j in range(14)] for i in range(7)
+    ])
+    asked = []
+    real = G.FiniteGroup.normal_subgroups
+
+    def spy(self, d=None):
+        asked.append((self.order, d))
+        return real(self, d)
+
+    monkeypatch.setattr(G.FiniteGroup, "normal_subgroups", spy)
+    assert dt_query(g, 2).kind == "nontrivial"
+    for conjecture in ("local-epsilon", "global-epsilon"):
+        rep = conjecture_report(Scenario(group=g, p=2, conjecture=conjecture))
+        assert not rep.derivation
+    assert asked and set(asked) == {(128, 1)}

@@ -314,6 +314,24 @@ def test_subgroup_lattice_and_element_orders_keep_their_values():
     assert h.hexdigest() == "31eb028e107a6a56401eb24974c4a250a2fa080f1205b79369753ef4f6993e36"
 
 
+def test_normal_subgroups_of_order_dividing_d_filter_the_full_lattice():
+    for g in _lattice_groups():
+        full = g.normal_subgroups()
+        for d in (d for d in range(1, g.order + 1) if g.order % d == 0):
+            assert g.normal_subgroups(d) == [n for n in full if d % len(n) == 0], (g.order, d)
+
+
+def test_normal_subgroup_atoms_are_closed_once_per_class(monkeypatch):
+    g = symmetric(4)
+    calls = []
+    real = g.subgroup_closure
+    monkeypatch.setattr(g, "subgroup_closure", lambda gens: calls.append(1) or real(gens))
+    assert [list(map(len, g.normal_subgroups(d))) for d in (3, 4, 24, 12, None)] == [
+        [1], [1, 4], [1, 4, 12, 24], [1, 4, 12], [1, 4, 12, 24],
+    ]
+    assert len(calls) == len(g.classes().classes)
+
+
 def test_subgroup_lattice_matches_the_brute_force_references():
     for g in _lattice_groups():
         assert g.normal_subgroups() == reference_normal_subgroups(g)
