@@ -8,8 +8,10 @@ every prime dividing each order, `hybrid --normal` by commutator, by
 kernel and by every divisor of the order, `report` flag combinations and
 both epsilon conjectures, --budget 0 probes, and usage errors.  C2^7
 given by --generators (29,212 normal subgroups) runs `dt` and both
-epsilon reports at p = 2, and two --normal usage errors.  Each argv
-runs in 0.2 s or less; --write names any that does not.
+epsilon reports at p = 2, and two --normal usage errors.  `chartab` on
+abelian groups given by --generators, up to C3 x C4 x C5 x C7, `dt` on
+that group, and `chartab` on inversion(45).  Each argv runs in 0.2 s or
+less, but for those on C3 x C4 x C5 x C7; --write names any that does not.
 
     PYTHONPATH=src python tests/record_corpus.py          # list argv that differ
     PYTHONPATH=src python tests/record_corpus.py --write  # rewrite the file
@@ -107,6 +109,29 @@ C2_7_ARGV = [
         ("report", ["--conjecture", "global-epsilon"]),
     ]
     for fmt in ([], ["--format", "json"])
+]
+
+
+def _cyclic_factors(*orders) -> list:
+    """--generators for C_n1 x C_n2 x ..., one cycle on points of its own
+    per factor."""
+    gens, start, total = [], 0, sum(orders)
+    for n in orders:
+        gens.append([start + (j - start + 1) % n if start <= j < start + n else j
+                     for j in range(total)])
+        start += n
+    return ["--generators", json.dumps(gens, separators=(",", ":"))]
+
+
+# abelian groups given by generators, up to order 420, and the inversion
+# group of order 90
+ABELIAN_ARGV = [
+    *(["chartab", *_cyclic_factors(*orders), *fmt]
+      for orders in ((3, 4, 5), (2, 4, 8)) for fmt in ([], ["--format", "json"])),
+    ["chartab", *_cyclic_factors(3, 4, 5, 7)],
+    ["dt", *_cyclic_factors(3, 4, 5, 7), "--p", "2"],
+    ["chartab", "--family", "inversion", "--n", "45"],
+    ["chartab", "--family", "inversion", "--n", "45", "--format", "json"],
 ]
 
 SMALL = [
@@ -222,6 +247,7 @@ def corpus_argv() -> list:
             out.append(["report", *flags, *extra])
     out.extend(["report", *flags] for flags in REPORT_DIHEDRAL)
     out.extend(C2_7_ARGV)
+    out.extend(ABELIAN_ARGV)
     for flags in SMALL:
         for fmt in ([], ["--format", "json"]):
             out.append(["nr", *flags, *fmt])
