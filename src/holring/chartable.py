@@ -12,11 +12,15 @@ are the distinct roots of its characteristic polynomial, found by
 evaluating it at every element of F_q.  One Fourier inversion per cyclic
 subgroup <g> not inside a larger one lifts chi(g) exactly, and
 re-indexing its root-of-unity multiplicities gives chi(g^t) for every t.
-Closed forms cover cyclic, dihedral, affine and direct product groups,
-plus the kernel-induction construction for Frobenius groups; the
-independent routes are cross-checked in the test suite.  Every builder
-returns one row of values per character, and `_finish` minimises each
-distinct value once over the build, through one memo (`_memo`).
+Closed forms cover affine and direct product groups, and read abelian
+groups (`abelian_table`: the cyclic family, and under "auto" every
+abelian group with no closed form) and A x| <t> with t inverting an
+abelian A (`inversion_table`: the dihedral and inversion families) off
+the group law.  "generic" is Dixon on every group, the reference for the
+other routes and for kernel induction on Frobenius groups in the tests.
+Every builder returns one row of values per character, and `_finish`
+minimises each distinct value once over the build, through one memo
+(`_memo`).
 
 The table of a quotient G/N, or of a direct factor M of G = M x H, is
 derived from the table of G rather than computed afresh: Irr(G/N) is the
@@ -141,8 +145,11 @@ class CharTable:
         return len(self.classes.class_of)
 
     @cached_property
-    def _index(self) -> dict:
-        return {ch.key: j for j, ch in enumerate(self.characters)}
+    def _index(self) -> tuple:
+        """(rows of value ids, one small int per distinct value; {row: index})."""
+        ids = {}
+        rows = [tuple(ids.setdefault(v, len(ids)) for v in ch.key) for ch in self.characters]
+        return rows, {row: j for j, row in enumerate(rows)}
 
     @cached_property
     def _unit_perms(self) -> dict:
@@ -155,11 +162,11 @@ class CharTable:
     def galois_orbit(self, i: int) -> dict:
         """{k: j} for each unit k in 1..exp(G), where chi_j is chi_i under
         zeta -> zeta^k.  As chi_j(g) = chi_i(g^k), the image is read off the
-        class power map with no field arithmetic.  Computed once per
-        character and kept on the table; each call returns a new dict."""
+        class power map, on rows of value ids, with no field arithmetic.
+        Computed once per character and kept; each call returns a new dict."""
         if i not in self._orbits:
-            key = self.characters[i].key
-            self._orbits[i] = {k: self._index[tuple(map(key.__getitem__, perm))]
+            rows, index = self._index
+            self._orbits[i] = {k: index[tuple(map(rows[i].__getitem__, perm))]
                                for k, perm in self._unit_perms.items()}
         return dict(self._orbits[i])
 
@@ -175,6 +182,7 @@ class CharTable:
         """The table of `group`, whose element permutations name the class
         representatives."""
         cls = self.classes
+        text = _memo(CycloNum.to_text)
         return {
             "group": {"order": group.order, "family": group.family},
             "classes": [
@@ -189,10 +197,7 @@ class CharTable:
                 {
                     "degree": ch.degree,
                     "field_conductor": ch.field_conductor,
-                    "values": [
-                        {"conductor": v.conductor, "text": v.to_text()}
-                        for v in ch.values
-                    ],
+                    "values": [{"conductor": v.conductor, "text": text(v)} for v in ch.values],
                 }
                 for ch in self.characters
             ],
@@ -345,53 +350,64 @@ def dixon_table(group: FiniteGroup) -> CharTable:
 # -- closed forms ---------------------------------------------------------
 
 
-def _rotation_logs(group: FiniteGroup) -> dict:
-    """{class of rot^t: t} for the group's rotation rot, off the class
-    power map.  A dihedral class {rot^t, rot^-t} keeps one of the two t,
-    as the dihedral values depend only on +-t."""
-    cls = group.classes()
-    powers = cls.powers[cls.class_of[group.meta["rotation"]]]
-    return {c: t for t, c in enumerate(powers)}
+def _linear_exponents(group: FiniteGroup, members) -> tuple:
+    """(e, column, rows) for the abelian subgroup A with element ids
+    `members`, e = exp(A): a row of ints per character lambda of A, with
+    lambda(a) = zeta_e^row[column[a]].  A grows from {1} by one element g
+    at a time, largest order first.  For the least m > 0 with g^m in the
+    part H so far, lambda on H has m extensions lambda(h g^j) = lambda(h)
+    zeta_e^(j w), with m w = v mod e for lambda(g^m) = zeta_e^v: as o(g)
+    divides e, m divides v, and w = v/m + t e/m for t < m."""
+    cls, table = group.classes(), group.cayley_table()
+    order = {x: len(cls.powers[cls.class_of[x]]) for x in members}
+    e = math.lcm(*order.values())
+    elems, pos, rows = [0], {0: 0}, [[0]]
+    for g in sorted(members, key=order.__getitem__, reverse=True):
+        if g in pos:
+            continue
+        powers, power = [0], g  # g^j for j < m
+        while power not in pos:
+            powers.append(power)
+            power = table[power][g]
+        m, at = len(powers), pos[power]
+        elems = [table[x][h] for x in powers for h in elems]
+        pos = {x: i for i, x in enumerate(elems)}
+        rows = [[(x + j * w) % e for j in range(m) for x in lam]
+                for lam in rows for w in range(lam[at] // m, e, e // m)]
+    return e, pos, rows
 
 
-def cyclic_table(group: FiniteGroup) -> CharTable:
-    n = group.order
-    logs = _rotation_logs(group)
-    logs = [logs[c] for c in range(n)]
-    roots = [CycloNum.root_of_unity(n, k) for k in range(n)]
-    return _finish(group, [[roots[j * t % n] for t in logs] for j in range(n)])
+def abelian_table(group: FiniteGroup) -> CharTable:
+    """The table of an abelian group, one linear character per row."""
+    reps = group.classes().representatives
+    e, column, rows = _linear_exponents(group, reps)
+    at = [column[r] for r in reps]
+    roots = [CycloNum.root_of_unity(e, x) for x in range(e)]
+    return _finish(group, [[roots[row[i]] for i in at] for row in rows])
 
 
-def dihedral_table(group: FiniteGroup) -> CharTable:
-    n = group.family["n"]
-    cls = group.classes()
-    refl_inv = group.inv(group.meta["reflection"])
-    logs = _rotation_logs(group)
-    kinds = []
-    for c, rep in enumerate(cls.representatives):
-        if c in logs:
-            kinds.append(("rot", logs[c]))
-        else:
-            kinds.append(("ref", logs[cls.class_of[group.mul(rep, refl_inv)]]))
-    rows = []
-
-    def linear(on_rot, on_ref):
-        rows.append([
-            CycloNum.rational(on_rot(t) if kind == "rot" else on_ref(t))
-            for kind, t in kinds
-        ])
-
-    linear(lambda t: 1, lambda t: 1)
-    linear(lambda t: 1, lambda t: -1)
-    if n % 2 == 0:
-        linear(lambda t: (-1) ** t, lambda t: (-1) ** t)
-        linear(lambda t: (-1) ** t, lambda t: (-1) ** (t + 1))
-    top = (n - 1) // 2 if n % 2 else n // 2 - 1
-    # zeta^j + zeta^-j once per j, read at j = h t mod n
-    cosines = [CycloNum.root_of_unity(n, j) + CycloNum.root_of_unity(n, -j) for j in range(n)]
-    zero = CycloNum.rational(0)
-    for h in range(1, top + 1):
-        rows.append([cosines[h * t % n] if kind == "rot" else zero for kind, t in kinds])
+def inversion_table(group: FiniteGroup) -> CharTable:
+    """The table of A x| <t> with t inverting the abelian A (the kernel of an
+    inversion group, the rotations of a dihedral group); each a t is an
+    involution.  A lambda in Irr(A) with lambda^2 = 1 gives the characters
+    a t^i -> (+-1)^i lambda(a); each other pair {lambda, lambda^-1} gives
+    lambda + lambda^-1 on A, 0 off A (Serre, Linear Representations, 5.3)."""
+    kernel = group.meta.get("kernel") or group.subgroup_closure([group.meta["rotation"]])
+    t = next(x for x in range(group.order) if x not in kernel)
+    e, column, lams = _linear_exponents(group, kernel)
+    # (column of a, whether the class is off A) for the class of a or a t
+    at = [(column[r], False) if r in kernel else (column[group.mul(r, t)], True)
+          for r in group.classes().representatives]
+    roots = [CycloNum.root_of_unity(e, x) for x in range(e)]
+    cosines = [root + roots[-x] for x, root in enumerate(roots)]  # zeta^x + zeta^-x
+    rows, zero = [], CycloNum.rational(0)
+    for lam in lams:
+        inverse = [-x % e for x in lam]
+        if inverse == lam:
+            rows.append([roots[lam[i]] for i, _ in at])
+            rows.append([-roots[lam[i]] if off else roots[lam[i]] for i, off in at])
+        elif lam < inverse:  # one of each pair
+            rows.append([zero if off else cosines[lam[i]] for i, off in at])
     return _finish(group, rows)
 
 
@@ -493,8 +509,9 @@ def frobenius_table(group: FiniteGroup) -> CharTable:
 
 
 _CLOSED_FORMS = {
-    "cyclic": cyclic_table,
-    "dihedral": dihedral_table,
+    "cyclic": abelian_table,
+    "dihedral": inversion_table,
+    "inversion": inversion_table,
     "affine": affine_table,
     "product": product_table,
 }
@@ -531,6 +548,8 @@ def character_table(group: FiniteGroup, method: str = "auto") -> CharTable:
         closed = None
     if method == "auto" and closed is not None:
         table = closed(group)
+    elif method == "auto" and group.is_abelian():
+        table = abelian_table(group)
     elif method in ("auto", "generic"):
         # with no closed form, "auto" is Dixon's table too: one run for both
         shared = ("chartable", "generic")

@@ -169,19 +169,17 @@ def _bool(x) -> str:
 def _cmd_chartab(args):
     from .groups import group_name
     g = _build_group(args)
-    t = character_table(g)
-    payload = {"command": "chartab", "name": group_name(g), "table": t.to_jsonable(g)}
-    cls = g.classes()
+    payload = {"command": "chartab", "name": group_name(g), "table": character_table(g).to_jsonable(g)}
+    classes = payload["table"]["classes"]
     lines = [
         f"group: {group_name(g)}",
         f"order: {g.order}",
-        "class sizes: " + ", ".join(str(s) for s in cls.sizes),
-        "class element orders: "
-        + ", ".join(str(g.element_order(r)) for r in cls.representatives),
+        "class sizes: " + ", ".join(str(c["size"]) for c in classes),
+        "class element orders: " + ", ".join(str(c["element_order"]) for c in classes),
     ]
-    for i, ch in enumerate(t.characters):
-        values = ", ".join(v.to_text() for v in ch.values)
-        lines.append(f"chi{i} (degree {ch.degree}): {values}")
+    for i, ch in enumerate(payload["table"]["characters"]):
+        values = ", ".join(v["text"] for v in ch["values"])
+        lines.append(f"chi{i} (degree {ch['degree']}): {values}")
     return payload, lines, 0
 
 

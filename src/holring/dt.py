@@ -138,29 +138,17 @@ def _is_cyclic(g: FiniteGroup) -> bool:
 
 def _odd_part_inverted(g: FiniteGroup):
     """The odd-order elements A when G = A extended by an inverting
-    involution, else None."""
-    if g.order % 2 != 0:
+    involution, else None, from element orders alone.  For |G| = 2m, m
+    odd, an involution is m transpositions of the regular representation,
+    whose sign has a kernel of order m holding each odd-order element (a
+    square): that kernel is A.  For t and ta outside A, t a t = a^-1 says
+    (ta)^2 = 1, so an involution t inverts A iff all else has order 2."""
+    if g.order % 4 != 2:
         return None
-    m = g.order // 2
-    if m % 2 == 0:
+    orders = [g.element_order(x) for x in range(g.order)]
+    if any(o % 2 == 0 and o != 2 for o in orders):
         return None
-    odd = [x for x in range(g.order) if g.element_order(x) % 2 == 1]
-    if len(odd) != m:
-        return None
-    odd_set = set(odd)
-    # the O(|G|) involution test before the |G|^2 / 4 products of closure
-    outside = [t for t in range(g.order) if t not in odd_set]
-    if any(g.element_order(t) != 2 for t in outside):
-        return None
-    for x in odd:
-        for y in odd:
-            if g.mul(x, y) not in odd_set:
-                return None
-    t = outside[0]
-    for x in odd:
-        if g.mul(g.mul(t, x), t) != g.inv(x):
-            return None
-    return odd_set
+    return {x for x, o in enumerate(orders) if o % 2}
 
 
 # (name, the prime it holds at or None for every p, test on (G, p), kind,

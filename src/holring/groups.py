@@ -82,7 +82,6 @@ class FiniteGroup:
         self._table = None
         self._inv = None
         self._classes = None
-        self._atoms = None
         self._commutator = None
         self._frobenius = "unset"
         self._cache = {}
@@ -237,11 +236,14 @@ class FiniteGroup:
         |A||B|/|A n B|; so the atoms <C>, computed once per group, are closed
         under products with atoms.  If |N| divides d, so does the order of
         every atom in N and of every partial join, as each is a subgroup of
-        N; so the atoms and joins whose order does not divide d are dropped."""
-        if self._atoms is None:
-            self._atoms = {self.subgroup_closure(c) for c in self.classes().classes}
+        N; so the atoms and joins whose order does not divide d are dropped.
+        The list for each d is kept, and each call returns a copy."""
         d = self.order if d is None else d
-        atoms = [a for a in self._atoms if d % len(a) == 0]
+        if ("normal", d) in self._cache:
+            return list(self._cache["normal", d])
+        if "atoms" not in self._cache:
+            self._cache["atoms"] = {self.subgroup_closure(c) for c in self.classes().classes}
+        atoms = [a for a in self._cache["atoms"] if d % len(a) == 0]
         found, work = set(atoms), list(atoms)
         while work:
             a = work.pop()
@@ -257,7 +259,8 @@ class FiniteGroup:
                 if join not in found:
                     found.add(join)
                     work.append(join)
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
+        self._cache["normal", d] = sorted(found, key=lambda s: (len(s), sorted(s)))
+        return list(self._cache["normal", d])
 
     def commutator_subgroup(self) -> frozenset:
         """G' as the subgroup generated by the classes that meet
@@ -433,12 +436,7 @@ def _check_positive(family: str, name: str, value: int):
 def cyclic(n: int) -> FiniteGroup:
     _check_positive("cyclic", "n", n)
     _check_order(n)
-    if n == 1:
-        return FiniteGroup([(0,)], family={"family": "cyclic", "n": 1}, meta={"rotation": 0})
-    gen = tuple(list(range(1, n)) + [0])
-    g = FiniteGroup(_closure([gen]), family={"family": "cyclic", "n": n})
-    g.meta["rotation"] = g.index[gen]
-    return g
+    return FiniteGroup(_closure([(*range(1, n), 0)]), family={"family": "cyclic", "n": n})
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -446,19 +444,14 @@ def dihedral(n: int) -> FiniteGroup:
     _check_positive("dihedral", "n", n)
     _check_order(2 * n)
     if n == 1:
-        g = FiniteGroup([(1, 0)], family={"family": "dihedral", "n": 1})
-        g.meta["rotation"], g.meta["reflection"] = 0, 1
-        return g
-    if n == 2:
-        perms = [(1, 0, 2, 3), (0, 1, 3, 2)]
-        g = FiniteGroup(_closure(perms), family={"family": "dihedral", "n": 2})
-        g.meta["rotation"] = g.index[(1, 0, 2, 3)]
-        g.meta["reflection"] = g.index[(0, 1, 3, 2)]
-        return g
-    rot = tuple(list(range(1, n)) + [0])
-    ref = tuple((n - i) % n for i in range(n))
-    g = FiniteGroup(_closure([rot, ref]), family={"family": "dihedral", "n": n})
-    g.meta["rotation"], g.meta["reflection"] = g.index[rot], g.index[ref]
+        rot, gens = (0, 1), [(1, 0)]
+    elif n == 2:
+        rot, gens = (1, 0, 2, 3), [(1, 0, 2, 3), (0, 1, 3, 2)]
+    else:
+        rot = (*range(1, n), 0)
+        gens = [rot, tuple((n - i) % n for i in range(n))]
+    g = FiniteGroup(_closure(gens), family={"family": "dihedral", "n": n})
+    g.meta["rotation"] = g.index[rot]
     return g
 
 

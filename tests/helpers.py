@@ -200,6 +200,50 @@ def reference_normal_subgroups(g) -> list:
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
+def cyclic_product_generators(orders, rng=None) -> list:
+    """Generators of C_n1 x C_n2 x ..., one cycle per factor on points of
+    its own, with the points shuffled by `rng` if given."""
+    degree = sum(orders)
+    points = list(range(degree))
+    if rng is not None:
+        rng.shuffle(points)
+    gens, start = [], 0
+    for n in orders:
+        perm = list(range(degree))
+        for j in range(n):
+            perm[points[start + j]] = points[start + (j + 1) % n]
+        gens.append(perm)
+        start += n
+    return gens
+
+
+def reference_odd_part_inverted(g):
+    """The odd-order elements A when G = A extended by an inverting
+    involution, else None: A checked for closure with |G|^2 / 4 products,
+    and a t outside A checked to invert each a by the group law."""
+    if g.order % 2 != 0:
+        return None
+    m = g.order // 2
+    if m % 2 == 0:
+        return None
+    odd = [x for x in range(g.order) if g.element_order(x) % 2 == 1]
+    if len(odd) != m:
+        return None
+    odd_set = set(odd)
+    outside = [t for t in range(g.order) if t not in odd_set]
+    if any(g.element_order(t) != 2 for t in outside):
+        return None
+    for x in odd:
+        for y in odd:
+            if g.mul(x, y) not in odd_set:
+                return None
+    t = outside[0]
+    for x in odd:
+        if g.mul(g.mul(t, x), t) != g.inv(x):
+            return None
+    return odd_set
+
+
 def reference_frobenius_kernel(g):
     """Element ids of the Frobenius kernel, or None: the proper nontrivial
     normal subgroups N with C_G(n) in N for every n != 1 in N, searched

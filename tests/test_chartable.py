@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,14 @@ from holring import chartable
 from holring.chartable import (
     Character,
     _finish,
+    abelian_table,
     affine_table,
     character_table,
-    cyclic_table,
     derived_table,
-    dihedral_table,
     dixon_table,
     frobenius_table,
     induce_character,
+    inversion_table,
     product_table,
 )
 from holring.cyclotomic import CycloNum, prime_divisors
@@ -37,6 +38,8 @@ from holring.groups import (
     symmetric,
 )
 from holring.verify import catalog
+
+from helpers import cyclic_product_generators
 
 
 def _as_int_rows(table):
@@ -98,12 +101,27 @@ def test_orthogonality(group):
             assert s.as_rational() == want
 
 
+def _seeded_cyclic_products(count, seed):
+    """Products of cyclic groups of order <= 128, given by generators on
+    shuffled points: abelian groups with no family."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        orders = [rng.randint(2, 9) for _ in range(rng.randint(1, 4))]
+        if math.prod(orders) <= 128:
+            out.append((orders, from_generators(cyclic_product_generators(orders, rng))))
+    return out
+
+
+SEEDED_ABELIAN = _seeded_cyclic_products(12, 41)
+INVERSION_ORDERS = [[2, 2], [2, 4], [3, 3], [2, 2, 2], [4, 6]]
+
+
 @pytest.mark.parametrize(
     "group, closed",
     [
-        (cyclic(12), cyclic_table),
-        (dihedral(5), dihedral_table),
-        (dihedral(6), dihedral_table),
+        (cyclic(12), abelian_table),
+        (dihedral(5), inversion_table),
+        (dihedral(6), inversion_table),
         (affine(7), affine_table),
         (affine(8), affine_table),
         (direct_product(symmetric(3), cyclic(2)), product_table),
@@ -113,16 +131,40 @@ def test_orthogonality(group):
     ]
     # Dixon inverts once per cyclic subgroup and re-indexes the value at
     # every class of its powers: abelian groups have the most such classes
-    + [(cyclic(n), cyclic_table) for n in range(1, 41) if n != 12]
-    + [(direct_product(cyclic(a), cyclic(b)), product_table) for a, b in ((2, 6), (4, 6), (3, 9))],
+    + [(cyclic(n), abelian_table) for n in range(1, 41) if n != 12]
+    + [(direct_product(cyclic(a), cyclic(b)), product_table) for a, b in ((2, 6), (4, 6), (3, 9))]
+    # abelian groups with no family, and A x| <t> with t inverting A
+    + [(g, abelian_table) for _, g in SEEDED_ABELIAN]
+    + [(dihedral(n), inversion_table) for n in range(1, 31) if n not in (5, 6)]
+    + [(inversion(orders), inversion_table) for orders in INVERSION_ORDERS],
     ids=["c12", "d10", "d12", "aff7", "aff8", "s3xc2", "c2^4"]
-    + [f"c{n}" for n in range(1, 41) if n != 12] + ["c2xc6", "c4xc6", "c3xc9"],
+    + [f"c{n}" for n in range(1, 41) if n != 12] + ["c2xc6", "c4xc6", "c3xc9"]
+    + ["x".join(f"c{n}" for n in orders) for orders, _ in SEEDED_ABELIAN]
+    + [f"d{2 * n}" for n in range(1, 31) if n not in (5, 6)]
+    + ["i" + "x".join(map(str, orders)) for orders in INVERSION_ORDERS],
 )
 def test_generic_engine_matches_closed_forms(group, closed):
     a = closed(group)
     b = dixon_table(group)
     assert a.characters == b.characters
     assert _keys(a) == _keys(b)
+
+
+def test_abelian_groups_with_no_closed_form_never_run_dixon(monkeypatch):
+    def refuse(group):
+        raise AssertionError("dixon_table called")
+
+    monkeypatch.setattr(chartable, "dixon_table", refuse)
+    for g in (from_generators(cyclic_product_generators([2, 6])), symmetric(2), alternating(3)):
+        assert len(character_table(g).characters) == g.order
+
+
+@pytest.mark.parametrize("orders", [[3, 4, 5, 7], [2] * 10], ids=["c420", "c2^10"])
+def test_abelian_route_passes_the_table_checks_at_large_orders(orders):
+    # _finish asserts the character count, the degrees and distinctness
+    g = from_generators(cyclic_product_generators(orders))
+    t = abelian_table(g)
+    assert len(t.characters) == g.order == math.prod(orders)
 
 
 @pytest.mark.parametrize(

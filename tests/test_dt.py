@@ -12,6 +12,9 @@ from holring.dt import (
     _odd_part_inverted,
 )
 from holring.reports import Scenario, conjecture_report
+from holring.verify import catalog
+
+from helpers import reference_odd_part_inverted
 
 CATALOG = [
     ("c2", lambda: G.cyclic(2)),
@@ -335,6 +338,23 @@ def test_odd_part_inverted_finds_the_odd_order_elements():
     # elements outside it are not all involutions
     for g in (G.cyclic(10), G.cyclic(18), G.affine(7)):
         assert _odd_part_inverted(g) is None, g.family
+
+
+def test_odd_part_inverted_matches_the_group_law_reference():
+    groups = list(catalog())  # frob72 among them
+    groups += [G.cyclic(n) for n in range(1, 41)] + [G.dihedral(n) for n in range(1, 31)]
+    groups += [G.inversion(orders) for orders in (
+        [1], [2], [3], [5], [9], [15], [21], [2, 2], [3, 3], [3, 5], [3, 9], [5, 5])]
+    groups += [G.direct_product(G.symmetric(3), G.cyclic(n)) for n in (3, 5)]
+    groups += [G.direct_product(G.dihedral(n), G.cyclic(2)) for n in (3, 5)]
+    groups += [G.affine(q) for q in (3, 7, 11)] + [G.metacyclic(7, 3), G.metacyclic(11, 5)]
+    assert len(groups) == 126
+    found = 0
+    for g in groups:
+        want = reference_odd_part_inverted(g)
+        assert _odd_part_inverted(g) == want, (g.family, g.order)
+        found += want is not None
+    assert found == 37
 
 
 def test_c2_7_at_two_reads_only_the_normal_odd_order_subgroups(monkeypatch):

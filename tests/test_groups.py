@@ -262,6 +262,23 @@ def test_normal_subgroups_are_copied_on_return():
     assert list(map(len, g.normal_subgroups())) == [1, 4, 12, 24]
 
 
+def test_normal_subgroups_are_kept_per_order(monkeypatch):
+    """A repeated call returns a fresh copy of the kept list, with no
+    closure and no product of the lattice computed again."""
+    g = dihedral(6)
+    calls = []
+    real_closure, real_mul = g.subgroup_closure, g.mul
+    monkeypatch.setattr(g, "subgroup_closure", lambda gens: calls.append("closure") or real_closure(gens))
+    monkeypatch.setattr(g, "mul", lambda a, b: calls.append("mul") or real_mul(a, b))
+    first, first_6 = g.normal_subgroups(), g.normal_subgroups(6)
+    assert calls.count("closure") == len(g.classes().classes) and "mul" in calls
+    calls.clear()
+    first.append(frozenset())
+    assert g.normal_subgroups() == first[:-1] and g.normal_subgroups(6) == first_6
+    assert g.normal_subgroups() is not g.normal_subgroups()
+    assert calls == []
+
+
 def test_normal_subgroups_various():
     assert list(map(len, alternating(5).normal_subgroups())) == [1, 60]
     assert list(map(len, cyclic(12).normal_subgroups())) == [1, 2, 3, 4, 6, 12]
