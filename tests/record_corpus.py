@@ -32,8 +32,6 @@ from pathlib import Path
 from holring.cli import main as cli_main
 from holring.cyclotomic import prime_divisors
 
-from helpers import cyclic_product_generators
-
 CORPUS = Path(__file__).resolve().parent / "data" / "cli_corpus.json"
 SLOW_S = 0.2
 
@@ -115,7 +113,14 @@ C2_7_ARGV = [
 
 
 def _cyclic_factors(*orders) -> list:
-    return ["--generators", json.dumps(cyclic_product_generators(orders), separators=(",", ":"))]
+    """--generators for C_n1 x C_n2 x ..., one cycle on points of its own
+    per factor."""
+    gens, start, total = [], 0, sum(orders)
+    for n in orders:
+        gens.append([start + (j - start + 1) % n if start <= j < start + n else j
+                     for j in range(total)])
+        start += n
+    return ["--generators", json.dumps(gens, separators=(",", ":"))]
 
 
 # abelian groups given by generators, up to order 420, and the inversion

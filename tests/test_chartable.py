@@ -139,7 +139,7 @@ INVERSION_ORDERS = [[2, 2], [2, 4], [3, 3], [2, 2, 2], [4, 6]]
     + [(inversion(orders), inversion_table) for orders in INVERSION_ORDERS],
     ids=["c12", "d10", "d12", "aff7", "aff8", "s3xc2", "c2^4"]
     + [f"c{n}" for n in range(1, 41) if n != 12] + ["c2xc6", "c4xc6", "c3xc9"]
-    + ["x".join(f"c{n}" for n in orders) for orders, _ in SEEDED_ABELIAN]
+    + ["gens-" + "x".join(f"c{n}" for n in orders) for orders, _ in SEEDED_ABELIAN]
     + [f"d{2 * n}" for n in range(1, 31) if n not in (5, 6)]
     + ["i" + "x".join(map(str, orders)) for orders in INVERSION_ORDERS],
 )
