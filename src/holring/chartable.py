@@ -389,9 +389,9 @@ def abelian_table(group: FiniteGroup) -> CharTable:
 def inversion_table(group: FiniteGroup) -> CharTable:
     """The table of A x| <t> with t inverting the abelian A (the kernel of an
     inversion group, the rotations of a dihedral group); each a t is an
-    involution.  A lambda in Irr(A) with lambda^2 = 1 gives the characters
-    a t^i -> (+-1)^i lambda(a); each other pair {lambda, lambda^-1} gives
-    lambda + lambda^-1 on A, 0 off A (Serre, Linear Representations, 5.3)."""
+    involution.  A real lambda in Irr(A) gives a t^i -> (+-1)^i lambda(a),
+    and each other pair {lambda, lambda^-1} lambda + lambda^-1 on A and 0
+    off A (Serre, Linear Representations of Finite Groups, 5.3)."""
     kernel = group.meta.get("kernel") or group.subgroup_closure([group.meta["rotation"]])
     t = next(x for x in range(group.order) if x not in kernel)
     e, column, lams = _linear_exponents(group, kernel)
